@@ -1,6 +1,7 @@
 """Command-line interface: `charsum run` with a config file or direct flags."""
 
 import argparse
+import os
 import sys
 
 from .finite_field import FieldError
@@ -74,6 +75,16 @@ def config_from_args(args) -> RunConfig:
     return cfg
 
 
+def _check_writable(path: str) -> None:
+    """Raise OSError unless path can be opened for writing; a file that did
+    not exist before is removed again."""
+    existed = os.path.exists(path)
+    with open(path, "a", encoding="utf-8"):
+        pass
+    if not existed:
+        os.remove(path)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -82,6 +93,13 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"charsum: config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
+    try:
+        for path in (cfg.out_json, cfg.out_csv):
+            if path:
+                _check_writable(path)
+    except OSError as e:
+        print(f"charsum: i/o error: {e}", file=sys.stderr)
+        return EXIT_IO
     try:
         code, reports = run(cfg)
     except ConfigError as e:

@@ -134,9 +134,6 @@ def _smallest_irreducible(p, m):
 
 # ---------------------------------------------------------------------------
 
-_TABLE_LIMIT = 256  # full add/mul tables only for small fields
-
-
 class PrimePowerField:
     """F_{p^m} with exp/dlog tables and precomputed character ingredients."""
 
@@ -178,17 +175,6 @@ class PrimePowerField:
         self.unity_roots = [cmath.exp(2j * math.pi * k / n) for k in range(n)]
         self.p_roots = [cmath.exp(2j * math.pi * t / p) for t in range(p)]
         self.psi_table = [self.p_roots[self.trace_table[a]] for a in range(order)]
-
-        if order <= _TABLE_LIMIT:
-            self._add_table = [
-                [self.add_codes(a, b) for b in range(order)] for a in range(order)
-            ]
-            self._mul_table = [
-                [self.mul_codes(a, b) for b in range(order)] for a in range(order)
-            ]
-        else:
-            self._add_table = None
-            self._mul_table = None
 
         self._gauss_memo: dict[int, complex] = {}
         self._char_tables: dict[int, list[complex]] = {}

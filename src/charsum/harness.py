@@ -121,8 +121,7 @@ class RunConfig:
                 raise ConfigError(f"unknown suite {s!r}; choose from {', '.join(SUITES)}")
         if not _valid_a_policy(self.a_policy):
             raise ConfigError(f"bad a-policy {self.a_policy!r}; use all, sample-N or auto")
-        if self.parallelism < 1:
-            raise ConfigError("parallelism must be >= 1")
+        self.workers(1)  # validates parallelism and its environment override
 
         if self.fields is None:
             out = []
@@ -150,6 +149,19 @@ class RunConfig:
                 raise ConfigError(f"no requested suite applies to q = {q}")
             out.extend((s, p, t) for s in applicable)
         return out
+
+    def workers(self, n_tasks: int) -> int:
+        """Worker processes for n_tasks tasks: CHARSUM_PARALLELISM if set,
+        else the parallelism field, capped at n_tasks and the CPU count.
+        Raises ConfigError unless the requested count is an integer >= 1."""
+        raw = os.environ.get(ENV_PARALLELISM)
+        try:
+            requested = self.parallelism if raw is None else int(raw)
+        except ValueError:
+            raise ConfigError(f"{ENV_PARALLELISM} must be an integer, got {raw!r}") from None
+        if requested < 1:
+            raise ConfigError(f"parallelism must be >= 1, got {requested}")
+        return min(requested, n_tasks, os.cpu_count() or 1)
 
 
 def _valid_a_policy(policy: str) -> bool:
@@ -537,9 +549,9 @@ def run(config: RunConfig) -> tuple[int, list[VerificationReport]]:
     construction problems, OSError for output failures.
     """
     tasks = build_tasks(config)
-    parallelism = int(os.environ.get(ENV_PARALLELISM, config.parallelism))
-    if parallelism > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=parallelism) as pool:
+    workers = config.workers(len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             reports = list(pool.map(_run_task, tasks))
     else:
         reports = [_run_task(t) for t in tasks]

@@ -14,10 +14,18 @@ sides literally, their single and double Mellin transforms, the kernel sums
 h(D, j) that the mixed-side transform reduces to, and the weighted transforms
 W and Y that bridge the two sides.  Every identity has a deviation function
 computing |lhs - rhs| with the two sides obtained by independent routes.
+
+P has one route at every q, which shares nothing with V's.  The trace is
+F_p-linear, so psi(x s + (a/x) d) = zeta_p^(Tr(x s) + Tr((a/x) d)): the sum
+over x adds lookups in two precomputed rows of traces, one for s and one for
+d.  P depends on (j, k) only through the squares s = (j+k)^2 and
+d = (j-k)^2, so the full matrix sums F(s, d) once for each of the
+((q+1)/2)^2 pairs of squares: about q^3/4 terms, with no field-size limit.
 """
 
 import cmath
 import math
+import operator
 from time import perf_counter
 
 from .characters import (
@@ -73,19 +81,22 @@ class KatzContext:
         tm8 = self.M8.value_table()
         self._fiber_pairs = [(z, tm8[z]) for z in norm_fiber(tower, self.a)]
 
-        # x-loop data for the mixed sum: phi(a/x - x) with the codes of x, a/x
-        tphi = self.phi.value_table()
-        triples = []
+        # x-loop data for the mixed sum, in log coordinates: for each x with
+        # a/x != x, the logs of x and a/x and the sign phi(a/x - x) as an
+        # offset of 0 or 2p into _roots (phi(w) = -1 iff dlog(w) is odd)
+        p, dlog = base.p, base.dlog
+        terms = []
         for x in range(1, tower.q):
             ax = base.mul_codes(self.a_code, base.inv_code(x))
-            fv = tphi[base.sub_codes(ax, x)]
-            if fv:
-                triples.append((fv, x, ax))
-        self._x_codes = triples
-        if base._mul_table is not None:
-            self._x_rows = [(fv, base._mul_table[x], base._mul_table[ax]) for fv, x, ax in triples]
-        else:
-            self._x_rows = None
+            w = base.sub_codes(ax, x)
+            if w:
+                terms.append((dlog[x], dlog[ax], 2 * p * (dlog[w] % 2)))
+        self._s_side = ([t[0] for t in terms], [t[2] for t in terms])
+        self._d_side = ([t[1] for t in terms], [0] * len(terms))
+        # zeta_p^t for t < 2p and -zeta_p^t from 2p on
+        self._roots = base.p_roots * 2 + [-r for r in base.p_roots] * 2
+        # Tr(g^k) for k in [0, 2(q-1)), so a sum of two logs needs no modulo
+        self._trace_exp = [base.trace_table[e] for e in base.exp] * 2
 
         self._v = None
         self._pm = None
@@ -101,11 +112,39 @@ class KatzContext:
         return self._v
 
     def mixed_sum_matrix(self) -> list[list[complex]]:
-        """P(j,k) for every pair of codes, cached (rows reused by transforms)."""
+        """P(j,k) for every pair of codes, cached (rows reused by transforms);
+        one value per pair of squares (s, d), shared by every (j, k) on it."""
         if self._pm is None:
+            base = self.tower.base
             q = self.tower.q
-            self._pm = [[mixed_sum(self, j, k) for k in range(q)] for j in range(q)]
+            sq = [base.mul_codes(c, c) for c in range(q)]
+            rows = {c: (self._trace_row(self._s_side, c), self._trace_row(self._d_side, c))
+                    for c in sorted(set(sq))}
+            p_sd = {s: {d: self._p_value(s, d, s_row, d_row) for d, (_, d_row) in rows.items()}
+                    for s, (s_row, _) in rows.items()}
+            add, sub = base.add_codes, base.sub_codes
+            self._pm = [[p_sd[sq[add(j, k)]][sq[sub(j, k)]] for k in range(q)] for j in range(q)]
         return self._pm
+
+    def _trace_row(self, side, c: int) -> list[int]:
+        """Tr(y c) plus the side's offset, for y = x (s-side) or a/x (d-side)
+        over the x-loop; side is a pair (logs of y, offsets)."""
+        logs, offsets = side
+        if c == 0:
+            return offsets
+        tr, lc = self._trace_exp, self.tower.base.dlog[c]
+        return [tr[ly + lc] + off for ly, off in zip(logs, offsets)]
+
+    def _p_value(self, s: int, d: int, s_row: list[int], d_row: list[int]) -> complex:
+        """P at s = (j+k)^2, d = (j-k)^2 from the trace rows of s and d:
+        G(phi)^-1 F(s, d) + [j = k] + phi(-1) [j = -k], where j = k iff d = 0."""
+        val = sum(map(self._roots.__getitem__, map(operator.add, s_row, d_row)), 0j)
+        val *= self.inv_g_phi
+        if d == 0:
+            val += 1.0
+        if s == 0:
+            val -= 1.0  # phi(-1) = -1 since q = 3 (mod 4)
+        return val
 
     def __repr__(self):
         return f"KatzContext(q={self.tower.q}, a_code={self.a_code}, m8_variant={self.m8_variant})"
@@ -120,22 +159,7 @@ def mixed_sum(ctx: KatzContext, j, k) -> complex:
     s = base.mul_codes(s, s)
     d = base.sub_codes(jc, kc)
     d = base.mul_codes(d, d)
-    psi = base.psi_table
-    acc = 0j
-    if ctx._x_rows is not None:
-        add = base._add_table
-        for fv, xr, ar in ctx._x_rows:
-            acc += fv * psi[add[xr[s]][ar[d]]]
-    else:
-        mul, add = base.mul_codes, base.add_codes
-        for fv, x, ax in ctx._x_codes:
-            acc += fv * psi[add(mul(x, s), mul(ax, d))]
-    val = acc * ctx.inv_g_phi
-    if jc == kc:
-        val += 1.0
-    if jc == base.neg[kc]:
-        val -= 1.0  # phi(-1) = -1 since q = 3 (mod 4)
-    return val
+    return ctx._p_value(s, d, ctx._trace_row(ctx._s_side, s), ctx._trace_row(ctx._d_side, d))
 
 
 def norm_restricted_gauss(ctx: KatzContext, j, scan: bool = False) -> complex:

@@ -1,9 +1,11 @@
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+from charsum import cli
 from charsum.finite_field import build_tower, construct_field
 from charsum.harness import (
     EXIT_CHECK_FAILED,
@@ -28,8 +30,6 @@ from charsum.tolerance import DEFAULT_POLICY, TolerancePolicy
 
 
 def run_cli(*args, env=None):
-    import os
-
     full_env = dict(os.environ)
     if env:
         full_env.update(env)
@@ -132,6 +132,24 @@ class TestConfig:
             load_config(str(no_eq))
         with pytest.raises(ConfigError):
             load_config(str(tmp_path / "missing.cfg"))
+
+    def test_workers_capped_by_tasks_and_cpus(self, monkeypatch):
+        monkeypatch.delenv("CHARSUM_PARALLELISM", raising=False)
+        cpus = os.cpu_count() or 1
+        cfg = RunConfig(parallelism=10**6)
+        assert cfg.workers(3) == min(3, cpus)
+        assert cfg.workers(10**6) == cpus
+        assert RunConfig().workers(10) == 1
+
+    @pytest.mark.parametrize("raw", ["abc", "2.5", "", "0", "-1"])
+    def test_parallelism_env_validated(self, monkeypatch, raw):
+        monkeypatch.setenv("CHARSUM_PARALLELISM", raw)
+        with pytest.raises(ConfigError, match="CHARSUM_PARALLELISM|parallelism"):
+            RunConfig(fields=[(3, 1)]).jobs()
+
+    def test_parallelism_env_overrides_field(self, monkeypatch):
+        monkeypatch.setenv("CHARSUM_PARALLELISM", "1")
+        assert RunConfig(parallelism=4).workers(10) == 1
 
     def test_octic_variants_expand_tasks(self):
         cfg = RunConfig(fields=[(7, 1)], suites=["master"], a_policy="sample-1",
@@ -270,6 +288,33 @@ class TestCli:
         res = run_cli("run", "--q", "3", "--suite", "classical",
                       "--out", str(tmp_path / "nodir" / "x.json"))
         assert res.returncode == 4
+
+    @pytest.mark.parametrize("flag", ["--out", "--csv"])
+    def test_unwritable_output_fails_before_any_work(self, tmp_path, monkeypatch, capsys, flag):
+        def no_run(cfg):
+            raise AssertionError("the run started before its outputs were checked")
+
+        monkeypatch.setattr(cli, "run", no_run)
+        code = cli.main(["run", "--q", "59", "--suite", "classical",
+                         flag, str(tmp_path / "nodir" / "x")])
+        assert code == 4
+        captured = capsys.readouterr()
+        assert "i/o error" in captured.err
+        assert captured.out == ""  # no suite summary line
+
+    def test_output_check_leaves_no_file_behind(self, tmp_path):
+        # the outputs pass the check, then the field guard stops the run
+        out = tmp_path / "rep.json"
+        res = run_cli("run", "--q", "1048583", "--suite", "classical", "--out", str(out))
+        assert res.returncode == 3
+        assert not out.exists()
+
+    def test_parallelism_env_not_integer_exit_code(self):
+        res = run_cli("run", "--q", "3", "--suite", "classical",
+                      env={"CHARSUM_PARALLELISM": "abc"})
+        assert res.returncode == 2
+        assert "CHARSUM_PARALLELISM" in res.stderr
+        assert "Traceback" not in res.stderr
 
     def test_field_guard_exit_code(self):
         # 1048583 is an odd prime just past the dlog table guard

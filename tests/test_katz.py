@@ -27,6 +27,7 @@ from charsum.katz import (
     quadratic_kernel_expected,
     quadratic_kernel_mellin,
     ratio_bracket_deviation,
+    spaced_sample,
     verify_master_identity,
 )
 
@@ -60,6 +61,27 @@ def p_raw(j, k, a, q=7):
     if j % q == k % q:
         val += 1
     if j % q == (-k) % q:
+        val -= 1
+    return val
+
+
+def p_literal(ctx, j, k):
+    """P(j, k) by the per-x loop over field arithmetic,
+    sum_x phi(a/x - x) psi(x s + (a/x) d) with s = (j+k)^2, d = (j-k)^2:
+    the oracle for the trace-linear route of mixed_sum_matrix."""
+    base = ctx.tower.base
+    add, mul, sub = base.add_codes, base.mul_codes, base.sub_codes
+    tphi, psi = ctx.phi.value_table(), base.psi_table
+    s = mul(add(j, k), add(j, k))
+    d = mul(sub(j, k), sub(j, k))
+    acc = 0j
+    for x in range(1, base.order):
+        ax = mul(ctx.a_code, base.inv_code(x))
+        acc += tphi[sub(ax, x)] * psi[add(mul(x, s), mul(ax, d))]
+    val = acc * ctx.inv_g_phi
+    if j == k:
+        val += 1
+    if j == base.neg[k]:
         val -= 1
     return val
 
@@ -116,6 +138,21 @@ class TestMixedSum:
         for j in range(7):
             assert abs(mixed_sum(ctx7, j, 0)) < TOL
             assert abs(mixed_sum(ctx7, 0, j)) < TOL
+
+
+class TestMixedSumMatrix:
+    # q = 27 has an extension base field; 251 and 263 lie on either side of
+    # 256, where a table-driven route once changed
+    @pytest.mark.parametrize("p,t,n_rows", [(3, 3, 27), (263, 1, 3), (251, 1, 3)])
+    def test_matches_literal_loop(self, p, t, n_rows):
+        tower = build_tower(p, t)
+        for a in (1, tower.base.g):  # a square and a non-square a
+            ctx = KatzContext(tower, a)
+            pm = ctx.mixed_sum_matrix()
+            for j in spaced_sample(list(range(tower.q)), n_rows):
+                for k in range(tower.q):
+                    assert abs(pm[j][k] - p_literal(ctx, j, k)) < 1e-12
+                    assert mixed_sum(ctx, j, k) == pm[j][k]
 
 
 class TestNormRestrictedGauss:
