@@ -5,8 +5,13 @@ Hasse-Davenport product and lifting relations, the quartic Gauss-sum
 evaluation, the Eisenstein/Gauss ratio) appear only inside check functions,
 so each check compares two independently computed values.
 
-Gauss sums are memoized on the field object, keyed by character index: the
-Mellin-side identities evaluate many Jacobi sums that share Gauss factors.
+Gauss and Jacobi sums do not depend on the parameter a, so both are memoized
+on the field object, and every a-task of one process reuses them.  Gauss sums
+are keyed by character index (at most q*-1 values per field of order q*);
+Jacobi sums by the ordered pair of indices (at most the distinct pairs
+requested, itself at most (q*-1)^2).  A memo stores exactly what the literal
+sum returns, so no check's two sides share a value they would not share
+without it.
 """
 
 from .characters import MultChar, norm_compose, octic_M8, quadratic_char, restrict_to_base
@@ -33,13 +38,18 @@ def gauss(a: MultChar) -> complex:
 
 
 def jacobi(a: MultChar, b: MultChar) -> complex:
-    """J(A, B) = sum_y A(y) B(1 - y)."""
+    """J(A, B) = sum_y A(y) B(1 - y), memoized on the field by the ordered
+    pair of character indices (J(A, B) and J(B, A) are summed separately)."""
     if a.field is not b.field:
         raise FieldError("Jacobi sum needs characters on the same field")
     field = a.field
-    ta, tb = a.value_table(), b.value_table()
-    om = field.one_minus
-    return sum(ta[y] * tb[om[y]] for y in range(1, field.order))
+    key = (a.index, b.index)
+    val = field._jacobi_memo.get(key)
+    if val is None:
+        ta, tb = a.value_table(), b.value_table()
+        om = field.one_minus
+        val = field._jacobi_memo[key] = sum(ta[y] * tb[om[y]] for y in range(1, field.order))
+    return val
 
 
 def gauss_table_rows(field):
@@ -61,14 +71,7 @@ def eisenstein_E(tower: FieldTower, beta: MultChar) -> complex:
     """E(beta) = sum_{y in F_q} beta(1 + i*y)."""
     if beta.field is not tower.top:
         raise FieldError("E needs a character on the tower's top field")
-    top = tower.top
-    tb = beta.value_table()
-    i_code = tower.i_code
-    emb = tower.embed_table
-    total = 0j
-    for y in range(tower.q):
-        total += tb[top.add_codes(1, top.mul_codes(i_code, emb[y]))]
-    return total
+    return sum(map(beta.value_table().__getitem__, tower.i_line), 0j)
 
 
 # ---------------------------------------------------------------------------

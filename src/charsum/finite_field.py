@@ -177,6 +177,8 @@ class PrimePowerField:
         self.psi_table = [self.p_roots[self.trace_table[a]] for a in range(order)]
 
         self._gauss_memo: dict[int, complex] = {}
+        self._jacobi_memo: dict[tuple[int, int], complex] = {}
+        self._kernel_rows: dict[int, list[complex]] = {}
         self._char_tables: dict[int, list[complex]] = {}
 
     # -- construction helpers ------------------------------------------------
@@ -470,6 +472,7 @@ class FieldTower:
 
         self.i_code = top.pow_code(self.g2, (top.order - 1) // 4)
         self._trace_line = None
+        self._i_line = None
 
     def _smallest_modulus_root(self, base_modulus) -> int:
         top = self.top
@@ -520,6 +523,16 @@ class FieldTower:
                 z for z in range(top.order) if top.add_codes(z, self.frob[z]) == 1
             ]
         return self._trace_line
+
+    @property
+    def i_line(self) -> list[int]:
+        """Codes of 1 + i*y for the codes y of F_q in order; exactly q points."""
+        if self._i_line is None:
+            top = self.top
+            self._i_line = [
+                top.add_codes(1, top.mul_codes(self.i_code, e)) for e in self.embed_table
+            ]
+        return self._i_line
 
     def __repr__(self):
         return f"FieldTower(q={self.q}, p={self.p}, t={self.t})"

@@ -6,7 +6,9 @@ whose records are deterministic for a given configuration, so serial and
 parallel runs agree after sorting.
 """
 
+import cmath
 import csv
+import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -122,6 +124,10 @@ class RunConfig:
         if not _valid_a_policy(self.a_policy):
             raise ConfigError(f"bad a-policy {self.a_policy!r}; use all, sample-N or auto")
         self.workers(1)  # validates parallelism and its environment override
+        for name in ("floor", "scale"):
+            value = getattr(self.tolerance, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ConfigError(f"tolerance {name} must be finite and >= 0, got {value}")
 
         if self.fields is None:
             out = []
@@ -594,6 +600,10 @@ def load_gauss_tables(field, path: str):
                 val = complex(float(row[2]), float(row[3]))
             except (ValueError, IndexError):
                 raise ValueError(f"{path}:{lineno}: corrupt row {row!r}") from None
+            if not cmath.isfinite(val):
+                raise ValueError(f"{path}:{lineno}: non-finite value in row {row!r}")
+            if index in rows:
+                raise ValueError(f"{path}:{lineno}: repeated char_index {index}")
             if order != field.order:
                 raise ValueError(
                     f"{path}: cache is for field order {order}, not {field.order}"

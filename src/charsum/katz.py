@@ -21,6 +21,12 @@ over x adds lookups in two precomputed rows of traces, one for s and one for
 d.  P depends on (j, k) only through the squares s = (j+k)^2 and
 d = (j-k)^2, so the full matrix sums F(s, d) once for each of the
 ((q+1)/2)^2 pairs of squares: about q^3/4 terms, with no field-size limit.
+
+The kernel sums h(D, j) do not depend on a.  kernel_row memoizes the whole
+row h(D, .) on the field, keyed by the index of D: at most q-1 rows of q
+entries per field, which every a-task of one process reuses (a KatzContext
+is built per task, so the memo cannot live on it).  Gauss and Jacobi sums are
+memoized on the field the same way (see classical_sums).
 """
 
 import cmath
@@ -260,24 +266,40 @@ def double_mellin_product_deviation(ctx: KatzContext, chi1: MultChar, chi2: Mult
 # the mixed-side transform and its kernel
 
 
-def kernel_sum(d: MultChar, j) -> complex:
-    """h(D, j) = sum_{x != 0} D(x) phi(1-x) (phi conj(D)^2)(x(j+1)^2 + (j-1)^2)."""
+def kernel_row(d: MultChar) -> list[complex]:
+    """h(D, j) = sum_{x != 0} D(x) phi(1-x) (phi conj(D)^2)(x(j+1)^2 + (j-1)^2)
+    for every code j, indexed by code; entry 0 is 0j, since h needs j != 0.
+
+    Memoized on the field by the index of D.  The weights D(x) phi(1-x) are
+    formed once per D; each entry keeps the product order and the summation
+    order of the per-x loop, so it equals that loop's value exactly.
+    """
     field = d.field
-    j = field.element(j)
+    row = field._kernel_rows.get(d.index)
+    if row is None:
+        phi = quadratic_char(field)
+        td, tphi = d.value_table(), phi.value_table()
+        tmix = (phi * d.conj**2).value_table()
+        om = field.one_minus
+        xs = range(1, field.order)
+        weights = [td[x] * tphi[om[x]] for x in xs]
+        mul, add, sub = field.mul_codes, field.add_codes, field.sub_codes
+        row = [0j]
+        for j in xs:
+            jp, jm = add(j, 1), sub(j, 1)
+            jp, jm = mul(jp, jp), mul(jm, jm)
+            args = [add(mul(x, jp), jm) for x in xs]
+            row.append(sum(map(operator.mul, weights, map(tmix.__getitem__, args)), 0j))
+        field._kernel_rows[d.index] = row
+    return row
+
+
+def kernel_sum(d: MultChar, j) -> complex:
+    """h(D, j) for j != 0, read from kernel_row(D)."""
+    j = d.field.element(j)
     if j.code == 0:
         raise ValueError("kernel sum requires j != 0")
-    phi = quadratic_char(field)
-    td = d.value_table()
-    tphi = phi.value_table()
-    tmix = (phi * d.conj**2).value_table()
-    jp = ((j + 1) ** 2).code
-    jm = ((j - 1) ** 2).code
-    om = field.one_minus
-    mul, add = field.mul_codes, field.add_codes
-    total = 0j
-    for x in range(1, field.order):
-        total += td[x] * tphi[om[x]] * tmix[add(mul(x, jp), jm)]
-    return total
+    return kernel_row(d)[j.code]
 
 
 def kernel_closed_form_deviation(d: MultChar, j) -> float:
@@ -339,7 +361,8 @@ def double_mellin_mixed_deviation(ctx: KatzContext, chi1: MultChar, chi2: MultCh
     rhs = 0j
     for i in (0, 1):
         dch = mu * ctx.phi**i
-        hsum = sum(t1[j] * kernel_sum(dch, j) for j in range(1, q))
+        h = kernel_row(dch)
+        hsum = sum(t1[j] * h[j] for j in range(1, q))
         rhs += (mu.conj * ctx.phi**i)(ctx.a) * g_ratio * (hsum + 2 * (q - 1) * delta(dch))
     return abs(t - rhs)
 
@@ -352,7 +375,8 @@ def kernel_transform(d: MultChar, nu: MultChar) -> complex:
     """W(D) = sum_{j != 0} (phi nu^4)(j) h(D, j)."""
     field = d.field
     w = (quadratic_char(field) * nu**4).value_table()
-    return sum(w[j] * kernel_sum(d, j) for j in range(1, field.order))
+    h = kernel_row(d)
+    return sum(w[j] * h[j] for j in range(1, field.order))
 
 
 def kernel_transform_deviation(ctx: KatzContext, d: MultChar, nu: MultChar) -> float:
@@ -497,7 +521,8 @@ def quadratic_kernel_mellin(q: int) -> complex:
     field = construct_field(p, t)
     phi = quadratic_char(field)
     tphi = phi.value_table()
-    return sum(tphi[j] * kernel_sum(phi, field.element(j)) for j in range(1, q))
+    h = kernel_row(phi)
+    return sum(tphi[j] * h[j] for j in range(1, q))
 
 
 def quadratic_kernel_expected(q: int) -> int:

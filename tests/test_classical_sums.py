@@ -77,6 +77,17 @@ class TestJacobi:
         with pytest.raises(FieldError):
             jacobi(char(construct_field(7), 1), char(construct_field(11), 1))
 
+    @pytest.mark.parametrize("p,m", [(7, 1), (7, 2)])
+    def test_memo_equals_literal_sum(self, p, m):
+        field = construct_field(p, m)
+        n = field.order - 1
+        for i in range(n):
+            for k in range(n):
+                a, b = char(field, i), char(field, k)
+                literal = sum(a(y) * b(1 - y) for y in field.elements() if y)
+                assert jacobi(a, b) == literal
+                assert field._jacobi_memo[(i, k)] == literal
+
 
 class TestHasseDavenport:
     @pytest.mark.parametrize("q", [7, 11, 19])
@@ -144,6 +155,14 @@ class TestEisenstein:
         assert restrict_to_base(tower, m8).is_trivial
         lhs = eisenstein_E2(tower, m8)
         assert abs(lhs + gauss(m8) / 7) < TOL
+
+    def test_e_sums_the_points_one_plus_i_y(self):
+        tower = build_tower(7)
+        line = [(1 + tower.i_elem * tower.embed(y)).code for y in range(7)]
+        assert tower.i_line == line
+        for k in (0, 1, 5, 30):
+            beta = char(tower.top, k)
+            assert eisenstein_E(tower, beta) == sum((beta.value_table()[z] for z in line), 0j)
 
     def test_requires_top_field_character(self):
         tower = build_tower(7)

@@ -133,6 +133,15 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(str(tmp_path / "missing.cfg"))
 
+    @pytest.mark.parametrize("key", ["tol_floor", "tol_scale"])
+    @pytest.mark.parametrize("value", ["inf", "nan", "-1"])
+    def test_tolerance_keys_validated(self, tmp_path, key, value):
+        path = tmp_path / "run.cfg"
+        path.write_text(f"q = 7\n{key} = {value}\n")
+        cfg = load_config(str(path))
+        with pytest.raises(ConfigError, match="tolerance"):
+            cfg.jobs()
+
     def test_workers_capped_by_tasks_and_cpus(self, monkeypatch):
         monkeypatch.delenv("CHARSUM_PARALLELISM", raising=False)
         cpus = os.cpu_count() or 1
@@ -262,6 +271,26 @@ class TestGaussCache:
         with pytest.raises(ValueError, match="corrupt"):
             load_gauss_tables(type(field)(7, 2), str(path))
 
+    def test_non_finite_row_rejected(self, tmp_path):
+        field = construct_field(7, 2)
+        path = tmp_path / "gauss49.csv"
+        cache_gauss_tables(field, str(path))
+        lines = path.read_text().splitlines()
+        lines[3] = "49,2,nan,0.0"  # char_index 2 is not spot-checked
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="non-finite"):
+            load_gauss_tables(type(field)(7, 2), str(path))
+
+    def test_repeated_index_rejected(self, tmp_path):
+        field = construct_field(7, 2)
+        path = tmp_path / "gauss49.csv"
+        cache_gauss_tables(field, str(path))
+        lines = path.read_text().splitlines()
+        lines.append("49,2,0.5,0.5")  # would overwrite the row of char_index 2
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="repeated char_index 2"):
+            load_gauss_tables(type(field)(7, 2), str(path))
+
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "g.csv"
         path.write_text("a,b,c\n")
@@ -283,6 +312,13 @@ class TestCli:
         res = run_cli("run", "--q", "13", "--suite", "master")
         assert res.returncode == 2
         assert "3 (mod 4)" in res.stderr
+
+    @pytest.mark.parametrize("flag", ["--tol-floor", "--tol-scale"])
+    @pytest.mark.parametrize("value", ["inf", "nan", "-1"])
+    def test_bad_tolerance_exit_code(self, capsys, flag, value):
+        code = cli.main(["run", "--q", "7", "--suite", "classical", flag, value])
+        assert code == 2
+        assert "tolerance" in capsys.readouterr().err
 
     def test_io_error_exit_code(self, tmp_path):
         res = run_cli("run", "--q", "3", "--suite", "classical",

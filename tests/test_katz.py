@@ -2,8 +2,10 @@ import cmath
 
 import pytest
 
+from charsum import katz
 from charsum.characters import char, quadratic_char, trivial_char
-from charsum.finite_field import build_tower, construct_field
+from charsum.finite_field import FieldTower, build_tower, construct_field
+from charsum.harness import suite_mellin, suite_theorem5x
 from charsum.katz import (
     KatzContext,
     decompose_q,
@@ -17,6 +19,7 @@ from charsum.katz import (
     kernel_double_sum,
     kernel_double_sum_anchor,
     kernel_double_sum_deviation,
+    kernel_row,
     kernel_sum,
     kernel_transform,
     kernel_transform_deviation,
@@ -30,6 +33,7 @@ from charsum.katz import (
     spaced_sample,
     verify_master_identity,
 )
+from charsum.tolerance import DEFAULT_POLICY
 
 TOL = 1e-10
 
@@ -84,6 +88,25 @@ def p_literal(ctx, j, k):
     if j == base.neg[k]:
         val -= 1
     return val
+
+
+def kernel_literal(d, j):
+    """h(D, j) by the per-x loop over field arithmetic,
+    sum_x D(x) phi(1-x) (phi conj(D)^2)(x(j+1)^2 + (j-1)^2):
+    the oracle for the memoized rows of kernel_row."""
+    field = d.field
+    phi = quadratic_char(field)
+    td, tphi = d.value_table(), phi.value_table()
+    tmix = (phi * d.conj**2).value_table()
+    je = field.element(j)
+    jp = ((je + 1) ** 2).code
+    jm = ((je - 1) ** 2).code
+    om = field.one_minus
+    mul, add = field.mul_codes, field.add_codes
+    total = 0j
+    for x in range(1, field.order):
+        total += td[x] * tphi[om[x]] * tmix[add(mul(x, jp), jm)]
+    return total
 
 
 class TestContext:
@@ -272,6 +295,61 @@ class TestDoubleMellin:
 
 
 class TestKernel:
+    # q = 27: the tower base and the canonical field have different
+    # generators, so each keeps its own rows
+    @pytest.mark.parametrize("field", [
+        pytest.param(lambda: build_tower(23).base, id="q23"),
+        pytest.param(lambda: build_tower(3, 3).base, id="q27-tower-base"),
+        pytest.param(lambda: construct_field(3, 3), id="q27-canonical"),
+    ])
+    def test_row_equals_literal_loop(self, field):
+        field = field()
+        for di in range(field.order - 1):
+            d = char(field, di)
+            row = kernel_row(d)
+            assert len(row) == field.order
+            assert field._kernel_rows[di] is row and kernel_row(d) is row
+            for j in range(1, field.order):
+                assert row[j] == kernel_literal(d, j)  # same products, same order
+                assert kernel_sum(d, j) == row[j]
+
+    def test_memos_bounded_and_reused_over_a_sweeps(self):
+        # a tower of its own, so the base field's memos start empty
+        tower = FieldTower(11, 1)
+        base, top = tower.base, tower.top
+        sizes = []
+        for a in range(1, 11):
+            ctx = KatzContext(tower, a)
+            suite_mellin(ctx, DEFAULT_POLICY)
+            verify_master_identity(ctx, DEFAULT_POLICY)
+            sizes.append((len(base._kernel_rows), len(top._jacobi_memo)))
+        # the first a fills both memos; the other nine only read them
+        assert sizes[0][0] > 0 and sizes[0][1] > 0
+        assert set(sizes) == {sizes[0]}
+        assert len(base._kernel_rows) <= 10
+        assert len(base._jacobi_memo) <= 100
+
+    @pytest.mark.parametrize("q", [7, 11])
+    def test_wrong_kernel_rows_fail_the_checks(self, monkeypatch, q):
+        # every check reading h through kernel_row must catch a wrong kernel:
+        # the row of D*phi served as the row of D (a copy, memos untouched)
+        real_row = katz.kernel_row
+        monkeypatch.setattr(
+            katz, "kernel_row", lambda d: list(real_row(d * quadratic_char(d.field)))
+        )
+        # a non-square a: at a = 1 the mellin check weighs the rows of D and
+        # D*phi alike, so it cannot tell them apart
+        tower = build_tower(q)
+        ctx = KatzContext(tower, tower.base.g)
+        expected = {
+            suite_theorem5x: {"kernel-closed-form", "kernel-transform", "gauss-ratio-bridge"},
+            suite_mellin: {"double-mellin-mixed"},
+            verify_master_identity: {"gauss-ratio-bridge"},
+        }
+        for suite, check_ids in expected.items():
+            rep = suite(ctx, DEFAULT_POLICY)
+            assert {r.check_id for r in rep.records if not r.passed} == check_ids
+
     def test_zero_j_rejected(self):
         with pytest.raises(ValueError):
             kernel_sum(char(construct_field(7), 1), 0)
