@@ -8,14 +8,19 @@ is the one with the smallest code, so two builds of the same field agree
 table for table.  Every field carries an eagerly built discrete-log table,
 which makes multiplication and character evaluation O(1).
 
+Only `exp` is computed from the modulus; every other table is index
+arithmetic on exp/dlog or is built digit by digit.  Addition goes through
+the Zech logarithm 1 + g^k = g^Z(k) (K. Huber, IEEE Trans. Inf. Theory 36(4),
+1990): a + b = a * (1 + b/a).
+
 The quadratic tower F_q inside F_{q^2} is built as a single degree-2t
-extension of F_p; the subfield is carved out by the Frobenius fixed-point
-criterion z^q = z.
+extension of F_p; the subfield is {0} and the powers of g2^(q+1).
 """
 
 import cmath
 import itertools
 import math
+import operator
 from functools import lru_cache
 
 SIZE_GUARD = 1 << 20  # dlog tables are built eagerly; refuse fields beyond this
@@ -25,39 +30,8 @@ class FieldError(ValueError):
     """Invalid field construction or element usage."""
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
-
-
-def factor_prime_power(q: int) -> tuple[int, int]:
-    """Write q = p^t for an odd prime p, or raise FieldError."""
-    if q < 3:
-        raise FieldError(f"q = {q} is not an odd prime power > 2")
-    for p in range(2, q + 1):
-        if q % p == 0:
-            t = 0
-            r = q
-            while r % p == 0:
-                r //= p
-                t += 1
-            if r != 1:
-                raise FieldError(f"q = {q} is not a prime power")
-            if p == 2:
-                raise FieldError("q must be odd (characteristic 2 is not supported)")
-            return p, t
-    raise FieldError(f"q = {q} is not a prime power")  # unreachable
-
-
 def _prime_factors(n: int) -> list[int]:
+    """The distinct prime factors of n, by trial division up to sqrt(n)."""
     out = []
     d = 2
     while d * d <= n:
@@ -69,6 +43,26 @@ def _prime_factors(n: int) -> list[int]:
     if n > 1:
         out.append(n)
     return out
+
+
+def _is_prime(n: int) -> bool:
+    return n > 1 and _prime_factors(n) == [n]
+
+
+def factor_prime_power(q: int) -> tuple[int, int]:
+    """Write q = p^t for an odd prime p, or raise FieldError."""
+    if q < 3:
+        raise FieldError(f"q = {q} is not an odd prime power > 2")
+    primes = _prime_factors(q)
+    if len(primes) != 1:
+        raise FieldError(f"q = {q} is not a prime power")
+    p = primes[0]
+    if p == 2:
+        raise FieldError("q must be odd (characteristic 2 is not supported)")
+    t = 1
+    while p**t < q:
+        t += 1
+    return p, t
 
 
 # ---------------------------------------------------------------------------
@@ -96,16 +90,24 @@ def _poly_rem(num, den, p):
     return num
 
 
-def _poly_mulmod(a, b, modulus, p, m):
-    prod = [0] * (2 * m - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    prod[i + j] = (prod[i + j] + ai * bj) % p
-    rem = _poly_rem(prod, modulus, p)
-    rem += [0] * (m - len(rem))
-    return tuple(rem[:m])
+def _poly_powmod(a, e, modulus, p):
+    """a^e modulo the monic modulus, as a list of deg(modulus) coefficients."""
+    m = len(modulus) - 1
+
+    def mulmod(x, y):
+        prod = [0] * (2 * m - 1)
+        for i, xi in enumerate(x):
+            for j, yj in enumerate(y):
+                prod[i + j] += xi * yj
+        return _poly_rem([c % p for c in prod], modulus, p)[:m]
+
+    acc = [1] + [0] * (m - 1)
+    while e:
+        if e & 1:
+            acc = mulmod(acc, a)
+        a = mulmod(a, a)
+        e >>= 1
+    return acc
 
 
 def _is_irreducible(f, p, m):
@@ -161,20 +163,26 @@ class PrimePowerField:
                 raise FieldError("modulus is reducible")
         self.modulus = modulus
 
-        self._coeffs = self._build_coeffs_table()
         self._g = self._find_generator() if generator is None else int(generator)
         self._build_log_tables()
 
         n = order - 1
-        self.neg = [self._encode(tuple(-c % p for c in self._coeffs[a])) for a in range(order)]
-        self.one_minus = [self.add_codes(1, self.neg[a]) for a in range(order)]
-
-        self._frob_p = [self.pow_code(a, p) for a in range(order)]
+        one_plus = []  # one_plus[c] = 1 + c: the constant digit of c bumped mod p
+        for c in range(0, order, p):
+            one_plus += range(c + 1, c + p)
+            one_plus.append(c)
+        dlog = self.dlog
+        self._zech = [dlog[one_plus[c]] for c in self.exp]  # 1 + g^k = g^zech[k]; -1 if 0
+        neg = [0]  # digitwise negation, one digit position at a time
+        for w in (p**i for i in range(m)):
+            neg = [(-d % p) * w + c for d in range(p) for c in neg]
+        self.neg = neg
+        self.one_minus = [one_plus[c] for c in neg]
         self.trace_table = self._build_trace_table()
 
         self.unity_roots = [cmath.exp(2j * math.pi * k / n) for k in range(n)]
         self.p_roots = [cmath.exp(2j * math.pi * t / p) for t in range(p)]
-        self.psi_table = [self.p_roots[self.trace_table[a]] for a in range(order)]
+        self.psi_table = [self.p_roots[t] for t in self.trace_table]
 
         self._gauss_memo: dict[int, complex] = {}
         self._jacobi_memo: dict[tuple[int, int], complex] = {}
@@ -183,74 +191,71 @@ class PrimePowerField:
 
     # -- construction helpers ------------------------------------------------
 
-    def _build_coeffs_table(self):
-        table = []
-        for code in range(self.order):
-            c = []
-            r = code
-            for _ in range(self.m):
-                c.append(r % self.p)
-                r //= self.p
-            table.append(tuple(c))
-        return table
-
     def _encode(self, coeffs) -> int:
         code = 0
         for c in reversed(coeffs):
             code = code * self.p + c
         return code
 
-    def _mul_poly_codes(self, a: int, b: int) -> int:
-        return self._encode(
-            _poly_mulmod(self._coeffs[a], self._coeffs[b], self.modulus, self.p, self.m)
-        )
-
-    def _pow_poly_code(self, a: int, e: int) -> int:
-        acc, base = 1, a
-        while e:
-            if e & 1:
-                acc = self._mul_poly_codes(acc, base)
-            base = self._mul_poly_codes(base, base)
-            e >>= 1
-        return acc
-
     def _find_generator(self) -> int:
         n = self.order - 1
         checks = [n // r for r in _prime_factors(n)]
-        for cand in range(2, self.order):
-            if all(self._pow_poly_code(cand, e) != 1 for e in checks):
+        one = [1] + [0] * (self.m - 1)
+        # when m > 1 the scalars 2 .. p-1 have order dividing p - 1 < n
+        for cand in range(2 if self.m == 1 else self.p, self.order):
+            c = list(self.coeffs_of(cand))
+            if all(_poly_powmod(c, e, self.modulus, self.p) != one for e in checks):
                 return cand
         raise FieldError("no generator found")  # unreachable for a true field
 
     def _build_log_tables(self):
+        """exp[k] = g^k through the cosets of F_p*: with N = n/(p-1), step
+        g^0 .. g^(N-1) by the digit matrix of multiplication by g; then
+        g^N = h is a scalar and exp[k + jN] = h^j exp[k], digit by digit."""
+        p, m, g = self.p, self.m, self._g
         n = self.order - 1
-        exp = [1] * n
-        cur = 1
-        for k in range(1, n):
-            cur = self._mul_poly_codes(cur, self._g)
-            if cur == 1:
-                raise FieldError(f"generator {self._g} has order {k}, expected {n}")
-            exp[k] = cur
-        if self._mul_poly_codes(cur, self._g) != 1:
-            raise FieldError("generator order check failed")
+        if not 0 < g < self.order:
+            raise FieldError(f"generator {g} is not a nonzero code of the field")
+        cols, col = [], list(self.coeffs_of(g))  # digits of g * x^i
+        for _ in range(m):
+            cols.append(col)
+            top = col[-1]
+            col = [(c - top * f) % p for c, f in zip([0] + col[:-1], self.modulus)]
+        rows = list(zip(*cols))
+        powers, v = [], [1] + [0] * (m - 1)  # digit vectors of g^0 .. g^(N-1)
+        for _ in range(n // (p - 1)):
+            powers.append(v)
+            v = [sum(map(operator.mul, row, v)) % p for row in rows]
+        h = v[0]  # g^N is a scalar, since (g^N)^(p-1) = 1
+        digits = list(zip(*powers))  # digits[i][k]: digit i of g^k
+        exp, s = [], 1
+        for _ in range(p - 1):
+            codes = [0] * len(powers)
+            for w, col in zip((p**i for i in range(m)), digits):
+                codes = [c + s * d % p * w for c, d in zip(codes, col)]
+            exp += codes
+            s = s * h % p
         dlog = [-1] * self.order
         for k, c in enumerate(exp):
             dlog[c] = k
+        if dlog.count(-1) != 1:  # exp repeats a code exactly when ord(g) < n
+            raise FieldError(f"generator {g} is not primitive: its order is below {n}")
         self.exp = exp
         self.dlog = dlog
 
     def _build_trace_table(self):
-        # y^p + y^(p^2) + ... + y^(p^m); lands in the prime subfield
-        table = []
-        for a in range(self.order):
-            t = 0
-            z = a
+        """Tr(y) = y + y^p + ... + y^(p^(m-1)) lands in F_p and is F_p-linear:
+        Tr(sum c_i x^i) = sum c_i Tr(x^i).  Built one digit position at a time."""
+        p = self.p
+        table = [0]
+        for i in range(self.m):
+            y, tr = p**i, 0
             for _ in range(self.m):
-                z = self._frob_p[z]
-                t = self.add_codes(t, z)
-            if t >= self.p:
+                tr = self.add_codes(tr, y)
+                y = self.pow_code(y, p)
+            if tr >= p:
                 raise FieldError("trace left the prime subfield")  # sanity
-            table.append(t)
+            table = [(d * tr + t) % p for d in range(p) for t in table]
         return table
 
     # -- code-level arithmetic -------------------------------------------------
@@ -263,8 +268,11 @@ class PrimePowerField:
     def add_codes(self, a: int, b: int) -> int:
         if self.m == 1:
             return (a + b) % self.p
-        ca, cb = self._coeffs[a], self._coeffs[b]
-        return self._encode(tuple((x + y) % self.p for x, y in zip(ca, cb)))
+        if a == 0 or b == 0:
+            return a or b
+        n, la = self.order - 1, self.dlog[a]
+        z = self._zech[(self.dlog[b] - la) % n]  # a + b = a (1 + b/a)
+        return 0 if z < 0 else self.exp[(la + z) % n]
 
     def sub_codes(self, a: int, b: int) -> int:
         return self.add_codes(a, self.neg[b])
@@ -326,8 +334,9 @@ class PrimePowerField:
         for code in range(self.order):
             yield FieldElement(self, code)
 
-    def coeffs_of(self, code: int):
-        return self._coeffs[code]
+    def coeffs_of(self, code: int) -> tuple[int, ...]:
+        """Coefficients c0, c1, ... of the element, low degree first."""
+        return tuple(code // self.p**i % self.p for i in range(self.m))
 
     def __repr__(self):
         return f"PrimePowerField(p={self.p}, m={self.m})"
@@ -437,8 +446,8 @@ def trace_to_prime(field: PrimePowerField, y) -> int:
 class FieldTower:
     """F_q inside F_{q^2}, sharing one arithmetic kernel over F_p.
 
-    The top field is the canonical F_{p^(2t)}; the base field reuses the
-    canonical degree-t modulus but its generator is forced to norm(g2), so
+    The top field is the canonical F_{p^(2t)}; the base field takes the
+    smallest degree-t modulus, but its generator is forced to norm(g2), so
     that base-field discrete logs compose exactly with the norm map (this is
     what makes norm-composed characters a pure index operation).
     """
@@ -446,58 +455,48 @@ class FieldTower:
     def __init__(self, p: int, t: int):
         self.p = p
         self.t = t
-        self.q = p**t
-        self.top = construct_field(p, 2 * t)
-        canonical = construct_field(p, t)
+        self.q = q = p**t
+        self.top = top = construct_field(p, 2 * t)
+        modulus = _smallest_irreducible(p, t)
 
-        theta = self._smallest_modulus_root(canonical.modulus)
-        self.embed_table = self._build_embed_table(canonical, theta)
-        if len(set(self.embed_table)) != self.q:
+        theta = self._smallest_modulus_root(modulus)
+        self.embed_table = self._build_embed_table(theta)
+        if len(set(self.embed_table)) != q:
             raise FieldError("embedding is not injective")  # sanity
-        self._embed_inv = {z: x for x, z in enumerate(self.embed_table)}
 
-        top = self.top
-        self.frob = [top.pow_code(z, self.q) for z in range(top.order)]
-        norm_table = []
-        for z in range(top.order):
-            w = top.mul_codes(z, self.frob[z])
-            if w not in self._embed_inv:
-                raise FieldError("norm left the subfield")  # sanity
-            norm_table.append(self._embed_inv[w])
-        self.norm_table = norm_table
-
+        n2, exp2, dlog2 = top.order - 1, top.exp, top.dlog
+        self.frob = [0] + [exp2[dlog2[z] * q % n2] for z in range(1, top.order)]
         self.g2 = top.g
-        g_base = norm_table[self.g2]
-        self.base = PrimePowerField(p, t, modulus=canonical.modulus, generator=g_base)
+        # norm(g2) = g2^(q+1); the norm of g2^k is then the base code g_base^k
+        g_base = dict(zip(self.embed_table, range(q))).get(exp2[q + 1])
+        if g_base is None:
+            raise FieldError("norm left the subfield")  # sanity
+        self.base = base = PrimePowerField(p, t, modulus=modulus, generator=g_base)
+        self.norm_table = [0] + [base.exp[dlog2[z] % (q - 1)] for z in range(1, top.order)]
 
-        self.i_code = top.pow_code(self.g2, (top.order - 1) // 4)
+        self.i_code = top.pow_code(self.g2, n2 // 4)
         self._trace_line = None
         self._i_line = None
 
     def _smallest_modulus_root(self, base_modulus) -> int:
+        """The roots lie in the subfield, so only its q elements are tried."""
         top = self.top
-        roots = []
-        for z in range(top.order):
+        for z in sorted([0] + top.exp[:: self.q + 1]):
             acc = 0
             for c in reversed(base_modulus):
                 acc = top.add_codes(top.mul_codes(acc, z), c)  # Horner; c < p is a constant code
             if acc == 0:
-                roots.append(z)
-        if not roots:
-            raise FieldError("base modulus has no root in the top field")  # sanity
-        return min(roots)
+                return z
+        raise FieldError("base modulus has no root in the top field")  # sanity
 
-    def _build_embed_table(self, canonical, theta):
+    def _build_embed_table(self, theta):
+        """x = sum c_i X^i maps to sum c_i theta^i, built one digit at a time."""
         top = self.top
-        theta_pows = [1]
-        for _ in range(self.t - 1):
-            theta_pows.append(top.mul_codes(theta_pows[-1], theta))
-        table = []
-        for x in range(self.q):
-            acc = 0
-            for c, tp in zip(canonical.coeffs_of(x), theta_pows):
-                acc = top.add_codes(acc, top.mul_codes(c, tp))
-            table.append(acc)
+        table, power = [0], 1
+        for _ in range(self.t):
+            multiples = [top.mul_codes(c, power) for c in range(self.p)]
+            table = [top.add_codes(s, e) for s in multiples for e in table]
+            power = top.mul_codes(power, theta)
         return table
 
     @property

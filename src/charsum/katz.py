@@ -348,7 +348,14 @@ def double_mellin_mixed(ctx: KatzContext, chi1: MultChar, chi2: MultChar,
 
 def double_mellin_mixed_deviation(ctx: KatzContext, chi1: MultChar, chi2: MultChar,
                                   p_matrix=None) -> float:
-    """T(chi1, chi2) against its kernel-sum evaluation (zero if either is even)."""
+    """T(chi1, chi2) against its kernel-sum evaluation (zero if either is even).
+
+    The evaluation weighs the kernel rows of D = mu and D = mu*phi by
+    (mu-bar phi^i)(a).  At a square a the two weights are equal, so this check
+    sees only the sum of the two rows and cannot tell them apart: serving the
+    row of D*phi for D passes here.  The gauss-ratio-bridge of
+    verify_master_identity catches that at every a.
+    """
     t = double_mellin_mixed(ctx, chi1, chi2, p_matrix)
     if not (chi1.is_odd() and chi2.is_odd()):
         return abs(t)

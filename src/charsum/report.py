@@ -3,6 +3,7 @@
 import csv
 import json
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _json_str
 
 
 def _sig3(x: float) -> float:
@@ -49,18 +50,6 @@ class VerificationReport:
         rep.records = sorted(self.records, key=CheckRecord.sort_key)
         return rep
 
-    def json_objects(self):
-        for r in self.records:
-            yield {
-                "suite": self.suite,
-                "q": self.q,
-                "a_index": self.a_index,
-                "check_id": r.check_id,
-                "inputs": r.inputs,
-                "deviation": _sig3(r.deviation),
-                "pass": r.passed,
-            }
-
     def summary_line(self) -> str:
         a_part = "" if self.a_index is None else f" a_index={self.a_index}"
         status = "PASS" if self.all_passed else f"FAIL ({self.n_failed} checks)"
@@ -74,11 +63,30 @@ def report_sort_key(rep: VerificationReport):
     return (rep.suite, rep.q, -1 if rep.a_index is None else rep.a_index)
 
 
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
 def write_json(reports: list[VerificationReport], path: str):
-    objs = [obj for rep in reports for obj in rep.sorted().json_objects()]
+    """One object per check, byte for byte what json.dump(..., indent=1)
+    writes for the list of {"suite", "q", "a_index", "check_id", "inputs",
+    "deviation", "pass"} records, followed by a newline.  Each record fills
+    a fixed template and is written as it is formatted."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(objs, fh, indent=1)
-        fh.write("\n")
+        sep = "[\n"
+        for rep in reports:
+            head = (
+                f' {{\n  "suite": {json.dumps(rep.suite)},\n  "q": {json.dumps(rep.q)},\n'
+                f'  "a_index": {json.dumps(rep.a_index)},\n  "check_id": '
+            )
+            for r in rep.sorted().records:
+                dev = float.__repr__(_sig3(r.deviation))
+                fh.write(
+                    f'{sep}{head}{_json_str(r.check_id)},\n  "inputs": {_json_str(r.inputs)},\n'
+                    f'  "deviation": {_JSON_NONFINITE.get(dev, dev)},\n'
+                    f'  "pass": {"true" if r.passed else "false"}\n }}'
+                )
+                sep = ",\n"
+        fh.write("[]\n" if sep == "[\n" else "\n]\n")
 
 
 def write_csv(reports: list[VerificationReport], path: str):

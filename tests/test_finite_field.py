@@ -2,8 +2,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from charsum import finite_field
 from charsum.finite_field import (
     FieldError,
+    FieldTower,
     PrimePowerField,
     build_tower,
     construct_field,
@@ -25,6 +27,29 @@ def poly_mul_schoolbook(a, b, modulus, p):
             for k in range(m + 1):
                 prod[i - m + k] = (prod[i - m + k] - c * modulus[k]) % p
     return tuple(prod[:m])
+
+
+def pow_schoolbook(a, e, modulus, p):
+    acc = (1,) + (0,) * (len(modulus) - 2)
+    while e:
+        if e & 1:
+            acc = poly_mul_schoolbook(acc, a, modulus, p)
+        a = poly_mul_schoolbook(a, a, modulus, p)
+        e >>= 1
+    return acc
+
+
+def digits(code, p, m):
+    """Coefficient vector of a code, low degree first, independent of the field."""
+    out = []
+    for _ in range(m):
+        code, c = divmod(code, p)
+        out.append(c)
+    return tuple(out)
+
+
+def encode(coeffs, p):
+    return sum(c * p**i for i, c in enumerate(coeffs))
 
 
 def brute_mult_order(field, code):
@@ -261,7 +286,140 @@ class TestTower:
     def test_factor_prime_power(self):
         assert factor_prime_power(27) == (3, 3)
         assert factor_prime_power(7) == (7, 1)
+        assert factor_prime_power(1000000007) == (1000000007, 1)  # prime, past any table
         with pytest.raises(FieldError):
             factor_prime_power(12)
         with pytest.raises(FieldError):
             factor_prime_power(4)
+
+
+# The tables are built by index arithmetic (exp/dlog, Zech logarithms,
+# F_p-linearity); these tests recompute each one from its definition with
+# schoolbook polynomial arithmetic on coefficient vectors.
+ORACLE_FIELDS = {
+    "F27-tower-base": lambda: build_tower(3, 3).base,
+    "F729-tower-top": lambda: build_tower(3, 3).top,
+    "F49-tower-base": lambda: build_tower(7, 2).base,
+    "F2401-tower-top": lambda: build_tower(7, 2).top,
+    "F59-tower-base": lambda: build_tower(59).base,
+    "F3481-tower-top": lambda: build_tower(59).top,
+    "F243-canonical": lambda: construct_field(3, 5),
+}
+ORACLE_TOWERS = {
+    "q27": lambda: build_tower(3, 3),
+    "q49": lambda: build_tower(7, 2),
+    "q59": lambda: build_tower(59),
+}
+
+
+class TestTablesAgainstOracle:
+    @pytest.mark.parametrize("make", ORACLE_FIELDS.values(), ids=ORACLE_FIELDS)
+    def test_exp_is_repeated_schoolbook_product(self, make):
+        field = make()
+        p, m = field.p, field.m
+        g, cur = digits(field.g, p, m), digits(1, p, m)
+        for k in range(field.order - 1):
+            assert field.exp[k] == encode(cur, p)
+            cur = poly_mul_schoolbook(cur, g, field.modulus, p)
+        assert cur == digits(1, p, m)
+        assert sorted(field.exp) == list(range(1, field.order))  # g is primitive
+        assert field.dlog[0] == -1
+        assert all(field.dlog[c] == k for k, c in enumerate(field.exp))
+
+    @pytest.mark.parametrize("make", ORACLE_FIELDS.values(), ids=ORACLE_FIELDS)
+    def test_neg_one_minus_trace_digitwise(self, make):
+        field = make()
+        p, m = field.p, field.m
+        for code in range(field.order):
+            c = digits(code, p, m)
+            assert field.neg[code] == encode([-x % p for x in c], p)
+            assert field.one_minus[code] == encode([(1 - c[0]) % p] + [-x % p for x in c[1:]], p)
+            # Tr(y) = y + y^p + ... + y^(p^(m-1)), summed digit by digit
+            total, y = [0] * m, c
+            for _ in range(m):
+                total = [(s + x) % p for s, x in zip(total, y)]
+                y = pow_schoolbook(y, p, field.modulus, p)
+            assert total[1:] == [0] * (m - 1)
+            assert field.trace_table[code] == total[0]
+
+    @pytest.mark.parametrize("make", ORACLE_TOWERS.values(), ids=ORACLE_TOWERS)
+    def test_frobenius_and_norm(self, make):
+        tower = make()
+        top, q = tower.top, tower.q
+        p, m = top.p, top.m
+        for z in range(top.order):
+            c = digits(z, p, m)
+            zq = pow_schoolbook(c, q, top.modulus, p)
+            assert tower.frob[z] == encode(zq, p)
+            assert 0 <= tower.norm_table[z] < q
+            norm = encode(poly_mul_schoolbook(c, zq, top.modulus, p), p)
+            assert tower.embed_table[tower.norm_table[z]] == norm
+
+    @pytest.mark.parametrize("make", ORACLE_TOWERS.values(), ids=ORACLE_TOWERS)
+    def test_embedding_is_a_ring_homomorphism(self, make):
+        tower = make()
+        base, top, emb = tower.base, tower.top, tower.embed_table
+        p = tower.p
+        assert emb[0] == 0 and emb[1] == 1
+        assert len(set(emb)) == tower.q
+        for x in range(tower.q):
+            cx, ex = digits(x, p, base.m), digits(emb[x], p, top.m)
+            for y in range(tower.q):
+                cy, ey = digits(y, p, base.m), digits(emb[y], p, top.m)
+                s = encode([(a + b) % p for a, b in zip(cx, cy)], p)
+                assert emb[s] == encode([(a + b) % p for a, b in zip(ex, ey)], p)
+                prod = encode(poly_mul_schoolbook(cx, cy, base.modulus, p), p)
+                assert emb[prod] == encode(poly_mul_schoolbook(ex, ey, top.modulus, p), p)
+
+    @pytest.mark.parametrize("p,t", [(3, 3), (7, 2)])
+    def test_embedding_sends_x_to_the_smallest_root(self, p, t):
+        tower = build_tower(p, t)
+        top = tower.top
+        roots = []
+        for z in range(top.order):
+            acc = (0,) * top.m
+            for c in reversed(tower.base.modulus):  # Horner, schoolbook products
+                acc = poly_mul_schoolbook(acc, digits(z, p, top.m), top.modulus, p)
+                acc = (acc[0] + c) % p, *acc[1:]
+            if not any(acc):
+                roots.append(z)
+        assert len(roots) == tower.t
+        assert tower.embed_table[p] == min(roots)  # code p is X in the base
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from([(3, 5), (5, 4), (263, 2)]), st.integers(0, 263**2), st.integers(0, 263**2))
+    def test_zech_addition_matches_digitwise(self, pm, a, b):
+        p, m = pm
+        field = construct_field(p, m)
+        a, b = a % field.order, b % field.order
+        ca, cb = digits(a, p, m), digits(b, p, m)
+        assert field.add_codes(a, b) == encode([(x + y) % p for x, y in zip(ca, cb)], p)
+        assert field.sub_codes(a, b) == encode([(x - y) % p for x, y in zip(ca, cb)], p)
+        assert field.add_codes(a, field.neg[a]) == 0
+        assert field.sub_codes(a, a) == 0
+        assert field.add_codes(a, 0) == field.add_codes(0, a) == a
+
+    @pytest.mark.parametrize("p,m,power", [(7, 1, 2), (3, 3, 2), (5, 2, 3), (3, 2, 0)])
+    def test_non_primitive_generator_rejected(self, p, m, power):
+        # g^power has order n / gcd(n, power) < n; power 0 gives g^0 = 1
+        g = construct_field(p, m).exp[power]
+        with pytest.raises(FieldError):
+            PrimePowerField(p, m, generator=g)
+
+    @pytest.mark.parametrize("generator", [0, 9, -1])
+    def test_generator_outside_the_field_rejected(self, generator):
+        with pytest.raises(FieldError):
+            PrimePowerField(3, 2, generator=generator)
+
+    def test_tower_builds_only_its_top_through_construct_field(self, monkeypatch):
+        calls = []
+        real = finite_field.construct_field
+
+        def recording(p, m=1):
+            calls.append((p, m))
+            return real(p, m)
+
+        monkeypatch.setattr(finite_field, "construct_field", recording)
+        tower = FieldTower(19, 1)
+        assert calls == [(19, 2)]
+        assert tower.base.modulus == construct_field(19).modulus

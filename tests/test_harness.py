@@ -29,7 +29,7 @@ from charsum.katz import KatzContext
 from charsum.tolerance import DEFAULT_POLICY, TolerancePolicy
 
 
-def run_cli(*args, env=None):
+def run_cli(*args, env=None, timeout=None):
     full_env = dict(os.environ)
     if env:
         full_env.update(env)
@@ -38,6 +38,7 @@ def run_cli(*args, env=None):
         capture_output=True,
         text=True,
         env=full_env,
+        timeout=timeout,
     )
 
 
@@ -355,6 +356,13 @@ class TestCli:
     def test_field_guard_exit_code(self):
         # 1048583 is an odd prime just past the dlog table guard
         res = run_cli("run", "--q", "1048583", "--suite", "classical")
+        assert res.returncode == 3
+        assert "table guard" in res.stderr
+
+    def test_large_prime_q_fails_fast(self):
+        # q = 10^9 + 7 is prime: factoring must stop at sqrt(q), then the
+        # table guard refuses F_{q^2}; trial division up to q ran for minutes
+        res = run_cli("run", "--q", "1000000007", timeout=20)
         assert res.returncode == 3
         assert "table guard" in res.stderr
 

@@ -1,4 +1,5 @@
 import cmath
+import json
 
 import pytest
 
@@ -33,6 +34,7 @@ from charsum.katz import (
     spaced_sample,
     verify_master_identity,
 )
+from charsum.report import write_json
 from charsum.tolerance import DEFAULT_POLICY
 
 TOL = 1e-10
@@ -350,6 +352,19 @@ class TestKernel:
             rep = suite(ctx, DEFAULT_POLICY)
             assert {r.check_id for r in rep.records if not r.passed} == check_ids
 
+    @pytest.mark.parametrize("q", [7, 11])
+    def test_wrong_kernel_rows_at_a_square_a(self, monkeypatch, q):
+        # at a = 1 double-mellin-mixed weighs the rows of D and D*phi alike,
+        # so it passes the mutation; master's gauss-ratio-bridge catches it
+        real_row = katz.kernel_row
+        monkeypatch.setattr(
+            katz, "kernel_row", lambda d: list(real_row(d * quadratic_char(d.field)))
+        )
+        ctx = KatzContext(build_tower(q), 1)
+        assert suite_mellin(ctx, DEFAULT_POLICY).all_passed
+        rep = verify_master_identity(ctx, DEFAULT_POLICY)
+        assert {r.check_id for r in rep.records if not r.passed} == {"gauss-ratio-bridge"}
+
     def test_zero_j_rejected(self):
         with pytest.raises(ValueError):
             kernel_sum(char(construct_field(7), 1), 0)
@@ -480,8 +495,10 @@ class TestMasterIdentity:
         assert rep.all_passed
         assert len(rep.records) == 27 * 27
 
-    def test_json_objects(self, ctx7):
+    def test_json_objects(self, ctx7, tmp_path):
         rep = verify_master_identity(ctx7, include_mellin=False)
-        objs = list(rep.json_objects())
+        path = tmp_path / "report.json"
+        write_json([rep], str(path))
+        objs = json.loads(path.read_text())
         assert len(objs) == 49
         assert set(objs[0]) == {"suite", "q", "a_index", "check_id", "inputs", "deviation", "pass"}
