@@ -25,6 +25,7 @@ from .classical_sums import (
     eisenstein_E,
     eisenstein_E2,
     gauss,
+    gauss_sums,
     jacobi,
 )
 from .finite_field import (
@@ -37,7 +38,7 @@ from .finite_field import (
     factor_prime_power,
     trace_to_prime,
 )
-from .harness import RunConfig, cache_gauss_tables, load_gauss_tables, run
+from .harness import RunConfig, run
 from .hypergeometric import (
     binom,
     check_norm_jacobi_hyp,

@@ -1,24 +1,32 @@
 """Gauss, Jacobi and Eisenstein sums, plus their classical closed-form checks.
 
-Every sum here is computed by literal summation; the closed forms (the
-Hasse-Davenport product and lifting relations, the quartic Gauss-sum
-evaluation, the Eisenstein/Gauss ratio) appear only inside check functions,
-so each check compares two independently computed values.
+Jacobi and Eisenstein sums are computed by literal summation.  Gauss sums
+have two routes: `gauss` sums one character literally, and `gauss_sums`
+returns every Gauss sum of a field at once from one discrete Fourier
+transform in log coordinates, G(chi_k) = sum_m psi(g^m) e^(2 pi i k m / N)
+with N = q* - 1, evaluated by Bluestein's chirp-z algorithm over a radix-2
+FFT.  The closed forms (the Hasse-Davenport product and lifting relations,
+the quartic Gauss-sum evaluation, the Eisenstein/Gauss ratio) appear only
+inside check functions, which read the transform, so each check compares
+two independently computed values: literal Jacobi or Eisenstein sums
+against transform Gauss sums, or transform values at different indices.
 
-Gauss and Jacobi sums do not depend on the parameter a, so both are memoized
-on the field object, and every a-task of one process reuses them.  Gauss sums
-are keyed by character index (at most q*-1 values per field of order q*);
-Jacobi sums by the ordered pair of indices (at most the distinct pairs
-requested, itself at most (q*-1)^2).  A memo stores exactly what the literal
-sum returns, so no check's two sides share a value they would not share
-without it.
+Sums that do not depend on the parameter a are memoized on the field
+object, and every a-task of one process reuses them.  `gauss` is keyed by
+character index (at most q*-1 values per field of order q*) and stores
+exactly what the literal sum returns; `gauss_sums` stores its one list of
+q*-1 values.  Neither memo is ever filled from the other, so a value never
+depends on which tasks ran earlier in a process.  Jacobi sums are keyed by
+the ordered pair of indices (at most the distinct pairs requested, itself
+at most (q*-1)^2).
 """
+
+import cmath
+import math
 
 from .characters import MultChar, norm_compose, octic_M8, quadratic_char, restrict_to_base
 from .finite_field import FieldError, FieldTower
 from .tolerance import default_tol
-
-GAUSS_CSV_COLUMNS = ("field_order", "char_index", "re", "im")
 
 
 def gauss_literal(a: MultChar) -> complex:
@@ -37,6 +45,53 @@ def gauss(a: MultChar) -> complex:
     return val
 
 
+def gauss_sums(field) -> list[complex]:
+    """G(chi_k) for every character index k of the field, memoized on it.
+
+    With N = q* - 1 and x_m = psi(g^m), G(chi_k) = sum_m x_m e^(2 pi i k m / N)
+    is one length-N DFT.  Computed on first use, never at field build, and
+    never read from or written to the `gauss` memo.
+    """
+    sums = field._gauss_sums
+    if sums is None:
+        n = field.order - 1
+        psi = field.psi_table
+        sums = field._gauss_sums = _bluestein_dft([psi[c] for c in field.exp[:n]])
+    return sums
+
+
+def _bluestein_dft(x: list[complex]) -> list[complex]:
+    """X_k = sum_m x_m e^(2 pi i k m / n) for any length n, as a convolution.
+
+    km = (k^2 + m^2 - (k - m)^2) / 2, so X_k = c_k sum_m (x_m c_m) conj(c_(k-m))
+    with the chirp c_m = e^(pi i m^2 / n).  The angle is reduced as m^2 mod 2n
+    before scaling, so its rounding error does not grow with m.  The
+    convolution is cyclic of length L = 2^ceil(log2(2n - 1)), long enough
+    that k - m in (-n, n) never wraps onto another term.
+    """
+    n = len(x)
+    chirp = [cmath.exp(1j * math.pi * (m * m % (2 * n)) / n) for m in range(n)]
+    size = 1 << (2 * n - 2).bit_length()
+    a = [u * c for u, c in zip(x, chirp)] + [0j] * (size - n)
+    b = [c.conjugate() for c in chirp]
+    b += [0j] * (size - 2 * n + 1) + b[:0:-1]  # b[size - j] = conj(c_j)
+    twiddles = [cmath.exp(-2j * math.pi * j / size) for j in range(size // 2)]
+    spectrum = [u * v for u, v in zip(_fft(a, twiddles), _fft(b, twiddles))]
+    conv = _fft(spectrum, [w.conjugate() for w in twiddles])  # inverse, times size
+    return [c * v / size for c, v in zip(chirp, conv)]
+
+
+def _fft(x: list[complex], twiddles: list[complex]) -> list[complex]:
+    """Radix-2 DFT sum_m x_m w^(km) of a power-of-2 length, where twiddles
+    holds the first len(x)/2 powers of w, a primitive len(x)-th root of 1."""
+    if len(x) <= 2:
+        return x if len(x) == 1 else [x[0] + x[1], x[0] - x[1]]
+    half = twiddles[::2]
+    even = _fft(x[::2], half)
+    odd = [w * v for w, v in zip(twiddles, _fft(x[1::2], half))]
+    return [e + o for e, o in zip(even, odd)] + [e - o for e, o in zip(even, odd)]
+
+
 def jacobi(a: MultChar, b: MultChar) -> complex:
     """J(A, B) = sum_y A(y) B(1 - y), memoized on the field by the ordered
     pair of character indices (J(A, B) and J(B, A) are summed separately)."""
@@ -52,26 +107,27 @@ def jacobi(a: MultChar, b: MultChar) -> complex:
     return val
 
 
-def gauss_table_rows(field):
-    """(field_order, char_index, re, im) for every character; cache format."""
-    for index in range(field.order - 1):
-        val = gauss(MultChar(field, index))
-        yield (field.order, index, val.real, val.imag)
-
-
 def eisenstein_E2(tower: FieldTower, beta: MultChar) -> complex:
     """E2(beta): sum of beta over the affine trace-one line z + z^q = 1."""
     if beta.field is not tower.top:
         raise FieldError("E2 needs a character on the tower's top field")
-    tb = beta.value_table()
-    return sum(tb[z] for z in tower.trace_line)
+    return _char_sum(beta, tower.trace_line)
 
 
 def eisenstein_E(tower: FieldTower, beta: MultChar) -> complex:
     """E(beta) = sum_{y in F_q} beta(1 + i*y)."""
     if beta.field is not tower.top:
         raise FieldError("E needs a character on the tower's top field")
-    return sum(map(beta.value_table().__getitem__, tower.i_line), 0j)
+    return _char_sum(beta, tower.i_line)
+
+
+def _char_sum(beta: MultChar, codes: list[int]) -> complex:
+    """The sum of beta over the given element codes, in order, read through
+    dlog (beta(0) = 0), so that no q*-entry value table is built for q points."""
+    field = beta.field
+    n, k = field.order - 1, beta.index
+    roots, dlog = field.unity_roots, field.dlog
+    return sum((roots[k * dlog[z] % n] for z in codes if z), 0j)
 
 
 # ---------------------------------------------------------------------------
@@ -81,8 +137,9 @@ def eisenstein_E(tower: FieldTower, beta: MultChar) -> complex:
 def hasse_davenport_product_deviation(a: MultChar) -> float:
     """|A(4) G(A) G(A*phi) - G(A^2) G(phi)|."""
     phi = quadratic_char(a.field)
-    lhs = a(4) * gauss(a) * gauss(a * phi)
-    rhs = gauss(a**2) * gauss(phi)
+    g = gauss_sums(a.field)
+    lhs = a(4) * g[a.index] * g[(a * phi).index]
+    rhs = g[(a**2).index] * g[phi.index]
     return abs(lhs - rhs)
 
 
@@ -97,11 +154,11 @@ def lifted_gauss_deviation(tower: FieldTower, c: MultChar) -> float:
     G2(CN*M8) = G2((CN*M8)^q)."""
     if c.field is not tower.base:
         raise FieldError("lifted-Gauss check needs a base-field character")
+    g, g2 = gauss_sums(tower.base), gauss_sums(tower.top)
     cn = norm_compose(tower, c)
-    dev = abs(gauss(cn) - (-gauss(c) ** 2))
+    dev = abs(g2[cn.index] - (-g[c.index] ** 2))
     beta = cn * octic_M8(tower)
-    dev = max(dev, abs(gauss(beta) - gauss(beta**tower.q)))
-    return dev
+    return max(dev, abs(g2[beta.index] - g2[(beta**tower.q).index]))
 
 
 def check_lifted_gauss(tower: FieldTower, c: MultChar, tol: float | None = None) -> bool:
@@ -119,9 +176,10 @@ def quartic_gauss_deviation(tower: FieldTower, c: MultChar) -> float:
     phi = quadratic_char(tower.base)
     m4 = octic_M8(tower) ** 2
     cn = norm_compose(tower, c)
-    lhs1 = gauss(cn * m4)
-    lhs2 = gauss(cn * m4.conj)
-    rhs = -(c.conj**2 * phi)(2) * gauss(c**2 * phi) * gauss(phi)
+    g, g2 = gauss_sums(tower.base), gauss_sums(tower.top)
+    lhs1 = g2[(cn * m4).index]
+    lhs2 = g2[(cn * m4.conj).index]
+    rhs = -(c.conj**2 * phi)(2) * g[(c**2 * phi).index] * g[phi.index]
     return max(abs(lhs1 - rhs), abs(lhs2 - rhs))
 
 
@@ -144,8 +202,9 @@ def eisenstein_gauss_deviation(tower: FieldTower, beta: MultChar) -> float:
         raise ValueError("the Gauss evaluation of E2 needs nontrivial beta")
     star = restrict_to_base(tower, beta)
     lhs = eisenstein_E2(tower, beta)
+    g2 = gauss_sums(tower.top)[beta.index]
     if star.is_trivial:
-        rhs = -gauss(beta) / tower.q
+        rhs = -g2 / tower.q
     else:
-        rhs = gauss(beta) / gauss(star)
+        rhs = g2 / gauss_sums(tower.base)[star.index]
     return abs(lhs - rhs)

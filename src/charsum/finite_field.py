@@ -185,6 +185,7 @@ class PrimePowerField:
         self.psi_table = [self.p_roots[t] for t in self.trace_table]
 
         self._gauss_memo: dict[int, complex] = {}
+        self._gauss_sums: list[complex] | None = None
         self._jacobi_memo: dict[tuple[int, int], complex] = {}
         self._kernel_rows: dict[int, list[complex]] = {}
         self._char_tables: dict[int, list[complex]] = {}

@@ -1,4 +1,4 @@
-"""Run configuration, suite orchestration, result persistence, Gauss cache.
+"""Run configuration, suite orchestration and result persistence.
 
 A run is a set of (field, suite) jobs; suites that depend on the parameter a
 fan out further over an a-sweep.  Every job produces a VerificationReport
@@ -6,24 +6,19 @@ whose records are deterministic for a given configuration, so serial and
 parallel runs agree after sorting.
 """
 
-import cmath
-import csv
 import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dc_field
 
-from .characters import MultChar, char, trivial_char
+from .characters import char, trivial_char
 from .classical_sums import (
-    GAUSS_CSV_COLUMNS,
     eisenstein_E,
     eisenstein_E2,
     eisenstein_gauss_deviation,
     eisenstein_shift_deviation,
-    gauss,
-    gauss_literal,
-    gauss_table_rows,
+    gauss_sums,
     hasse_davenport_product_deviation,
     jacobi,
     lifted_gauss_deviation,
@@ -111,11 +106,17 @@ class RunConfig:
     octic_variants: bool = False
 
     def jobs(self) -> list[tuple[str, int, int]]:
-        """Resolve to (suite, p, t) triples, or raise ConfigError.
+        """Resolve to distinct (suite, p, t) triples in first-seen order, or
+        raise ConfigError.
 
         An explicit suite list is strict: every listed suite must accept every
         listed field.  Omitted suites (or "all") select the applicable ones.
+        An empty field or suite list selects nothing and is an error.
         """
+        if self.fields is not None and not self.fields:
+            raise ConfigError("no field selected")
+        if self.suites is not None and not self.suites:
+            raise ConfigError("no suite selected")
         explicit = self.suites is not None and self.suites != ["all"]
         suites = list(self.suites) if explicit else list(SUITES)
         for s in suites:
@@ -134,7 +135,7 @@ class RunConfig:
             for s in suites:
                 qs = DEFAULT_Q_REMARK if s == "remark-Z" else DEFAULT_Q
                 out.extend((s, *factor_prime_power(q)) for q in qs)
-            return out
+            return list(dict.fromkeys(out))
 
         out = []
         for p, t in self.fields:
@@ -154,7 +155,7 @@ class RunConfig:
             if not applicable:
                 raise ConfigError(f"no requested suite applies to q = {q}")
             out.extend((s, p, t) for s in applicable)
-        return out
+        return list(dict.fromkeys(out))
 
     def workers(self, n_tasks: int) -> int:
         """Worker processes for n_tasks tasks: CHARSUM_PARALLELISM if set,
@@ -266,14 +267,15 @@ def suite_classical(tower, policy: TolerancePolicy) -> VerificationReport:
     rep = VerificationReport("classical", q, None)
     t0 = time.perf_counter()
     tol = policy.abs_tol(q, 4 * top.order)
+    g, g2 = gauss_sums(base), gauss_sums(top)
 
-    for f in (base, top):
-        rep.add("gauss-trivial", f"order={f.order}", abs(gauss(trivial_char(f)) + 1), tol)
+    for f, gf in ((base, g), (top, g2)):
+        rep.add("gauss-trivial", f"order={f.order}", abs(gf[0] + 1), tol)
     for a in _all_chars(base)[1:]:
-        dev = abs(gauss(a) * gauss(a.conj) - a(-1) * q)
+        dev = abs(g[a.index] * g[a.conj.index] - a(-1) * q)
         rep.add("gauss-conjugate", f"A={a.index}", dev, tol)
     for b in _all_chars(top)[1:]:
-        dev = abs(gauss(b) * gauss(b.conj) - b(-1) * top.order)
+        dev = abs(g2[b.index] * g2[b.conj.index] - b(-1) * top.order)
         rep.add("gauss-conjugate-top", f"beta={b.index}", dev, tol)
 
     eps = trivial_char(base)
@@ -286,7 +288,7 @@ def suite_classical(tower, policy: TolerancePolicy) -> VerificationReport:
         for b in _all_chars(base):
             if (a * b).is_trivial:
                 continue
-            dev = abs(jacobi(a, b) - gauss(a) * gauss(b) / gauss(a * b))
+            dev = abs(jacobi(a, b) - g[a.index] * g[b.index] / g[(a * b).index])
             rep.add("gauss-jacobi-bridge", f"A={a.index},B={b.index}", dev, tol)
         for c in _all_chars(base)[1:]:
             dev = abs(jacobi(a, c.conj) - a(-1) * jacobi(a, a.conj * c))
@@ -298,7 +300,7 @@ def suite_classical(tower, policy: TolerancePolicy) -> VerificationReport:
         rep.add("quartic-gauss", f"C={c.index}", quartic_gauss_deviation(tower, c), tol)
 
     for b in _all_chars(top):
-        dev = abs(gauss(b) - gauss(b**q))
+        dev = abs(g2[b.index] - g2[(b**q).index])
         rep.add("gauss-frobenius", f"beta={b.index}", dev, tol)
 
     rep.wall_time = time.perf_counter() - t0
@@ -570,55 +572,3 @@ def run(config: RunConfig) -> tuple[int, list[VerificationReport]]:
     code = EXIT_OK if all(rep.all_passed for rep in reports) else EXIT_CHECK_FAILED
     return code, reports
 
-
-# ---------------------------------------------------------------------------
-# Gauss-sum cache
-
-
-def cache_gauss_tables(field, path: str):
-    """Write G(A) for every character of the field as CSV rows
-    (field_order, char_index, re, im)."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(GAUSS_CSV_COLUMNS)
-        for row in gauss_table_rows(field):
-            w.writerow(row)
-
-
-def load_gauss_tables(field, path: str):
-    """Load a Gauss-sum cache, validating the field order and spot-checking
-    five entries by literal recomputation before populating the memo."""
-    rows = {}
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != list(GAUSS_CSV_COLUMNS):
-            raise ValueError(f"unrecognized Gauss cache header in {path}: {header}")
-        for lineno, row in enumerate(reader, 2):
-            try:
-                order, index = int(row[0]), int(row[1])
-                val = complex(float(row[2]), float(row[3]))
-            except (ValueError, IndexError):
-                raise ValueError(f"{path}:{lineno}: corrupt row {row!r}") from None
-            if not cmath.isfinite(val):
-                raise ValueError(f"{path}:{lineno}: non-finite value in row {row!r}")
-            if index in rows:
-                raise ValueError(f"{path}:{lineno}: repeated char_index {index}")
-            if order != field.order:
-                raise ValueError(
-                    f"{path}: cache is for field order {order}, not {field.order}"
-                )
-            rows[index] = val
-    n = field.order - 1
-    if sorted(rows) != list(range(n)):
-        raise ValueError(f"{path}: expected one row per character index 0..{n - 1}")
-    tol = DEFAULT_POLICY.abs_tol(field.order, 4 * field.order)
-    for index in spaced_sample(list(range(n)), 5):
-        expect = gauss_literal(MultChar(field, index))
-        if abs(rows[index] - expect) > tol:
-            raise ValueError(
-                f"{path}: spot check failed at char_index {index}: "
-                f"cached {rows[index]}, recomputed {expect}"
-            )
-    field._gauss_memo.update(rows)
-    return rows

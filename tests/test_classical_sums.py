@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from charsum import classical_sums, harness
 from charsum.characters import char, octic_M8, quadratic_char, restrict_to_base, trivial_char
 from charsum.classical_sums import (
     check_hasse_davenport_product,
@@ -13,9 +14,12 @@ from charsum.classical_sums import (
     eisenstein_shift_deviation,
     gauss,
     gauss_literal,
+    gauss_sums,
     jacobi,
 )
-from charsum.finite_field import FieldError, build_tower, construct_field
+from charsum.finite_field import FieldError, PrimePowerField, build_tower, construct_field
+from charsum.katz import spaced_sample
+from charsum.tolerance import DEFAULT_POLICY
 
 TOL = 1e-10
 
@@ -40,6 +44,62 @@ class TestGauss:
         assert 3 in field._gauss_memo
         assert gauss(a) == v1
         assert abs(gauss_literal(a) - v1) < TOL
+
+
+class TestGaussSums:
+    @pytest.mark.parametrize(
+        "p,t,part",
+        [(3, 1, "base"), (3, 1, "top"), (7, 1, "base"), (7, 1, "top"), (11, 1, "base"),
+         (11, 1, "top"), (3, 3, "base"), (3, 3, "top"), (3, 5, "canonical")],
+    )
+    def test_transform_matches_literal_sums(self, p, t, part):
+        field = construct_field(p, t) if part == "canonical" else getattr(build_tower(p, t), part)
+        sums = gauss_sums(field)
+        assert len(sums) == field.order - 1
+        for k in range(field.order - 1):
+            assert abs(sums[k] - gauss_literal(char(field, k))) < TOL
+
+    def test_transform_matches_literal_sums_sampled_q59(self):
+        top = build_tower(59).top
+        sums = gauss_sums(top)
+        for k in spaced_sample(list(range(top.order - 1)), 40):
+            assert abs(sums[k] - gauss_literal(char(top, k))) < TOL
+
+    def test_the_two_memos_never_feed_each_other(self):
+        field = PrimePowerField(7, 2)  # its own memos, both empty
+        gauss(char(field, 5))
+        assert field._gauss_sums is None
+        sums = gauss_sums(field)
+        assert gauss_sums(field) is sums
+        assert list(field._gauss_memo) == [5]
+
+    @pytest.mark.parametrize("q", [7, 11])
+    @pytest.mark.parametrize("mutation", ["conjugate", "shift"])
+    def test_wrong_transform_fails_the_suites(self, monkeypatch, q, mutation):
+        # G(conj chi) served for G(chi), or the index shifted by one; a copy,
+        # so the memo stays untouched
+        def wrong(field):
+            sums = gauss_sums(field)
+            if mutation == "conjugate":
+                return [sums[-k] for k in range(len(sums))]
+            return sums[1:] + sums[:1]
+
+        monkeypatch.setattr(classical_sums, "gauss_sums", wrong)
+        monkeypatch.setattr(harness, "gauss_sums", wrong)
+        tower = build_tower(q)
+        failed = {}
+        for suite in (harness.suite_classical, harness.suite_eisenstein):
+            rep = suite(tower, DEFAULT_POLICY)
+            failed[suite] = {r.check_id for r in rep.records if not r.passed}
+        assert {"gauss-jacobi-bridge", "hd-product"} <= failed[harness.suite_classical]
+        assert failed[harness.suite_eisenstein] == {"eisenstein-gauss-ratio"}
+
+    def test_suites_build_no_top_field_value_tables(self):
+        tower = build_tower(23)
+        before = set(tower.top._char_tables)
+        for suite in (harness.suite_classical, harness.suite_eisenstein):
+            assert suite(tower, DEFAULT_POLICY).all_passed
+        assert set(tower.top._char_tables) == before  # not one per character
 
 
 class TestJacobi:

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from charsum import cli
-from charsum.finite_field import build_tower, construct_field
+from charsum.finite_field import build_tower
 from charsum.harness import (
     EXIT_CHECK_FAILED,
     EXIT_OK,
@@ -14,9 +14,7 @@ from charsum.harness import (
     RunConfig,
     a_values,
     build_tasks,
-    cache_gauss_tables,
     load_config,
-    load_gauss_tables,
     parse_q,
     run,
     suite_classical,
@@ -161,6 +159,38 @@ class TestConfig:
         monkeypatch.setenv("CHARSUM_PARALLELISM", "1")
         assert RunConfig(parallelism=4).workers(10) == 1
 
+    @pytest.mark.parametrize("key", ["q", "suites"])
+    def test_empty_selection_rejected(self, tmp_path, capsys, key):
+        path = tmp_path / "run.cfg"
+        path.write_text(f"q = 7\nsuites = classical\n{key} =\n")
+        with pytest.raises(ConfigError, match="no (field|suite) selected"):
+            load_config(str(path)).jobs()
+        assert cli.main(["run", "--config", str(path)]) == 2
+        assert "config error" in capsys.readouterr().err
+
+    def test_repeated_fields_and_suites_run_once(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("q = 7 7\nsuites = classical classical\n")
+        args = cli.build_parser().parse_args(
+            ["run", "--q", "7", "--q", "7", "--suite", "classical", "--suite", "classical"]
+        )
+        for cfg in (load_config(str(path)), cli.config_from_args(args)):
+            assert cfg.jobs() == [("classical", 7, 1)]
+        cfg = RunConfig(fields=[(7, 1), (3, 1), (7, 1)],
+                        suites=["eisenstein", "classical", "eisenstein"])
+        assert cfg.jobs() == [("eisenstein", 7, 1), ("classical", 7, 1),
+                              ("eisenstein", 3, 1), ("classical", 3, 1)]
+        assert RunConfig(suites=["remark-Z", "remark-Z"]).jobs() == [
+            ("remark-Z", *parse_q(q)) for q in (5, 9, 13, 17, 25)
+        ]
+        out = tmp_path / "r.json"
+        code, _ = run(RunConfig(fields=[(7, 1), (7, 1)], suites=["classical", "classical"],
+                                out_json=str(out)))
+        assert code == EXIT_OK
+        keys = [(o["suite"], o["q"], o["a_index"], o["check_id"], o["inputs"])
+                for o in json.loads(out.read_text())]
+        assert len(keys) == len(set(keys)) == 191
+
     def test_octic_variants_expand_tasks(self):
         cfg = RunConfig(fields=[(7, 1)], suites=["master"], a_policy="sample-1",
                         octic_variants=True)
@@ -226,77 +256,25 @@ class TestSuites:
             texts.append(out.read_text())
         assert texts[0] == texts[1]
 
+    def test_master_records_independent_of_classical_first(self, tmp_path):
+        # classical fills the transform memo of F_7 and F_49 in the same
+        # process; master reads only the literal Gauss memo, so its records
+        # must not change
+        outs = []
+        for suites in (["master"], ["classical", "master"]):
+            out = tmp_path / f"{len(suites)}.json"
+            flags = [arg for s in suites for arg in ("--suite", s)]
+            res = run_cli("run", "--q", "7", *flags, "--a", "all", "--out", str(out))
+            assert res.returncode == 0, res.stderr
+            outs.append([o for o in json.loads(out.read_text()) if o["suite"] == "master"])
+        assert outs[0] and outs[0] == outs[1]
+
     def test_failing_tolerance_gives_failure_exit(self):
         cfg = RunConfig(fields=[(3, 1)], suites=["master"],
                         tolerance=TolerancePolicy(floor=1e-18, scale=1e-22))
         code, reports = run(cfg)
         assert code == EXIT_CHECK_FAILED
         assert any(not r.all_passed for r in reports)
-
-
-class TestGaussCache:
-    def test_roundtrip(self, tmp_path):
-        field = construct_field(7, 2)
-        path = tmp_path / "gauss49.csv"
-        cache_gauss_tables(field, str(path))
-        fresh = type(field)(7, 2)  # same canonical field, empty memo
-        rows = load_gauss_tables(fresh, str(path))
-        assert len(rows) == 48
-        assert len(fresh._gauss_memo) == 48
-
-    def test_order_mismatch(self, tmp_path):
-        path = tmp_path / "gauss49.csv"
-        cache_gauss_tables(construct_field(7, 2), str(path))
-        with pytest.raises(ValueError, match="field order"):
-            load_gauss_tables(construct_field(11, 2), str(path))
-
-    def test_tampered_row_rejected(self, tmp_path):
-        field = construct_field(7, 2)
-        path = tmp_path / "gauss49.csv"
-        cache_gauss_tables(field, str(path))
-        lines = path.read_text().splitlines()
-        first = lines[1].split(",")  # char_index 0 is always spot-checked
-        first[2] = str(float(first[2]) + 0.5)
-        lines[1] = ",".join(first)
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError, match="spot check"):
-            load_gauss_tables(type(field)(7, 2), str(path))
-
-    def test_corrupt_row_rejected(self, tmp_path):
-        field = construct_field(7, 2)
-        path = tmp_path / "gauss49.csv"
-        cache_gauss_tables(field, str(path))
-        lines = path.read_text().splitlines()
-        lines[3] = "49,2,not-a-number,0.0"
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError, match="corrupt"):
-            load_gauss_tables(type(field)(7, 2), str(path))
-
-    def test_non_finite_row_rejected(self, tmp_path):
-        field = construct_field(7, 2)
-        path = tmp_path / "gauss49.csv"
-        cache_gauss_tables(field, str(path))
-        lines = path.read_text().splitlines()
-        lines[3] = "49,2,nan,0.0"  # char_index 2 is not spot-checked
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError, match="non-finite"):
-            load_gauss_tables(type(field)(7, 2), str(path))
-
-    def test_repeated_index_rejected(self, tmp_path):
-        field = construct_field(7, 2)
-        path = tmp_path / "gauss49.csv"
-        cache_gauss_tables(field, str(path))
-        lines = path.read_text().splitlines()
-        lines.append("49,2,0.5,0.5")  # would overwrite the row of char_index 2
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError, match="repeated char_index 2"):
-            load_gauss_tables(type(field)(7, 2), str(path))
-
-    def test_bad_header_rejected(self, tmp_path):
-        path = tmp_path / "g.csv"
-        path.write_text("a,b,c\n")
-        with pytest.raises(ValueError, match="header"):
-            load_gauss_tables(construct_field(7, 2), str(path))
 
 
 class TestCli:
