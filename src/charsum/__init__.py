@@ -19,9 +19,6 @@ from .characters import (
     trivial_char,
 )
 from .classical_sums import (
-    check_hasse_davenport_product,
-    check_lifted_gauss,
-    check_quartic_gauss,
     eisenstein_E,
     eisenstein_E2,
     gauss,
@@ -41,7 +38,6 @@ from .finite_field import (
 from .harness import RunConfig, run
 from .hypergeometric import (
     binom,
-    check_norm_jacobi_hyp,
     hyp2f1,
     norm_fiber,
     norm_restricted_jacobi,

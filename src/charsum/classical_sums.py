@@ -1,4 +1,4 @@
-"""Gauss, Jacobi and Eisenstein sums, plus their classical closed-form checks.
+"""Gauss, Jacobi and Eisenstein sums, plus their classical closed-form deviations.
 
 Jacobi and Eisenstein sums are computed by literal summation.  Gauss sums
 have two routes: `gauss` sums one character literally, and `gauss_sums`
@@ -7,7 +7,7 @@ transform in log coordinates, G(chi_k) = sum_m psi(g^m) e^(2 pi i k m / N)
 with N = q* - 1, evaluated by Bluestein's chirp-z algorithm over a radix-2
 FFT.  The closed forms (the Hasse-Davenport product and lifting relations,
 the quartic Gauss-sum evaluation, the Eisenstein/Gauss ratio) appear only
-inside check functions, which read the transform, so each check compares
+inside deviation functions, which read the transform, so each compares
 two independently computed values: literal Jacobi or Eisenstein sums
 against transform Gauss sums, or transform values at different indices.
 
@@ -26,7 +26,6 @@ import math
 
 from .characters import MultChar, norm_compose, octic_M8, quadratic_char, restrict_to_base
 from .finite_field import FieldError, FieldTower
-from .tolerance import default_tol
 
 
 def gauss_literal(a: MultChar) -> complex:
@@ -143,12 +142,6 @@ def hasse_davenport_product_deviation(a: MultChar) -> float:
     return abs(lhs - rhs)
 
 
-def check_hasse_davenport_product(a: MultChar, tol: float | None = None) -> bool:
-    if tol is None:
-        tol = default_tol(a.field.order, 4 * a.field.order)
-    return hasse_davenport_product_deviation(a) <= tol
-
-
 def lifted_gauss_deviation(tower: FieldTower, c: MultChar) -> float:
     """Lifting relation G2(CN) = -G(C)^2, plus the conjugation instance
     G2(CN*M8) = G2((CN*M8)^q)."""
@@ -159,12 +152,6 @@ def lifted_gauss_deviation(tower: FieldTower, c: MultChar) -> float:
     dev = abs(g2[cn.index] - (-g[c.index] ** 2))
     beta = cn * octic_M8(tower)
     return max(dev, abs(g2[beta.index] - g2[(beta**tower.q).index]))
-
-
-def check_lifted_gauss(tower: FieldTower, c: MultChar, tol: float | None = None) -> bool:
-    if tol is None:
-        tol = default_tol(tower.q, 4 * tower.top.order)
-    return lifted_gauss_deviation(tower, c) <= tol
 
 
 def quartic_gauss_deviation(tower: FieldTower, c: MultChar) -> float:
@@ -181,12 +168,6 @@ def quartic_gauss_deviation(tower: FieldTower, c: MultChar) -> float:
     lhs2 = g2[(cn * m4.conj).index]
     rhs = -(c.conj**2 * phi)(2) * g[(c**2 * phi).index] * g[phi.index]
     return max(abs(lhs1 - rhs), abs(lhs2 - rhs))
-
-
-def check_quartic_gauss(tower: FieldTower, c: MultChar, tol: float | None = None) -> bool:
-    if tol is None:
-        tol = default_tol(tower.q, 4 * tower.top.order)
-    return quartic_gauss_deviation(tower, c) <= tol
 
 
 def eisenstein_shift_deviation(tower: FieldTower, beta: MultChar) -> float:

@@ -6,6 +6,7 @@ import sys
 
 from .finite_field import FieldError
 from .harness import (
+    CONFIG_KEYS,
     EXIT_CONFIG,
     EXIT_FIELD,
     EXIT_IO,
@@ -13,10 +14,32 @@ from .harness import (
     ConfigError,
     RunConfig,
     load_config,
-    parse_q,
     run,
+    set_option,
 )
-from .tolerance import TolerancePolicy
+
+# argparse settings of a config key's flag beyond the defaults; every flag
+# value stays text for the key's parser, as in the config file
+_FLAG_OPTIONS = {
+    "q": dict(
+        action="append",
+        help="odd prime power to test (repeatable); defaults to the built-in CI set",
+    ),
+    "suites": dict(
+        action="append", metavar="NAME",
+        help=f"suite to run (repeatable): {', '.join(SUITES)}, or 'all'",
+    ),
+    "a_policy": dict(
+        metavar="POLICY", help="a-sweep policy: all, sample-N, or auto (default: all up to q=50)"
+    ),
+    "out_json": dict(metavar="PATH", help="JSON report path"),
+    "out_csv": dict(metavar="PATH", help="CSV summary path"),
+    "parallelism": dict(metavar="N"),
+    "octic_variants": dict(
+        action="store_const", const="true",
+        help="re-run octic-dependent suites with all four choices of M8",
+    ),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -27,51 +50,19 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     p_run = sub.add_parser("run", help="run verification suites")
     p_run.add_argument("--config", help="flat key = value config file")
-    p_run.add_argument(
-        "--q", type=int, action="append",
-        help="odd prime power to test (repeatable); defaults to the built-in CI set",
-    )
-    p_run.add_argument(
-        "--suite", action="append", metavar="NAME",
-        help=f"suite to run (repeatable): {', '.join(SUITES)}, or 'all'",
-    )
-    p_run.add_argument(
-        "--a", default=None, metavar="POLICY",
-        help="a-sweep policy: all, sample-N, or auto (default: all up to q=50)",
-    )
-    p_run.add_argument("--out", default=None, metavar="PATH", help="JSON report path")
-    p_run.add_argument("--csv", default=None, metavar="PATH", help="CSV summary path")
-    p_run.add_argument("--parallelism", type=int, default=None, metavar="N")
-    p_run.add_argument(
-        "--octic-variants", action="store_true", default=None,
-        help="re-run octic-dependent suites with all four choices of M8",
-    )
-    p_run.add_argument("--tol-floor", type=float, default=None)
-    p_run.add_argument("--tol-scale", type=float, default=None)
+    for key, (flag, _, _) in CONFIG_KEYS.items():
+        p_run.add_argument(flag, dest=key, **_FLAG_OPTIONS.get(key, {}))
     return parser
 
 
 def config_from_args(args) -> RunConfig:
+    """The config file, if any, with each given flag set over it; a repeated
+    flag's values are joined, so flags read like config-file values."""
     cfg = load_config(args.config) if args.config else RunConfig()
-    if args.q is not None:
-        cfg.fields = [parse_q(q) for q in args.q]
-    if args.suite is not None:
-        cfg.suites = args.suite
-    if args.a is not None:
-        cfg.a_policy = args.a
-    if args.out is not None:
-        cfg.out_json = args.out
-    if args.csv is not None:
-        cfg.out_csv = args.csv
-    if args.parallelism is not None:
-        cfg.parallelism = args.parallelism
-    if args.octic_variants is not None:
-        cfg.octic_variants = args.octic_variants
-    if args.tol_floor is not None or args.tol_scale is not None:
-        cfg.tolerance = TolerancePolicy(
-            floor=args.tol_floor if args.tol_floor is not None else cfg.tolerance.floor,
-            scale=args.tol_scale if args.tol_scale is not None else cfg.tolerance.scale,
-        )
+    for key, (flag, _, _) in CONFIG_KEYS.items():
+        text = getattr(args, key)
+        if text is not None:
+            set_option(cfg, key, " ".join(text) if isinstance(text, list) else text, flag)
     return cfg
 
 

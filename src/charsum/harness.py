@@ -3,14 +3,18 @@
 A run is a set of (field, suite) jobs; suites that depend on the parameter a
 fan out further over an a-sweep.  Every job produces a VerificationReport
 whose records are deterministic for a given configuration, so serial and
-parallel runs agree after sorting.
+parallel runs agree after sorting.  What a suite takes, which fields it
+accepts and how it fans out is its entry in the `SUITES` registry; every
+configuration setting is one row of `CONFIG_KEYS`, which the config file and
+the CLI flags share.
 """
 
 import math
 import os
 import time
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 
 from .characters import char, trivial_char
 from .classical_sums import (
@@ -55,27 +59,6 @@ from .katz import (
 from .report import VerificationReport, report_sort_key, write_csv, write_json
 from .tolerance import DEFAULT_POLICY, TolerancePolicy
 
-SUITES = (
-    "classical",
-    "eisenstein",
-    "hypergeometric",
-    "theorem-4.1",
-    "mellin",
-    "theorem-5.x",
-    "remark-Z",
-    "master",
-)
-
-# required q mod 4 per suite
-_SUITE_MOD4 = {name: 3 for name in SUITES}
-_SUITE_MOD4["remark-Z"] = 1
-
-# suites whose checks involve the parameter a
-_A_DEPENDENT = ("mellin", "master")
-
-# suites re-run per octic character when the variants flag is set
-_M8_DEPENDENT = ("hypergeometric", "theorem-4.1", "mellin", "theorem-5.x", "master")
-
 DEFAULT_Q = (3, 7, 11, 19, 23, 27)
 DEFAULT_Q_REMARK = (5, 9, 13, 17, 25)
 
@@ -97,7 +80,7 @@ class RunConfig:
     """Mirrors the CLI flags one-to-one; fields=None means per-suite defaults."""
 
     fields: list[tuple[int, int]] | None = None
-    suites: list[str] | None = None  # None or ["all"]: every applicable suite
+    suites: list[str] | None = None  # None or any "all" in it: every applicable suite
     a_policy: str = "auto"  # all | sample-N | auto (all up to q=50, then sample-8)
     tolerance: TolerancePolicy = dc_field(default_factory=lambda: DEFAULT_POLICY)
     out_json: str | None = None
@@ -110,18 +93,19 @@ class RunConfig:
         raise ConfigError.
 
         An explicit suite list is strict: every listed suite must accept every
-        listed field.  Omitted suites (or "all") select the applicable ones.
+        listed field.  Omitted suites, or "all" anywhere in the list, select
+        the applicable ones; every other listed name must still be a suite.
         An empty field or suite list selects nothing and is an error.
         """
         if self.fields is not None and not self.fields:
             raise ConfigError("no field selected")
         if self.suites is not None and not self.suites:
             raise ConfigError("no suite selected")
-        explicit = self.suites is not None and self.suites != ["all"]
-        suites = list(self.suites) if explicit else list(SUITES)
-        for s in suites:
-            if s not in SUITES:
+        for s in self.suites or ():
+            if s != "all" and s not in SUITES:
                 raise ConfigError(f"unknown suite {s!r}; choose from {', '.join(SUITES)}")
+        explicit = self.suites is not None and "all" not in self.suites
+        suites = list(self.suites) if explicit else list(SUITES)
         if not _valid_a_policy(self.a_policy):
             raise ConfigError(f"bad a-policy {self.a_policy!r}; use all, sample-N or auto")
         self.workers(1)  # validates parallelism and its environment override
@@ -131,10 +115,7 @@ class RunConfig:
                 raise ConfigError(f"tolerance {name} must be finite and >= 0, got {value}")
 
         if self.fields is None:
-            out = []
-            for s in suites:
-                qs = DEFAULT_Q_REMARK if s == "remark-Z" else DEFAULT_Q
-                out.extend((s, *factor_prime_power(q)) for q in qs)
+            out = [(s, *factor_prime_power(q)) for s in suites for q in SUITES[s].default_q]
             return list(dict.fromkeys(out))
 
         out = []
@@ -144,14 +125,13 @@ class RunConfig:
                 factor_prime_power(q)  # re-validates p odd prime
             except FieldError as e:
                 raise ConfigError(str(e)) from None
-            applicable = [s for s in suites if q % 4 == _SUITE_MOD4[s]]
-            if explicit:
-                bad = [s for s in suites if q % 4 != _SUITE_MOD4[s]]
-                if bad:
-                    raise ConfigError(
-                        f"suite(s) {', '.join(bad)} require q = {_SUITE_MOD4[bad[0]]} (mod 4) "
-                        f"but q = {q} = {q % 4} (mod 4)"
-                    )
+            applicable = [s for s in suites if q % 4 == SUITES[s].mod4]
+            bad = [s for s in suites if s not in applicable]
+            if explicit and bad:
+                raise ConfigError(
+                    f"suite(s) {', '.join(bad)} require q = {SUITES[bad[0]].mod4} (mod 4) "
+                    f"but q = {q} = {q % 4} (mod 4)"
+                )
             if not applicable:
                 raise ConfigError(f"no requested suite applies to q = {q}")
             out.extend((s, p, t) for s in applicable)
@@ -200,12 +180,59 @@ def a_values(q: int, policy: str) -> list[int]:
     return sorted({base.exp[k % (q - 1)] for k in range(n)})
 
 
+# ---------------------------------------------------------------------------
+# configuration keys
+
+
+def _words(text: str) -> list[str]:
+    return text.replace(",", " ").split()
+
+
+def _parse_fields(text: str) -> list[tuple[int, int]]:
+    return [parse_q(int(w)) for w in _words(text)]
+
+
+def _parse_bool(text: str) -> bool:
+    if text.lower() not in ("true", "false", "0", "1"):
+        raise ValueError(text)
+    return text.lower() in ("true", "1")
+
+
+# config key -> (CLI flag, parser of the text value, RunConfig field it sets);
+# "floor" and "scale" are the fields of RunConfig.tolerance
+CONFIG_KEYS = {
+    "q": ("--q", _parse_fields, "fields"),
+    "suites": ("--suite", _words, "suites"),
+    "a_policy": ("--a", str, "a_policy"),
+    "out_json": ("--out", str, "out_json"),
+    "out_csv": ("--csv", str, "out_csv"),
+    "parallelism": ("--parallelism", int, "parallelism"),
+    "octic_variants": ("--octic-variants", _parse_bool, "octic_variants"),
+    "tol_floor": ("--tol-floor", float, "floor"),
+    "tol_scale": ("--tol-scale", float, "scale"),
+}
+
+
+def set_option(cfg: RunConfig, key: str, text: str, where: str) -> None:
+    """Parse text as the value of config key and store it in cfg; where
+    names the key's source in the error for a value its parser rejects."""
+    _, parse, name = CONFIG_KEYS[key]
+    try:
+        value = parse(text)
+    except ConfigError:
+        raise
+    except ValueError:
+        raise ConfigError(f"{where}: bad value {text!r}") from None
+    if name in ("floor", "scale"):
+        cfg.tolerance = replace(cfg.tolerance, **{name: value})
+    else:
+        setattr(cfg, name, value)
+
+
 def load_config(path: str) -> RunConfig:
-    """Flat key = value format; '#' starts a comment.  Keys: q, suites,
-    a_policy, tol_floor, tol_scale, out_json, out_csv, parallelism,
-    octic_variants."""
+    """Flat key = value format; '#' starts a comment.  The keys are those of
+    CONFIG_KEYS."""
     cfg = RunConfig()
-    floor, scale = DEFAULT_POLICY.floor, DEFAULT_POLICY.scale
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
@@ -218,36 +245,10 @@ def load_config(path: str) -> RunConfig:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
         key, _, value = line.partition("=")
-        key, value = key.strip(), value.strip()
-        parts = value.replace(",", " ").split()
-        try:
-            if key == "q":
-                cfg.fields = [parse_q(int(v)) for v in parts]
-            elif key == "suites":
-                cfg.suites = parts
-            elif key == "a_policy":
-                cfg.a_policy = value
-            elif key == "tol_floor":
-                floor = float(value)
-            elif key == "tol_scale":
-                scale = float(value)
-            elif key == "out_json":
-                cfg.out_json = value
-            elif key == "out_csv":
-                cfg.out_csv = value
-            elif key == "parallelism":
-                cfg.parallelism = int(value)
-            elif key == "octic_variants":
-                if value.lower() not in ("true", "false", "0", "1"):
-                    raise ConfigError(f"{path}:{lineno}: octic_variants must be true/false")
-                cfg.octic_variants = value.lower() in ("true", "1")
-            else:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        except ValueError as e:
-            if isinstance(e, ConfigError):
-                raise
-            raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {value!r}") from None
-    cfg.tolerance = TolerancePolicy(floor=floor, scale=scale)
+        key = key.strip()
+        if key not in CONFIG_KEYS:
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        set_option(cfg, key, value.strip(), f"{path}:{lineno}: {key}")
     return cfg
 
 
@@ -265,7 +266,6 @@ def suite_classical(tower, policy: TolerancePolicy) -> VerificationReport:
     q = tower.q
     base, top = tower.base, tower.top
     rep = VerificationReport("classical", q, None)
-    t0 = time.perf_counter()
     tol = policy.abs_tol(q, 4 * top.order)
     g, g2 = gauss_sums(base), gauss_sums(top)
 
@@ -302,8 +302,6 @@ def suite_classical(tower, policy: TolerancePolicy) -> VerificationReport:
     for b in _all_chars(top):
         dev = abs(g2[b.index] - g2[(b**q).index])
         rep.add("gauss-frobenius", f"beta={b.index}", dev, tol)
-
-    rep.wall_time = time.perf_counter() - t0
     return rep
 
 
@@ -312,7 +310,6 @@ def suite_eisenstein(tower, policy: TolerancePolicy) -> VerificationReport:
     q = tower.q
     top = tower.top
     rep = VerificationReport("eisenstein", q, None)
-    t0 = time.perf_counter()
     tol = policy.abs_tol(q, 4 * top.order)
 
     triv = trivial_char(top)
@@ -328,8 +325,6 @@ def suite_eisenstein(tower, policy: TolerancePolicy) -> VerificationReport:
                 eisenstein_gauss_deviation(tower, b),
                 tol,
             )
-
-    rep.wall_time = time.perf_counter() - t0
     return rep
 
 
@@ -339,7 +334,6 @@ def suite_hypergeometric(ctx: KatzContext, policy: TolerancePolicy) -> Verificat
     q = tower.q
     base = tower.base
     rep = VerificationReport("hypergeometric", q, None)
-    t0 = time.perf_counter()
     tol = policy.abs_tol(q, 4 * tower.top.order)
 
     for c in range(1, q):
@@ -377,8 +371,6 @@ def suite_hypergeometric(ctx: KatzContext, policy: TolerancePolicy) -> Verificat
                 norm_restricted_jacobi(ctx, d, je) - norm_restricted_jacobi(ctx, d, -je)
             )
             rep.add("fiber-jacobi-even", f"D={d.index},j={j}", dev, tol)
-
-    rep.wall_time = time.perf_counter() - t0
     return rep
 
 
@@ -387,14 +379,12 @@ def suite_theorem41(ctx: KatzContext, policy: TolerancePolicy) -> VerificationRe
     q = ctx.tower.q
     base = ctx.tower.base
     rep = VerificationReport("theorem-4.1", q, None)
-    t0 = time.perf_counter()
     tol = policy.abs_tol(q, 4 * q * q)
     for d_idx in range(q - 1):
         d = char(base, d_idx)
         for j in range(1, q):
             dev = norm_jacobi_hyp_deviation(ctx, d, base.element(j))
             rep.add("fiber-jacobi-hyp", f"D={d_idx},j={j}", dev, tol)
-    rep.wall_time = time.perf_counter() - t0
     return rep
 
 
@@ -405,7 +395,6 @@ def suite_mellin(ctx: KatzContext, policy: TolerancePolicy) -> VerificationRepor
     q = tower.q
     base = tower.base
     rep = VerificationReport("mellin", q, ctx.a_index())
-    t0 = time.perf_counter()
     tol = policy.abs_tol(q, 4 * q * q)
     tol_pairs = policy.abs_tol(q, q**3)
 
@@ -437,8 +426,6 @@ def suite_mellin(ctx: KatzContext, policy: TolerancePolicy) -> VerificationRepor
     for j in range(1, q):
         recon = sum(s_all[i] * tables[i][j].conjugate() for i in range(q - 1)) / (q - 1)
         rep.add("mellin-inversion", f"j={j}", abs(recon - v[j]), tol_pairs)
-
-    rep.wall_time = time.perf_counter() - t0
     return rep
 
 
@@ -449,7 +436,6 @@ def suite_theorem5x(ctx: KatzContext, policy: TolerancePolicy) -> VerificationRe
     q = tower.q
     base = tower.base
     rep = VerificationReport("theorem-5.x", q, None)
-    t0 = time.perf_counter()
     tol = policy.abs_tol(q, 4 * q * q)
 
     all_idx = list(range(q - 1))
@@ -483,53 +469,67 @@ def suite_theorem5x(ctx: KatzContext, policy: TolerancePolicy) -> VerificationRe
         mu = char(base, m_idx)
         dev = abs(int((mu**4).is_trivial) - int((mu**2).is_trivial))
         rep.add("delta-square-fourth", f"mu={m_idx}", float(dev), tol)
-
-    rep.wall_time = time.perf_counter() - t0
     return rep
 
 
 def suite_remark_z(q: int, policy: TolerancePolicy) -> VerificationReport:
     """Z against its integer evaluation (0, 4q, or 4c^2)."""
     rep = VerificationReport("remark-Z", q, None)
-    t0 = time.perf_counter()
     tol = policy.abs_tol(q, 4 * q * q)
     val = quadratic_kernel_mellin(q)
     expected = quadratic_kernel_expected(q)
     rep.add("z-evaluation", f"expected={expected}", abs(val - expected), tol)
-    rep.wall_time = time.perf_counter() - t0
     return rep
 
 
 # ---------------------------------------------------------------------------
-# orchestration
+# registry and orchestration
+
+
+def _q(p: int, t: int, a_code: int | None, variant: int) -> int:
+    return p**t
+
+
+def _tower(p: int, t: int, a_code: int | None, variant: int):
+    return build_tower(p, t)
+
+
+def _katz_context(p: int, t: int, a_code: int | None, variant: int) -> KatzContext:
+    return KatzContext(build_tower(p, t), a_code if a_code is not None else 1, m8_variant=variant)
+
+
+@dataclass(frozen=True)
+class Suite:
+    """A registered suite: its check function, the argument it takes, the
+    fields it accepts, and how its tasks fan out."""
+
+    check: Callable  # check(arg, policy) -> VerificationReport
+    takes: Callable  # takes(p, t, a_code, variant) -> q, a tower or a KatzContext
+    mod4: int = 3  # the q mod 4 it requires
+    default_q: tuple[int, ...] = DEFAULT_Q  # its fields when none are given
+    a_sweep: bool = False  # one task per a of the a-sweep
+    octic: bool = False  # one task per octic variant when octic_variants is set
+
+
+SUITES = {
+    "classical": Suite(suite_classical, _tower),
+    "eisenstein": Suite(suite_eisenstein, _tower),
+    "hypergeometric": Suite(suite_hypergeometric, _katz_context, octic=True),
+    "theorem-4.1": Suite(suite_theorem41, _katz_context, octic=True),
+    "mellin": Suite(suite_mellin, _katz_context, a_sweep=True, octic=True),
+    "theorem-5.x": Suite(suite_theorem5x, _katz_context, octic=True),
+    "remark-Z": Suite(suite_remark_z, _q, mod4=1, default_q=DEFAULT_Q_REMARK),
+    "master": Suite(verify_master_identity, _katz_context, a_sweep=True, octic=True),
+}
 
 
 def _run_task(task) -> VerificationReport:
     suite, p, t, a_code, variant, floor, scale = task
-    policy = TolerancePolicy(floor=floor, scale=scale)
-    q = p**t
-    if suite == "remark-Z":
-        rep = suite_remark_z(q, policy)
-    else:
-        tower = build_tower(p, t)
-        if suite == "classical":
-            rep = suite_classical(tower, policy)
-        elif suite == "eisenstein":
-            rep = suite_eisenstein(tower, policy)
-        else:
-            ctx = KatzContext(tower, a_code if a_code is not None else 1, m8_variant=variant)
-            if suite == "hypergeometric":
-                rep = suite_hypergeometric(ctx, policy)
-            elif suite == "theorem-4.1":
-                rep = suite_theorem41(ctx, policy)
-            elif suite == "mellin":
-                rep = suite_mellin(ctx, policy)
-            elif suite == "theorem-5.x":
-                rep = suite_theorem5x(ctx, policy)
-            elif suite == "master":
-                rep = verify_master_identity(ctx, policy)
-            else:  # pragma: no cover
-                raise ConfigError(f"unknown suite {suite!r}")
+    entry = SUITES[suite]
+    arg = entry.takes(p, t, a_code, variant)
+    t0 = time.perf_counter()
+    rep = entry.check(arg, TolerancePolicy(floor=floor, scale=scale))
+    rep.wall_time = time.perf_counter() - t0
     if variant != 1:
         rep.suite = f"{rep.suite}@m8={variant}"
     return rep
@@ -539,14 +539,10 @@ def build_tasks(config: RunConfig) -> list[tuple]:
     tasks = []
     floor, scale = config.tolerance.floor, config.tolerance.scale
     for suite, p, t in config.jobs():
-        q = p**t
-        variants = (1, 3, 5, 7) if (config.octic_variants and suite in _M8_DEPENDENT) else (1,)
-        for variant in variants:
-            if suite in _A_DEPENDENT:
-                for a_code in a_values(q, config.a_policy):
-                    tasks.append((suite, p, t, a_code, variant, floor, scale))
-            else:
-                tasks.append((suite, p, t, None, variant, floor, scale))
+        entry = SUITES[suite]
+        variants = (1, 3, 5, 7) if config.octic_variants and entry.octic else (1,)
+        a_codes = a_values(p**t, config.a_policy) if entry.a_sweep else (None,)
+        tasks.extend((suite, p, t, a, v, floor, scale) for v in variants for a in a_codes)
     return tasks
 
 

@@ -10,7 +10,6 @@ by g2^(q-1), of size q+1.  A full O(q^2) scan is kept as the debug oracle.
 from .characters import MultChar, norm_compose, quadratic_char
 from .classical_sums import jacobi
 from .finite_field import FieldElement, FieldError, FieldTower
-from .tolerance import default_tol
 
 
 def hyp2f1(a: MultChar, b: MultChar, c: MultChar, x) -> complex:
@@ -91,10 +90,3 @@ def norm_jacobi_hyp_deviation(ctx, d: MultChar, j) -> float:
         x = -(((j + 1) / (j - 1)) ** 2)
         rhs = -phi(j) * base.order * (d.conj**4)(j - 1) * hyp2f1(d, d**2 * phi, d * phi, x)
     return abs(lhs - rhs)
-
-
-def check_norm_jacobi_hyp(ctx, d: MultChar, j, tol: float | None = None) -> bool:
-    """True iff the hypergeometric reduction of R(D, j) holds within tol."""
-    if tol is None:
-        tol = default_tol(ctx.tower.q, 4 * ctx.tower.q)
-    return norm_jacobi_hyp_deviation(ctx, d, j) <= tol

@@ -32,7 +32,6 @@ memoized on the field the same way (see classical_sums).
 import cmath
 import math
 import operator
-from time import perf_counter
 
 from .characters import (
     AddChar,
@@ -565,14 +564,12 @@ def spaced_sample(items: list[int], k: int) -> list[int]:
     return [items[int(i * step)] for i in range(k)]
 
 
-def select_char_pairs(field, mode: str | None = None) -> list[tuple[int, int]]:
-    """Character-index pairs for the double-Mellin sweep.
-
-    mode "all" takes every pair; the default takes every pair for q <= 11 and
-    a deterministic spread (4 odd + 2 even indices per axis) above that.
-    """
+def select_char_pairs(field) -> list[tuple[int, int]]:
+    """Character-index pairs for the double-Mellin sweep: every pair for
+    q <= 11, and a deterministic spread (4 odd + 2 even indices per axis)
+    above that."""
     q = field.order
-    if mode == "all" or (mode is None and q <= 11):
+    if q <= 11:
         idx = list(range(q - 1))
     else:
         idx = spaced_sample(odd_char_indices(field), 4) + spaced_sample(
@@ -582,11 +579,7 @@ def select_char_pairs(field, mode: str | None = None) -> list[tuple[int, int]]:
 
 
 def verify_master_identity(
-    ctx: KatzContext,
-    policy: TolerancePolicy | None = None,
-    include_mellin: bool = True,
-    mellin_pairs: str | None = None,
-    include_eq_bridge: bool | None = None,
+    ctx: KatzContext, policy: TolerancePolicy | None = None, include_mellin: bool = True
 ) -> VerificationReport:
     """Check P(j,k) = V(j)V(k) for all j, k (zeros included), the agreement of
     the two double-Mellin transforms over a pair sweep, and the Gauss-ratio
@@ -596,7 +589,6 @@ def verify_master_identity(
     base = ctx.tower.base
     q = ctx.tower.q
     rep = VerificationReport("master", q, ctx.a_index())
-    t0 = perf_counter()
 
     v = ctx.v_vector()
     pm = ctx.mixed_sum_matrix()
@@ -608,12 +600,9 @@ def verify_master_identity(
             rep.add("point-identity", f"j={j},k={k}", abs(row[k] - vj * v[k]), tol_point)
 
     if include_mellin:
-        if include_eq_bridge is None:
-            include_eq_bridge = True
         tol_pair = policy.abs_tol(q, q**3)
-        pairs = select_char_pairs(base, mellin_pairs)
         bridge_args = set()
-        for i1, i2 in pairs:
+        for i1, i2 in select_char_pairs(base):
             chi1, chi2 = char(base, i1), char(base, i2)
             s_val = double_mellin_product(ctx, chi1, chi2)
             t_val = double_mellin_mixed(ctx, chi1, chi2, pm)
@@ -623,11 +612,8 @@ def verify_master_identity(
                 mu = nu1 * decompose_odd(chi2)
                 for i in (0, 1):
                     bridge_args.add((nu1.index, (mu * ctx.phi**i).index))
-        if include_eq_bridge:
-            tol_bridge = policy.abs_tol(q, 4 * q * q)
-            for nu1_idx, d_idx in sorted(bridge_args):
-                dev = ratio_bracket_deviation(ctx, char(base, nu1_idx), char(base, d_idx))
-                rep.add("gauss-ratio-bridge", f"nu1={nu1_idx},D={d_idx}", dev, tol_bridge)
-
-    rep.wall_time = perf_counter() - t0
+        tol_bridge = policy.abs_tol(q, 4 * q * q)
+        for nu1_idx, d_idx in sorted(bridge_args):
+            dev = ratio_bracket_deviation(ctx, char(base, nu1_idx), char(base, d_idx))
+            rep.add("gauss-ratio-bridge", f"nu1={nu1_idx},D={d_idx}", dev, tol_bridge)
     return rep

@@ -22,12 +22,3 @@ class TolerancePolicy:
 
 
 DEFAULT_POLICY = TolerancePolicy()
-
-
-def default_tol(q: int, n_terms: int) -> float:
-    return DEFAULT_POLICY.abs_tol(q, n_terms)
-
-
-def close(a: complex, b: complex, tol: float) -> bool:
-    """Tolerance-aware equality for the complex values every sum produces."""
-    return abs(a - b) <= tol

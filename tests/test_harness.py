@@ -10,6 +10,7 @@ from charsum.finite_field import build_tower
 from charsum.harness import (
     EXIT_CHECK_FAILED,
     EXIT_OK,
+    SUITES,
     ConfigError,
     RunConfig,
     a_values,
@@ -196,6 +197,93 @@ class TestConfig:
                         octic_variants=True)
         tasks = build_tasks(cfg)
         assert {t[4] for t in tasks} == {1, 3, 5, 7}
+
+
+SUITE_NAMES = [
+    "classical",
+    "eisenstein",
+    "hypergeometric",
+    "theorem-4.1",
+    "mellin",
+    "theorem-5.x",
+    "remark-Z",
+    "master",
+]
+
+
+class TestRegistry:
+    def test_suite_names_in_order(self):
+        assert list(SUITES) == SUITE_NAMES
+
+    def test_octic_variants_fan_out(self):
+        cfg = RunConfig(fields=[(3, 1), (5, 1)], a_policy="sample-1", octic_variants=True)
+        variants = {}
+        for suite, _, _, _, variant, _, _ in build_tasks(cfg):
+            variants.setdefault(suite, set()).add(variant)
+        octic = {"hypergeometric", "theorem-4.1", "mellin", "theorem-5.x", "master"}
+        assert set(variants) == set(SUITE_NAMES)
+        for suite, seen in variants.items():
+            assert seen == ({1, 3, 5, 7} if suite in octic else {1}), suite
+
+    def test_only_mellin_and_master_carry_a(self):
+        tasks = build_tasks(RunConfig(fields=[(7, 1), (5, 1)], a_policy="all"))
+        assert {s for s, _, _, a, _, _, _ in tasks if a is not None} == {"mellin", "master"}
+        assert all(a is None for s, _, _, a, _, _, _ in tasks if s not in ("mellin", "master"))
+        assert sorted(a for s, _, _, a, _, _, _ in tasks if s == "master") == [1, 2, 3, 4, 5, 6]
+
+    def test_only_remark_z_takes_q_1_mod_4(self):
+        assert {s for s, _, _ in RunConfig(fields=[(5, 1), (3, 2)]).jobs()} == {"remark-Z"}
+        assert {s for s, _, _ in RunConfig(fields=[(7, 1)]).jobs()} == (
+            set(SUITE_NAMES) - {"remark-Z"}
+        )
+        default_q = {}
+        for suite, p, t in RunConfig().jobs():
+            default_q.setdefault(suite, set()).add(p**t)
+        assert default_q.pop("remark-Z") == {5, 9, 13, 17, 25}
+        assert set(default_q) == set(SUITE_NAMES) - {"remark-Z"}
+        assert all(qs == {3, 7, 11, 19, 23, 27} for qs in default_q.values())
+
+    def test_help_lists_every_suite(self):
+        res = run_cli("run", "--help")
+        assert res.returncode == 0
+        for name in SUITE_NAMES:
+            assert name in res.stdout, name
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--q", "seven"), ("--parallelism", "abc"), ("--tol-floor", "x"),
+    ])
+    def test_bad_flag_value_is_config_error(self, flag, value):
+        res = run_cli("run", "--suite", "classical", flag, value)
+        assert res.returncode == 2
+        assert "config error" in res.stderr
+        assert "Traceback" not in res.stderr
+
+    def test_flags_parse_like_config_keys(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("q = 7, 11\nsuites = master\na_policy = sample-2\nparallelism = 2\n"
+                        "octic_variants = true\ntol_floor = 1e-7\ntol_scale = 1e-13\n")
+        args = cli.build_parser().parse_args([
+            "run", "--q", "7", "--q", "11", "--suite", "master", "--a", "sample-2",
+            "--parallelism", "2", "--octic-variants", "--tol-floor", "1e-7",
+            "--tol-scale", "1e-13",
+        ])
+        assert cli.config_from_args(args) == load_config(str(path))
+
+    def test_all_anywhere_selects_every_applicable_suite(self, tmp_path):
+        texts = []
+        for flags in (["--suite", "all"], ["--suite", "all", "--suite", "master"]):
+            out = tmp_path / f"{len(flags)}.json"
+            res = run_cli("run", *flags, "--q", "3", "--out", str(out))
+            assert res.returncode == 0, res.stderr
+            texts.append(out.read_text())
+        assert texts[0] == texts[1]
+        suites = {o["suite"] for o in json.loads(texts[0])}
+        assert suites == set(SUITE_NAMES) - {"remark-Z"}
+
+    def test_all_does_not_excuse_unknown_suite(self):
+        res = run_cli("run", "--suite", "all", "--suite", "nope", "--q", "3")
+        assert res.returncode == 2
+        assert "unknown suite 'nope'" in res.stderr
 
 
 class TestSuites:
