@@ -24,6 +24,8 @@ from .classical_sums import (
     gauss,
     gauss_sums,
     jacobi,
+    lifted_gauss,
+    lifted_jacobi,
 )
 from .finite_field import (
     FieldElement,

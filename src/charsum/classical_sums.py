@@ -1,9 +1,9 @@
 """Gauss, Jacobi and Eisenstein sums, plus their classical closed-form deviations.
 
-Jacobi and Eisenstein sums are computed by literal summation.  Gauss sums
-have two routes: `gauss` sums one character literally, and `gauss_sums`
-returns every Gauss sum of a field at once from one discrete Fourier
-transform in log coordinates, G(chi_k) = sum_m psi(g^m) e^(2 pi i k m / N)
+Jacobi and Eisenstein sums of one field are computed by literal summation.
+Gauss sums have two routes: `gauss` sums one character literally, and
+`gauss_sums` returns every Gauss sum of a field at once from one discrete
+Fourier transform in log coordinates, G(chi_k) = sum_m psi(g^m) e^(2 pi i k m / N)
 with N = q* - 1, evaluated by Bluestein's chirp-z algorithm over a radix-2
 FFT.  The closed forms (the Hasse-Davenport product and lifting relations,
 the quartic Gauss-sum evaluation, the Eisenstein/Gauss ratio) appear only
@@ -11,18 +11,26 @@ inside deviation functions, which read the transform, so each compares
 two independently computed values: literal Jacobi or Eisenstein sums
 against transform Gauss sums, or transform values at different indices.
 
-Sums that do not depend on the parameter a are memoized on the field
-object, and every a-task of one process reuses them.  `gauss` is keyed by
-character index (at most q*-1 values per field of order q*) and stores
-exactly what the literal sum returns; `gauss_sums` stores its one list of
-q*-1 values.  Neither memo is ever filled from the other, so a value never
-depends on which tasks ran earlier in a process.  Jacobi sums are keyed by
+A sum over F_{q^2} whose character is a lifted base character C N is
+constant on each norm fiber {N z = g^k}, so `lifted_jacobi` and
+`lifted_gauss` regroup J2(A, C N) and G2(C N) exactly into q-1 terms
+C(g^k) Phi[k], where Phi[k] sums A(1 - z), or psi2(z), over the q+1 points
+of the fiber (Berndt, Evans and Williams, *Gauss and Jacobi Sums*, 1998).
+
+Sums that do not depend on the parameter a are memoized, and every a-task
+of one process reuses them.  `gauss` is keyed on the field by character
+index (at most q*-1 values per field of order q*) and stores exactly what
+the literal sum returns; `gauss_sums` stores its one list of q*-1 values.
+Neither memo is ever filled from the other, so a value never depends on
+which tasks ran earlier in a process.  `jacobi` is keyed on the field by
 the ordered pair of indices (at most the distinct pairs requested, itself
-at most (q*-1)^2).
+at most (q*-1)^2).  The fiber rows Phi are keyed on the tower by the index
+of A, plus one row for psi2: q-1 values each.
 """
 
 import cmath
 import math
+import operator
 
 from .characters import MultChar, norm_compose, octic_M8, quadratic_char, restrict_to_base
 from .finite_field import FieldError, FieldTower
@@ -104,6 +112,54 @@ def jacobi(a: MultChar, b: MultChar) -> complex:
         om = field.one_minus
         val = field._jacobi_memo[key] = sum(ta[y] * tb[om[y]] for y in range(1, field.order))
     return val
+
+
+def lifted_jacobi(tower: FieldTower, a: MultChar, c: MultChar) -> complex:
+    """J2(A, C N) = sum_z A(1 - z) C(N z) over F_{q^2}, for A on the top field
+    and C on the base, as sum_k C(g^k) Phi_A[k] over the norm fibers."""
+    if a.field is not tower.top:
+        raise FieldError("the lifted Jacobi sum needs A on the tower's top field")
+    return _fiber_transform(tower, c, _fiber_row(tower, a))
+
+
+def lifted_gauss(tower: FieldTower, c: MultChar) -> complex:
+    """G2(C N) = sum_z C(N z) psi2(z) over F_{q^2}, for C on the base field,
+    as sum_k C(g^k) Phi_psi[k] over the norm fibers."""
+    return _fiber_transform(tower, c, _fiber_row(tower, None))
+
+
+def _fiber_row(tower: FieldTower, a: MultChar | None) -> list[complex]:
+    """Phi[k] for k in [0, q-1): the sum of A(1 - z), or of psi2(z) when A is
+    None, over the fiber N(z) = g^k, memoized on the tower by A's index.
+
+    The fiber of g^k is {g2^m : m = k (mod q-1)}, since the tower fixes
+    g = N(g2), so one pass over m in log order fills the row; no value table
+    is built.  1 - g2^m = 1 + g2^(m + n/2) has log zech[m + n/2], n = q^2 - 1.
+    """
+    key = None if a is None else a.index
+    row = tower._fiber_rows.get(key)
+    if row is None:
+        top = tower.top
+        n = top.order - 1
+        if a is None:
+            psi = top.psi_table
+            vals = [psi[z] for z in top.exp]
+        else:
+            half, zech = n // 2, top._zech
+            roots, k = top.unity_roots, a.index
+            vals = [roots[k * lg % n] for lg in zech[half:] + zech[:half]]
+            vals[0] = 0j  # z = 1: A(0) = 0
+        step = tower.q - 1
+        row = tower._fiber_rows[key] = [sum(vals[k::step], 0j) for k in range(step)]
+    return row
+
+
+def _fiber_transform(tower: FieldTower, c: MultChar, row: list[complex]) -> complex:
+    """sum_k C(g^k) row[k] for a base-field character C."""
+    if c.field is not tower.base:
+        raise FieldError("a lifted sum needs C on the tower's base field")
+    n, roots = tower.q - 1, tower.base.unity_roots
+    return sum(map(operator.mul, [roots[c.index * k % n] for k in range(n)], row), 0j)
 
 
 def eisenstein_E2(tower: FieldTower, beta: MultChar) -> complex:

@@ -478,6 +478,7 @@ class FieldTower:
         self.i_code = top.pow_code(self.g2, n2 // 4)
         self._trace_line = None
         self._i_line = None
+        self._fiber_rows: dict[int | None, list[complex]] = {}  # see classical_sums
 
     def _smallest_modulus_root(self, base_modulus) -> int:
         """The roots lie in the subfield, so only its q elements are tried."""

@@ -66,11 +66,15 @@ def norm_restricted_jacobi(ctx, d: MultChar, j, scan: bool = False) -> complex:
     j = tower.base.element(j)
     if j.code == 0:
         raise ValueError("norm-restricted Jacobi sum requires j != 0")
-    tm8 = ctx.M8.value_table()
-    tdn = norm_compose(tower, d.conj).value_table()
-    om = tower.top.one_minus
+    top = tower.top
+    n2, roots, dlog2, om = top.order - 1, top.unity_roots, top.dlog, top.one_minus
+    m8, dn = ctx.M8.index, norm_compose(tower, d.conj).index
     fiber = norm_fiber(tower, j**4, scan=scan)
-    return sum(tm8[z] * tdn[om[z]] for z in fiber)
+    # the values the q^2-entry tables would hold, read at the q+1 fiber points
+    return sum(
+        roots[m8 * dlog2[z] % n2] * (roots[dn * dlog2[om[z]] % n2] if om[z] else 0j)
+        for z in fiber
+    )
 
 
 def norm_jacobi_hyp_deviation(ctx, d: MultChar, j) -> float:

@@ -25,8 +25,12 @@ d = (j-k)^2, so the full matrix sums F(s, d) once for each of the
 The kernel sums h(D, j) do not depend on a.  kernel_row memoizes the whole
 row h(D, .) on the field, keyed by the index of D: at most q-1 rows of q
 entries per field, which every a-task of one process reuses (a KatzContext
-is built per task, so the memo cannot live on it).  Gauss and Jacobi sums are
-memoized on the field the same way (see classical_sums).
+is built per task, so the memo cannot live on it).  Every Jacobi or Gauss sum
+over F_{q^2} with a lifted character C N is summed over the q-1 norm fibers
+by lifted_jacobi and lifted_gauss, whose fiber rows are memoized on the tower;
+the other Gauss sums are memoized on the field (see classical_sums).  No
+top-field value table is built: the few top-field points read are looked up
+through dlog.
 """
 
 import cmath
@@ -43,7 +47,7 @@ from .characters import (
     octic_M8,
     quadratic_char,
 )
-from .classical_sums import gauss, jacobi
+from .classical_sums import gauss, jacobi, lifted_gauss, lifted_jacobi
 from .finite_field import FieldError, FieldTower, build_tower, construct_field, factor_prime_power
 from .hypergeometric import hyp2f1, norm_fiber, norm_restricted_jacobi
 from .report import VerificationReport
@@ -83,8 +87,9 @@ class KatzContext:
         self.tau = -_sqrt_upper_half(tower.q * self.M8(tower.embed(-self.a)))
         self.inv_g_phi = 1 / gauss(self.phi)
 
-        tm8 = self.M8.value_table()
-        self._fiber_pairs = [(z, tm8[z]) for z in norm_fiber(tower, self.a)]
+        n2, roots, dlog2 = tower.top.order - 1, tower.top.unity_roots, tower.top.dlog
+        m8 = self.M8.index
+        self._fiber_pairs = [(z, roots[m8 * dlog2[z] % n2]) for z in norm_fiber(tower, self.a)]
 
         # x-loop data for the mixed sum, in log coordinates: for each x with
         # a/x != x, the logs of x and a/x and the sign phi(a/x - x) as an
@@ -239,6 +244,12 @@ def double_mellin_product(ctx: KatzContext, chi1: MultChar, chi2: MultChar,
     return total
 
 
+def _jacobi_bracket(tower: FieldTower, m8: MultChar, nu: MultChar, c: MultChar) -> complex:
+    """J2(nu N M8, C N) + J2(nu N M8^5, C N), summed over the norm fibers."""
+    nu_n = norm_compose(tower, nu)
+    return lifted_jacobi(tower, nu_n * m8, c) + lifted_jacobi(tower, nu_n * m8**5, c)
+
+
 def double_mellin_product_deviation(ctx: KatzContext, chi1: MultChar, chi2: MultChar) -> float:
     """S(chi1, chi2) against its Gauss/Jacobi evaluation (zero if either is even)."""
     s = double_mellin_product(ctx, chi1, chi2)
@@ -249,15 +260,11 @@ def double_mellin_product_deviation(ctx: KatzContext, chi1: MultChar, chi2: Mult
     nu1 = decompose_odd(chi1)
     nu2 = decompose_odd(chi2)
     mu = nu1 * nu2
-    nu1_n = norm_compose(tower, nu1)
-    b1 = nu1_n * ctx.M8
-    b2 = nu1_n * ctx.M8**5
     rhs = 0j
     for i in (0, 1):
         ch = ctx.phi**i * mu.conj
-        ch_n = norm_compose(tower, ch)
-        bracket = jacobi(b1, ch_n) + jacobi(b2, ch_n)
-        rhs += ch(ctx.a) * q / gauss(ch_n) * bracket
+        bracket = _jacobi_bracket(tower, ctx.M8, nu1, ch)
+        rhs += ch(ctx.a) * q / lifted_gauss(tower, ch) * bracket
     return abs(s - rhs)
 
 
@@ -272,6 +279,11 @@ def kernel_row(d: MultChar) -> list[complex]:
     Memoized on the field by the index of D.  The weights D(x) phi(1-x) are
     formed once per D; each entry keeps the product order and the summation
     order of the per-x loop, so it equals that loop's value exactly.
+
+    The argument is found in log coordinates: with n = q-1 and
+    x(j+1)^2 = g^(lx + lp), x(j+1)^2 + (j-1)^2 = g^(lm + zech[lx + lp - lm]),
+    so each row reads a rotated Zech table at the logs lx, in code order, and
+    a table of the mixed character rotated by lm.
     """
     field = d.field
     row = field._kernel_rows.get(d.index)
@@ -279,16 +291,28 @@ def kernel_row(d: MultChar) -> list[complex]:
         phi = quadratic_char(field)
         td, tphi = d.value_table(), phi.value_table()
         tmix = (phi * d.conj**2).value_table()
-        om = field.one_minus
+        om, dlog, n = field.one_minus, field.dlog, field.order - 1
         xs = range(1, field.order)
         weights = [td[x] * tphi[om[x]] for x in xs]
+        lxs = [dlog[x] for x in xs]
+        mix_by_log = [tmix[e] for e in field.exp]
+        zech = [z if z >= 0 else n for z in field._zech]  # 1 + g^k = 0 reads index n
         mul, add, sub = field.mul_codes, field.add_codes, field.sub_codes
         row = [0j]
         for j in xs:
             jp, jm = add(j, 1), sub(j, 1)
             jp, jm = mul(jp, jp), mul(jm, jm)
-            args = [add(mul(x, jp), jm) for x in xs]
-            row.append(sum(map(operator.mul, weights, map(tmix.__getitem__, args)), 0j))
+            if jp == 0:  # j = -1: every argument is (j-1)^2
+                vals = [tmix[jm]] * n
+            elif jm == 0:  # j = 1: the argument is x(j+1)^2
+                lp = dlog[jp]
+                vals = map((mix_by_log[lp:] + mix_by_log[:lp]).__getitem__, lxs)
+            else:
+                lp, lm = dlog[jp], dlog[jm]
+                r = (lp - lm) % n
+                mix = mix_by_log[lm:] + mix_by_log[:lm] + [0j]
+                vals = map(mix.__getitem__, map((zech[r:] + zech[:r]).__getitem__, lxs))
+            row.append(sum(map(operator.mul, weights, vals), 0j))
         field._kernel_rows[d.index] = row
     return row
 
@@ -337,11 +361,7 @@ def double_mellin_mixed(ctx: KatzContext, chi1: MultChar, chi2: MultChar,
     q = ctx.tower.q
     total = 0j
     for j in range(1, q):
-        row = pm[j]
-        inner = 0j
-        for k in range(1, q):
-            inner += t2[k] * row[k]
-        total += t1[j] * inner
+        total += t1[j] * sum(map(operator.mul, t2, pm[j]), 0j)  # t2[0] = 0: k = 0 adds 0
     return total
 
 
@@ -391,9 +411,7 @@ def kernel_transform_deviation(ctx: KatzContext, d: MultChar, nu: MultChar) -> f
     if d.is_trivial:
         return abs(lhs - 2)
     tower = ctx.tower
-    nu_n = norm_compose(tower, nu)
-    dbar_n = norm_compose(tower, d.conj)
-    bracket = jacobi(nu_n * ctx.M8, dbar_n) + jacobi(nu_n * ctx.M8**5, dbar_n)
+    bracket = _jacobi_bracket(tower, ctx.M8, nu, d.conj)
     rhs = -gauss(ctx.phi) * gauss(d) ** 2 / (tower.q * gauss(ctx.phi * d**2)) * bracket
     return abs(lhs - rhs)
 
@@ -411,11 +429,7 @@ def fiber_jacobi_transform(ctx: KatzContext, d: MultChar, nu: MultChar,
 def fiber_jacobi_transform_deviation(ctx: KatzContext, d: MultChar, nu: MultChar) -> float:
     """Y(D) against J2(nu N M8, conj(D)N) + J2(nu N M8^5, conj(D)N)."""
     lhs = fiber_jacobi_transform(ctx, d, nu)
-    tower = ctx.tower
-    nu_n = norm_compose(tower, nu)
-    dbar_n = norm_compose(tower, d.conj)
-    rhs = jacobi(nu_n * ctx.M8, dbar_n) + jacobi(nu_n * ctx.M8**5, dbar_n)
-    return abs(lhs - rhs)
+    return abs(lhs - _jacobi_bracket(ctx.tower, ctx.M8, nu, d.conj))
 
 
 def ratio_bracket_deviation(ctx: KatzContext, nu1: MultChar, d: MultChar) -> float:
@@ -426,10 +440,8 @@ def ratio_bracket_deviation(ctx: KatzContext, nu1: MultChar, d: MultChar) -> flo
     """
     tower = ctx.tower
     q = tower.q
-    nu1_n = norm_compose(tower, nu1)
-    dbar_n = norm_compose(tower, d.conj)
-    bracket = jacobi(nu1_n * ctx.M8, dbar_n) + jacobi(nu1_n * ctx.M8**5, dbar_n)
-    lhs = q / gauss(dbar_n) * bracket
+    bracket = _jacobi_bracket(tower, ctx.M8, nu1, d.conj)
+    lhs = q / lifted_gauss(tower, d.conj) * bracket
     rhs = gauss(ctx.phi * d**2) / gauss(ctx.phi) * (
         kernel_transform(d, nu1) + 2 * (q - 1) * delta(d)
     )
@@ -469,10 +481,7 @@ def kernel_double_sum_deviation(q: int, nu_index: int = 0, m8_variant: int = 1) 
     p, t = factor_prime_power(q)
     tower = build_tower(p, t)
     nu = char(tower.base, nu_index)
-    m8 = octic_M8(tower, m8_variant)
-    nu_n = norm_compose(tower, nu)
-    phi_n = norm_compose(tower, quadratic_char(tower.base))
-    rhs = jacobi(nu_n * m8, phi_n) + jacobi(nu_n * m8**5, phi_n)
+    rhs = _jacobi_bracket(tower, octic_M8(tower, m8_variant), nu, quadratic_char(tower.base))
     return abs(kernel_double_sum(q, nu_index) - rhs)
 
 

@@ -3,7 +3,14 @@ import random
 import pytest
 
 from charsum import classical_sums, harness
-from charsum.characters import char, octic_M8, quadratic_char, restrict_to_base, trivial_char
+from charsum.characters import (
+    char,
+    norm_compose,
+    octic_M8,
+    quadratic_char,
+    restrict_to_base,
+    trivial_char,
+)
 from charsum.classical_sums import (
     eisenstein_E,
     eisenstein_E2,
@@ -14,7 +21,9 @@ from charsum.classical_sums import (
     gauss_sums,
     hasse_davenport_product_deviation,
     jacobi,
+    lifted_gauss,
     lifted_gauss_deviation,
+    lifted_jacobi,
     quartic_gauss_deviation,
 )
 from charsum.finite_field import FieldError, PrimePowerField, build_tower, construct_field
@@ -147,6 +156,47 @@ class TestJacobi:
                 literal = sum(a(y) * b(1 - y) for y in field.elements() if y)
                 assert jacobi(a, b) == literal
                 assert field._jacobi_memo[(i, k)] == literal
+
+
+class TestLiftedSums:
+    # (3, 3) has t > 1, where the base generator is N(g2), not the canonical one
+    @pytest.mark.parametrize("p,t", [(3, 1), (7, 1), (11, 1), (3, 3)])
+    def test_fiber_sums_equal_literal_sums(self, p, t):
+        tower = build_tower(p, t)
+        tops = [char(tower.top, i) for i in range(tower.top.order - 1)]
+        for c in (char(tower.base, i) for i in range(tower.q - 1)):
+            cn = norm_compose(tower, c)
+            assert abs(lifted_gauss(tower, c) - gauss_literal(cn)) < TOL
+            for a in tops:
+                assert abs(lifted_jacobi(tower, a, c) - jacobi(a, cn)) < TOL
+
+    @pytest.mark.parametrize("q", [7, 11])
+    def test_rows_memoized_on_the_tower(self, q):
+        tower = build_tower(q)
+        a, c = char(tower.top, 5), char(tower.base, 1)
+        lifted_jacobi(tower, a, c)
+        lifted_gauss(tower, c)
+        row = tower._fiber_rows[a.index]
+        assert len(row) == q - 1 and len(tower._fiber_rows[None]) == q - 1
+        lifted_jacobi(tower, a, c.conj)
+        assert tower._fiber_rows[a.index] is row
+
+    @pytest.mark.parametrize("q", [7, 11])
+    def test_rows_of_a_and_a_to_the_q_agree(self, q):
+        # z -> z^q permutes each norm fiber and A^q(1 - z) = A(1 - z^q), so a
+        # row built for A^q in place of A is the same row: no check can see it
+        tower = build_tower(q)
+        for i in range(tower.top.order - 1):
+            a = char(tower.top, i)
+            row, row_q = classical_sums._fiber_row(tower, a), classical_sums._fiber_row(tower, a**q)
+            assert max(abs(u - v) for u, v in zip(row, row_q)) < TOL
+
+    def test_wrong_fields_rejected(self):
+        tower = build_tower(7)
+        with pytest.raises(FieldError):
+            lifted_jacobi(tower, char(tower.base, 1), char(tower.base, 1))
+        with pytest.raises(FieldError):
+            lifted_gauss(tower, char(tower.top, 8))
 
 
 class TestHasseDavenport:

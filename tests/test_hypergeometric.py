@@ -2,7 +2,7 @@ import cmath
 
 import pytest
 
-from charsum.characters import char, quadratic_char, trivial_char
+from charsum.characters import char, norm_compose, quadratic_char, trivial_char
 from charsum.finite_field import build_tower, construct_field
 from charsum.hypergeometric import (
     binom,
@@ -112,6 +112,20 @@ class TestNormRestrictedJacobi:
                     norm_restricted_jacobi(ctx7, d, je)
                     - norm_restricted_jacobi(ctx7, d, -je)
                 ) < TOL
+
+    @pytest.mark.parametrize("q", [7, 11])
+    def test_equals_value_table_sum(self, q):
+        # dlog lookups at the fiber points give exactly the table values
+        tower = build_tower(q)
+        ctx = KatzContext(tower, tower.base.g)
+        tm8, om = ctx.M8.value_table(), tower.top.one_minus
+        for di in range(tower.q - 1):
+            d = char(tower.base, di)
+            tdn = norm_compose(tower, d.conj).value_table()
+            for j in range(1, tower.q):
+                fiber = norm_fiber(tower, tower.base.element(j) ** 4)
+                want = sum(tm8[z] * tdn[om[z]] for z in fiber)
+                assert norm_restricted_jacobi(ctx, d, j) == want
 
     def test_scan_equals_fiber_route(self, ctx7):
         base = ctx7.tower.base

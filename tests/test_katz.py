@@ -3,10 +3,10 @@ import json
 
 import pytest
 
-from charsum import katz
-from charsum.characters import char, quadratic_char, trivial_char
+from charsum import classical_sums, katz
+from charsum.characters import char, norm_compose, quadratic_char, trivial_char
 from charsum.finite_field import FieldTower, build_tower, construct_field
-from charsum.harness import suite_mellin, suite_theorem5x
+from charsum.harness import suite_hypergeometric, suite_mellin, suite_theorem41, suite_theorem5x
 from charsum.katz import (
     KatzContext,
     decompose_q,
@@ -135,6 +135,21 @@ class TestContext:
         tower = build_tower(7)
         ctx = KatzContext(tower, tower.base.g)
         assert ctx.a_index() == 1
+
+    def test_fiber_pairs_hold_the_m8_table_values(self):
+        tower = build_tower(11)
+        ctx = KatzContext(tower, tower.base.g)
+        tm8 = ctx.M8.value_table()
+        assert [v for _, v in ctx._fiber_pairs] == [tm8[z] for z, _ in ctx._fiber_pairs]
+
+    def test_suites_build_no_top_field_value_tables(self, monkeypatch):
+        tower = build_tower(23)
+        monkeypatch.setattr(tower.top, "_char_tables", {})  # the top field is shared
+        ctx = KatzContext(tower, tower.base.g)
+        for suite in (suite_hypergeometric, suite_theorem41, suite_theorem5x,
+                      verify_master_identity):
+            assert suite(ctx, DEFAULT_POLICY).all_passed
+        assert tower.top._char_tables == {}
 
 
 class TestMixedSum:
@@ -300,6 +315,8 @@ class TestKernel:
     # q = 27: the tower base and the canonical field have different
     # generators, so each keeps its own rows
     @pytest.mark.parametrize("field", [
+        pytest.param(lambda: build_tower(7).base, id="q7"),
+        pytest.param(lambda: build_tower(11).base, id="q11"),
         pytest.param(lambda: build_tower(23).base, id="q23"),
         pytest.param(lambda: build_tower(3, 3).base, id="q27-tower-base"),
         pytest.param(lambda: construct_field(3, 3), id="q27-canonical"),
@@ -311,25 +328,32 @@ class TestKernel:
             row = kernel_row(d)
             assert len(row) == field.order
             assert field._kernel_rows[di] is row and kernel_row(d) is row
-            for j in range(1, field.order):
+            for j in range(1, field.order):  # j = +-1 included: (j+1)^2 or (j-1)^2 is 0
                 assert row[j] == kernel_literal(d, j)  # same products, same order
                 assert kernel_sum(d, j) == row[j]
 
     def test_memos_bounded_and_reused_over_a_sweeps(self):
-        # a tower of its own, so the base field's memos start empty
+        # a tower of its own, so its base field and fiber memos start empty
         tower = FieldTower(11, 1)
-        base, top = tower.base, tower.top
+        base = tower.base
         sizes = []
         for a in range(1, 11):
             ctx = KatzContext(tower, a)
             suite_mellin(ctx, DEFAULT_POLICY)
             verify_master_identity(ctx, DEFAULT_POLICY)
-            sizes.append((len(base._kernel_rows), len(top._jacobi_memo)))
+            sizes.append((len(base._kernel_rows), len(tower._fiber_rows)))
         # the first a fills both memos; the other nine only read them
         assert sizes[0][0] > 0 and sizes[0][1] > 0
         assert set(sizes) == {sizes[0]}
         assert len(base._kernel_rows) <= 10
-        assert len(base._jacobi_memo) <= 100
+        # one row per distinct A = nu N M8^e (e = 1, 5), plus the psi2 row
+        lifted_a = {
+            (norm_compose(tower, char(base, nu)) * ctx.M8**e).index
+            for nu in range(10)
+            for e in (1, 5)
+        }
+        assert set(tower._fiber_rows) <= lifted_a | {None}
+        assert len(tower._fiber_rows[None]) == 10
 
     @pytest.mark.parametrize("q", [7, 11])
     def test_wrong_kernel_rows_fail_the_checks(self, monkeypatch, q):
@@ -364,6 +388,37 @@ class TestKernel:
         assert suite_mellin(ctx, DEFAULT_POLICY).all_passed
         rep = verify_master_identity(ctx, DEFAULT_POLICY)
         assert {r.check_id for r in rep.records if not r.passed} == {"gauss-ratio-bridge"}
+
+    @pytest.mark.parametrize("q", [7, 11])
+    @pytest.mark.parametrize("mutation", ["A-row-next-fiber", "A-row-of-conj-A", "psi-row-next-fiber"])
+    def test_wrong_fiber_rows_fail_the_checks(self, monkeypatch, q, mutation):
+        # a copy of a wrong row is served; the memo keeps the right ones.
+        # A row built for A^q instead of A is the same row (see
+        # test_classical_sums), so that slip is not a mutation any check can see
+        real_row = classical_sums._fiber_row
+
+        def wrong_row(tower, a):
+            if mutation == "A-row-of-conj-A" and a is not None:
+                return list(real_row(tower, a.conj))
+            row = real_row(tower, a)
+            shifted = row[1:] + row[:1]  # Phi[k + 1] read as Phi[k]
+            if mutation == "A-row-next-fiber" and a is not None:
+                return shifted
+            if mutation == "psi-row-next-fiber" and a is None:
+                return shifted
+            return row
+
+        monkeypatch.setattr(classical_sums, "_fiber_row", wrong_row)
+        tower = build_tower(q)
+        ctx = KatzContext(tower, tower.base.g)
+        failed = {
+            suite: {r.check_id for r in suite(ctx, DEFAULT_POLICY).records if not r.passed}
+            for suite in (suite_theorem5x, verify_master_identity)
+        }
+        assert failed[verify_master_identity] == {"gauss-ratio-bridge"}
+        assert "gauss-ratio-bridge" in failed[suite_theorem5x]
+        if mutation != "psi-row-next-fiber":  # Y's evaluation has no Gauss sum
+            assert "fiber-transform" in failed[suite_theorem5x]
 
     def test_zero_j_rejected(self):
         with pytest.raises(ValueError):
