@@ -1,31 +1,30 @@
 """Gauss, Jacobi and Eisenstein sums, plus their classical closed-form deviations.
 
 Jacobi and Eisenstein sums of one field are computed by literal summation.
-Gauss sums have two routes: `gauss` sums one character literally, and
-`gauss_sums` returns every Gauss sum of a field at once from one discrete
-Fourier transform in log coordinates, G(chi_k) = sum_m psi(g^m) e^(2 pi i k m / N)
-with N = q* - 1, evaluated by Bluestein's chirp-z algorithm over a radix-2
-FFT.  The closed forms (the Hasse-Davenport product and lifting relations,
+Every Gauss sum of a field comes from one discrete Fourier transform in log
+coordinates, G(chi_k) = sum_m psi(g^m) e^(2 pi i k m / N) with N = q* - 1,
+evaluated by Bluestein's chirp-z algorithm over a radix-2 FFT: `gauss_sums`
+returns the whole list and `gauss` reads one entry of it.  `gauss_literal`
+sums one character literally and is kept only as the oracle for tests.
+The closed forms (the Hasse-Davenport product and lifting relations,
 the quartic Gauss-sum evaluation, the Eisenstein/Gauss ratio) appear only
 inside deviation functions, which read the transform, so each compares
 two independently computed values: literal Jacobi or Eisenstein sums
 against transform Gauss sums, or transform values at different indices.
 
-A sum over F_{q^2} whose character is a lifted base character C N is
-constant on each norm fiber {N z = g^k}, so `lifted_jacobi` and
-`lifted_gauss` regroup J2(A, C N) and G2(C N) exactly into q-1 terms
-C(g^k) Phi[k], where Phi[k] sums A(1 - z), or psi2(z), over the q+1 points
-of the fiber (Berndt, Evans and Williams, *Gauss and Jacobi Sums*, 1998).
+A sum over F_{q^2} whose character is a lifted base character C N, times a
+fixed top-field character B, splits over the norm fibers {N z = g^k}:
+`lifted_jacobi` and `lifted_gauss` regroup J2(A, C N) and G2(C N B) exactly
+into q-1 terms C(g^k) Phi[k], where Phi[k] sums A(1 - z), or B(z) psi2(z),
+over the q+1 points of the fiber (Berndt, Evans and Williams, *Gauss and
+Jacobi Sums*, 1998).
 
 Sums that do not depend on the parameter a are memoized, and every a-task
-of one process reuses them.  `gauss` is keyed on the field by character
-index (at most q*-1 values per field of order q*) and stores exactly what
-the literal sum returns; `gauss_sums` stores its one list of q*-1 values.
-Neither memo is ever filled from the other, so a value never depends on
-which tasks ran earlier in a process.  `jacobi` is keyed on the field by
-the ordered pair of indices (at most the distinct pairs requested, itself
-at most (q*-1)^2).  The fiber rows Phi are keyed on the tower by the index
-of A, plus one row for psi2: q-1 values each.
+of one process reuses them: `gauss_sums` one list of q*-1 values per field,
+`jacobi` one value per ordered pair of indices (at most (q*-1)^2), and the
+fiber rows Phi, q-1 values each, keyed on the tower by ("jacobi", index of
+A) or ("gauss", index of B); katz asks for Gauss rows only at B = 1, M8 and
+M8^5, at most five over the four octic variants.
 """
 
 import cmath
@@ -44,20 +43,15 @@ def gauss_literal(a: MultChar) -> complex:
 
 
 def gauss(a: MultChar) -> complex:
-    """G(A), memoized on the field by character index."""
-    memo = a.field._gauss_memo
-    val = memo.get(a.index)
-    if val is None:
-        val = memo[a.index] = gauss_literal(a)
-    return val
+    """G(A), read from gauss_sums: the first call on a field computes all."""
+    return gauss_sums(a.field)[a.index]
 
 
 def gauss_sums(field) -> list[complex]:
     """G(chi_k) for every character index k of the field, memoized on it.
 
     With N = q* - 1 and x_m = psi(g^m), G(chi_k) = sum_m x_m e^(2 pi i k m / N)
-    is one length-N DFT.  Computed on first use, never at field build, and
-    never read from or written to the `gauss` memo.
+    is one length-N DFT, computed on first use, never at field build.
     """
     sums = field._gauss_sums
     if sums is None:
@@ -119,35 +113,41 @@ def lifted_jacobi(tower: FieldTower, a: MultChar, c: MultChar) -> complex:
     and C on the base, as sum_k C(g^k) Phi_A[k] over the norm fibers."""
     if a.field is not tower.top:
         raise FieldError("the lifted Jacobi sum needs A on the tower's top field")
-    return _fiber_transform(tower, c, _fiber_row(tower, a))
+    return _fiber_transform(tower, c, _fiber_row(tower, "jacobi", a.index))
 
 
-def lifted_gauss(tower: FieldTower, c: MultChar) -> complex:
-    """G2(C N) = sum_z C(N z) psi2(z) over F_{q^2}, for C on the base field,
-    as sum_k C(g^k) Phi_psi[k] over the norm fibers."""
-    return _fiber_transform(tower, c, _fiber_row(tower, None))
+def lifted_gauss(tower: FieldTower, c: MultChar, b: MultChar | None = None) -> complex:
+    """G2(C N B) = sum_z C(N z) B(z) psi2(z) over F_{q^2}, for C on the base
+    field and an optional twist B on the top field (trivial when omitted),
+    as sum_k C(g^k) Phi_B[k] over the norm fibers."""
+    if b is not None and b.field is not tower.top:
+        raise FieldError("the twist of a lifted Gauss sum must be on the tower's top field")
+    return _fiber_transform(tower, c, _fiber_row(tower, "gauss", 0 if b is None else b.index))
 
 
-def _fiber_row(tower: FieldTower, a: MultChar | None) -> list[complex]:
-    """Phi[k] for k in [0, q-1): the sum of A(1 - z), or of psi2(z) when A is
-    None, over the fiber N(z) = g^k, memoized on the tower by A's index.
+def _fiber_row(tower: FieldTower, kind: str, index: int) -> list[complex]:
+    """Phi[k] for k in [0, q-1): the sum of chi(1 - z) ("jacobi") or of
+    chi(z) psi2(z) ("gauss") over the fiber N(z) = g^k, for chi the top-field
+    character of the given index; memoized on the tower by (kind, index).
 
     The fiber of g^k is {g2^m : m = k (mod q-1)}, since the tower fixes
     g = N(g2), so one pass over m in log order fills the row; no value table
-    is built.  1 - g2^m = 1 + g2^(m + n/2) has log zech[m + n/2], n = q^2 - 1.
+    is built.  chi(g2^m) is the root of unity of index index*m mod n, and
+    1 - g2^m = 1 + g2^(m + n/2) has log zech[m + n/2], n = q^2 - 1.
     """
-    key = None if a is None else a.index
+    key = (kind, index)
     row = tower._fiber_rows.get(key)
     if row is None:
         top = tower.top
-        n = top.order - 1
-        if a is None:
+        n, roots = top.order - 1, top.unity_roots
+        if kind == "gauss":
             psi = top.psi_table
             vals = [psi[z] for z in top.exp]
+            if index:  # the twist B(g2^m); the plain row needs no product
+                vals = [roots[index * m % n] * v for m, v in enumerate(vals)]
         else:
             half, zech = n // 2, top._zech
-            roots, k = top.unity_roots, a.index
-            vals = [roots[k * lg % n] for lg in zech[half:] + zech[:half]]
+            vals = [roots[index * lg % n] for lg in zech[half:] + zech[:half]]
             vals[0] = 0j  # z = 1: A(0) = 0
         step = tower.q - 1
         row = tower._fiber_rows[key] = [sum(vals[k::step], 0j) for k in range(step)]

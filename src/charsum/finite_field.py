@@ -184,7 +184,6 @@ class PrimePowerField:
         self.p_roots = [cmath.exp(2j * math.pi * t / p) for t in range(p)]
         self.psi_table = [self.p_roots[t] for t in self.trace_table]
 
-        self._gauss_memo: dict[int, complex] = {}
         self._gauss_sums: list[complex] | None = None
         self._jacobi_memo: dict[tuple[int, int], complex] = {}
         self._kernel_rows: dict[int, list[complex]] = {}
@@ -478,7 +477,7 @@ class FieldTower:
         self.i_code = top.pow_code(self.g2, n2 // 4)
         self._trace_line = None
         self._i_line = None
-        self._fiber_rows: dict[int | None, list[complex]] = {}  # see classical_sums
+        self._fiber_rows: dict[tuple[str, int], list[complex]] = {}  # see classical_sums
 
     def _smallest_modulus_root(self, base_modulus) -> int:
         """The roots lie in the subfield, so only its q elements are tried."""

@@ -401,7 +401,6 @@ def suite_mellin(ctx: KatzContext, policy: TolerancePolicy) -> VerificationRepor
     for i in range(q - 1):
         rep.add("mellin-single", f"chi={i}", mellin_single_deviation(ctx, char(base, i)), tol)
 
-    pm = ctx.mixed_sum_matrix()
     for i1, i2 in select_char_pairs(base):
         chi1, chi2 = char(base, i1), char(base, i2)
         inputs = f"chi1={i1},chi2={i2}"
@@ -411,7 +410,7 @@ def suite_mellin(ctx: KatzContext, policy: TolerancePolicy) -> VerificationRepor
         )
         rep.add(
             "double-mellin-mixed", inputs,
-            double_mellin_mixed_deviation(ctx, chi1, chi2, pm), tol_pairs,
+            double_mellin_mixed_deviation(ctx, chi1, chi2), tol_pairs,
         )
         if q <= 11:
             dev = abs(

@@ -26,11 +26,12 @@ The kernel sums h(D, j) do not depend on a.  kernel_row memoizes the whole
 row h(D, .) on the field, keyed by the index of D: at most q-1 rows of q
 entries per field, which every a-task of one process reuses (a KatzContext
 is built per task, so the memo cannot live on it).  Every Jacobi or Gauss sum
-over F_{q^2} with a lifted character C N is summed over the q-1 norm fibers
-by lifted_jacobi and lifted_gauss, whose fiber rows are memoized on the tower;
-the other Gauss sums are memoized on the field (see classical_sums).  No
-top-field value table is built: the few top-field points read are looked up
-through dlog.
+over F_{q^2} has a lifted character C N, times M8^e in the Mellin
+evaluation, and is summed over the q-1 norm fibers by lifted_jacobi and
+lifted_gauss, whose fiber rows are memoized on the tower; the Gauss sums over
+F_q are read from the field's one transform (see classical_sums).  No
+top-field value table or transform is built: the few top-field points read
+are looked up through dlog.
 """
 
 import cmath
@@ -38,7 +39,6 @@ import math
 import operator
 
 from .characters import (
-    AddChar,
     MultChar,
     char,
     decompose_odd,
@@ -82,8 +82,6 @@ class KatzContext:
         self.m8_variant = m8_variant
         self.M8 = octic_M8(tower, m8_variant)
         self.phi = quadratic_char(base)
-        self.psi = AddChar(base)
-        self.psi2 = AddChar(tower.top)
         self.tau = -_sqrt_upper_half(tower.q * self.M8(tower.embed(-self.a)))
         self.inv_g_phi = 1 / gauss(self.phi)
 
@@ -210,17 +208,17 @@ def mellin_transform(ctx: KatzContext, chi: MultChar) -> complex:
 
 def mellin_single_deviation(ctx: KatzContext, chi: MultChar) -> float:
     """S(chi) against its Gauss-sum evaluation: 0 for even chi, and for odd
-    chi = phi*nu^4 the two-term bracket in G2(nu N M8) and G2(nu N M8^5)."""
+    chi = phi*nu^4 the two-term bracket in G2(nu N M8) and G2(nu N M8^5),
+    each summed over the norm fibers by lifted_gauss with the twist M8^e."""
     s = mellin_transform(ctx, chi)
     if not chi.is_odd():
         return abs(s)
     tower = ctx.tower
     nu = decompose_odd(chi)
-    nu_n = norm_compose(tower, nu)
     a = ctx.a
     rhs = (
-        nu.conj(a) / ctx.tau * gauss(nu_n * ctx.M8)
-        + (ctx.phi * nu.conj)(a) / ctx.tau * gauss(nu_n * ctx.M8**5)
+        nu.conj(a) / ctx.tau * lifted_gauss(tower, nu, ctx.M8)
+        + (ctx.phi * nu.conj)(a) / ctx.tau * lifted_gauss(tower, nu, ctx.M8**5)
     )
     return abs(s - rhs)
 
@@ -352,11 +350,10 @@ def kernel_closed_form_deviation(d: MultChar, j) -> float:
     return abs(lhs - rhs)
 
 
-def double_mellin_mixed(ctx: KatzContext, chi1: MultChar, chi2: MultChar,
-                        p_matrix=None) -> complex:
+def double_mellin_mixed(ctx: KatzContext, chi1: MultChar, chi2: MultChar) -> complex:
     """T(chi1, chi2) = sum_{j,k != 0} chi1(j) chi2(k) P(j,k), as a literal
-    double sum over a row-cached matrix of P values."""
-    pm = ctx.mixed_sum_matrix() if p_matrix is None else p_matrix
+    double sum over the context's cached matrix of P values."""
+    pm = ctx.mixed_sum_matrix()
     t1, t2 = chi1.value_table(), chi2.value_table()
     q = ctx.tower.q
     total = 0j
@@ -365,8 +362,7 @@ def double_mellin_mixed(ctx: KatzContext, chi1: MultChar, chi2: MultChar,
     return total
 
 
-def double_mellin_mixed_deviation(ctx: KatzContext, chi1: MultChar, chi2: MultChar,
-                                  p_matrix=None) -> float:
+def double_mellin_mixed_deviation(ctx: KatzContext, chi1: MultChar, chi2: MultChar) -> float:
     """T(chi1, chi2) against its kernel-sum evaluation (zero if either is even).
 
     The evaluation weighs the kernel rows of D = mu and D = mu*phi by
@@ -375,7 +371,7 @@ def double_mellin_mixed_deviation(ctx: KatzContext, chi1: MultChar, chi2: MultCh
     row of D*phi for D passes here.  The gauss-ratio-bridge of
     verify_master_identity catches that at every a.
     """
-    t = double_mellin_mixed(ctx, chi1, chi2, p_matrix)
+    t = double_mellin_mixed(ctx, chi1, chi2)
     if not (chi1.is_odd() and chi2.is_odd()):
         return abs(t)
     q = ctx.tower.q
@@ -614,7 +610,7 @@ def verify_master_identity(
         for i1, i2 in select_char_pairs(base):
             chi1, chi2 = char(base, i1), char(base, i2)
             s_val = double_mellin_product(ctx, chi1, chi2)
-            t_val = double_mellin_mixed(ctx, chi1, chi2, pm)
+            t_val = double_mellin_mixed(ctx, chi1, chi2)
             rep.add("mellin-match", f"chi1={i1},chi2={i2}", abs(s_val - t_val), tol_pair)
             if chi1.is_odd() and chi2.is_odd():
                 nu1 = decompose_odd(chi1)

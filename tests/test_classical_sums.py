@@ -26,7 +26,7 @@ from charsum.classical_sums import (
     lifted_jacobi,
     quartic_gauss_deviation,
 )
-from charsum.finite_field import FieldError, PrimePowerField, build_tower, construct_field
+from charsum.finite_field import FieldError, build_tower, construct_field
 from charsum.katz import spaced_sample
 from charsum.tolerance import DEFAULT_POLICY
 
@@ -46,13 +46,12 @@ class TestGauss:
             assert abs(gauss(a) * gauss(a.conj) - a(-1) * q) < TOL
             assert abs(abs(gauss(a)) ** 2 - q) < TOL
 
-    def test_memoization(self):
+    def test_reads_the_transform(self):
         field = construct_field(11)
-        a = char(field, 3)
-        v1 = gauss(a)
-        assert 3 in field._gauss_memo
-        assert gauss(a) == v1
-        assert abs(gauss_literal(a) - v1) < TOL
+        for k in range(field.order - 1):
+            a = char(field, k)
+            assert gauss(a) == gauss_sums(field)[k]
+            assert abs(gauss(a) - gauss_literal(a)) < TOL
 
 
 class TestGaussSums:
@@ -73,14 +72,6 @@ class TestGaussSums:
         sums = gauss_sums(top)
         for k in spaced_sample(list(range(top.order - 1)), 40):
             assert abs(sums[k] - gauss_literal(char(top, k))) < TOL
-
-    def test_the_two_memos_never_feed_each_other(self):
-        field = PrimePowerField(7, 2)  # its own memos, both empty
-        gauss(char(field, 5))
-        assert field._gauss_sums is None
-        sums = gauss_sums(field)
-        assert gauss_sums(field) is sums
-        assert list(field._gauss_memo) == [5]
 
     @pytest.mark.parametrize("q", [7, 11])
     @pytest.mark.parametrize("mutation", ["conjugate", "shift"])
@@ -164,22 +155,31 @@ class TestLiftedSums:
     def test_fiber_sums_equal_literal_sums(self, p, t):
         tower = build_tower(p, t)
         tops = [char(tower.top, i) for i in range(tower.top.order - 1)]
+        m8 = octic_M8(tower)
+        twists = tops if t == 1 else [m8, m8**5]  # at (3, 3), the twists of mellin-single
         for c in (char(tower.base, i) for i in range(tower.q - 1)):
             cn = norm_compose(tower, c)
             assert abs(lifted_gauss(tower, c) - gauss_literal(cn)) < TOL
+            for b in twists:
+                assert abs(lifted_gauss(tower, c, b) - gauss_literal(cn * b)) < TOL
             for a in tops:
                 assert abs(lifted_jacobi(tower, a, c) - jacobi(a, cn)) < TOL
 
     @pytest.mark.parametrize("q", [7, 11])
     def test_rows_memoized_on_the_tower(self, q):
         tower = build_tower(q)
-        a, c = char(tower.top, 5), char(tower.base, 1)
+        a, b, c = char(tower.top, 5), octic_M8(tower), char(tower.base, 1)
         lifted_jacobi(tower, a, c)
         lifted_gauss(tower, c)
-        row = tower._fiber_rows[a.index]
-        assert len(row) == q - 1 and len(tower._fiber_rows[None]) == q - 1
+        lifted_gauss(tower, c, b)
+        rows = tower._fiber_rows
+        keys = [("jacobi", a.index), ("gauss", 0), ("gauss", b.index)]
+        first = [rows[key] for key in keys]
+        assert all(len(row) == q - 1 for row in first)
         lifted_jacobi(tower, a, c.conj)
-        assert tower._fiber_rows[a.index] is row
+        lifted_gauss(tower, c.conj)
+        lifted_gauss(tower, c.conj, b)
+        assert all(rows[key] is row for key, row in zip(keys, first))
 
     @pytest.mark.parametrize("q", [7, 11])
     def test_rows_of_a_and_a_to_the_q_agree(self, q):
@@ -187,8 +187,8 @@ class TestLiftedSums:
         # row built for A^q in place of A is the same row: no check can see it
         tower = build_tower(q)
         for i in range(tower.top.order - 1):
-            a = char(tower.top, i)
-            row, row_q = classical_sums._fiber_row(tower, a), classical_sums._fiber_row(tower, a**q)
+            row = classical_sums._fiber_row(tower, "jacobi", i)
+            row_q = classical_sums._fiber_row(tower, "jacobi", (char(tower.top, i) ** q).index)
             assert max(abs(u - v) for u, v in zip(row, row_q)) < TOL
 
     def test_wrong_fields_rejected(self):
@@ -197,6 +197,8 @@ class TestLiftedSums:
             lifted_jacobi(tower, char(tower.base, 1), char(tower.base, 1))
         with pytest.raises(FieldError):
             lifted_gauss(tower, char(tower.top, 8))
+        with pytest.raises(FieldError):
+            lifted_gauss(tower, char(tower.base, 1), char(tower.base, 1))
 
 
 class TestHasseDavenport:

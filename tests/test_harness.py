@@ -345,9 +345,9 @@ class TestSuites:
         assert texts[0] == texts[1]
 
     def test_master_records_independent_of_classical_first(self, tmp_path):
-        # classical fills the transform memo of F_7 and F_49 in the same
-        # process; master reads only the literal Gauss memo, so its records
-        # must not change
+        # classical fills the Gauss-sum transforms of F_7 and F_49 in the
+        # same process, and master reads the one of F_7 whoever computed it,
+        # so its records must not change
         outs = []
         for suites in (["master"], ["classical", "master"]):
             out = tmp_path / f"{len(suites)}.json"

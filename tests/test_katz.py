@@ -144,12 +144,15 @@ class TestContext:
 
     def test_suites_build_no_top_field_value_tables(self, monkeypatch):
         tower = build_tower(23)
-        monkeypatch.setattr(tower.top, "_char_tables", {})  # the top field is shared
+        # the top field is shared: start it with no tables and no transform
+        monkeypatch.setattr(tower.top, "_char_tables", {})
+        monkeypatch.setattr(tower.top, "_gauss_sums", None)
         ctx = KatzContext(tower, tower.base.g)
-        for suite in (suite_hypergeometric, suite_theorem41, suite_theorem5x,
+        for suite in (suite_hypergeometric, suite_theorem41, suite_mellin, suite_theorem5x,
                       verify_master_identity):
             assert suite(ctx, DEFAULT_POLICY).all_passed
         assert tower.top._char_tables == {}
+        assert tower.top._gauss_sums is None
 
 
 class TestMixedSum:
@@ -346,14 +349,16 @@ class TestKernel:
         assert sizes[0][0] > 0 and sizes[0][1] > 0
         assert set(sizes) == {sizes[0]}
         assert len(base._kernel_rows) <= 10
-        # one row per distinct A = nu N M8^e (e = 1, 5), plus the psi2 row
+        # one Jacobi row per distinct A = nu N M8^e (e = 1, 5), and one
+        # Gauss row per twist B = 1, M8, M8^5
         lifted_a = {
-            (norm_compose(tower, char(base, nu)) * ctx.M8**e).index
+            ("jacobi", (norm_compose(tower, char(base, nu)) * ctx.M8**e).index)
             for nu in range(10)
             for e in (1, 5)
         }
-        assert set(tower._fiber_rows) <= lifted_a | {None}
-        assert len(tower._fiber_rows[None]) == 10
+        twists = {("gauss", 0), ("gauss", ctx.M8.index), ("gauss", (ctx.M8**5).index)}
+        assert twists <= set(tower._fiber_rows) <= lifted_a | twists
+        assert all(len(row) == 10 for row in tower._fiber_rows.values())
 
     @pytest.mark.parametrize("q", [7, 11])
     def test_wrong_kernel_rows_fail_the_checks(self, monkeypatch, q):
@@ -397,14 +402,14 @@ class TestKernel:
         # test_classical_sums), so that slip is not a mutation any check can see
         real_row = classical_sums._fiber_row
 
-        def wrong_row(tower, a):
-            if mutation == "A-row-of-conj-A" and a is not None:
-                return list(real_row(tower, a.conj))
-            row = real_row(tower, a)
+        def wrong_row(tower, kind, index):
+            if mutation == "A-row-of-conj-A" and kind == "jacobi":
+                return list(real_row(tower, kind, -index % (tower.top.order - 1)))
+            row = real_row(tower, kind, index)
             shifted = row[1:] + row[:1]  # Phi[k + 1] read as Phi[k]
-            if mutation == "A-row-next-fiber" and a is not None:
+            if mutation == "A-row-next-fiber" and kind == "jacobi":
                 return shifted
-            if mutation == "psi-row-next-fiber" and a is None:
+            if mutation == "psi-row-next-fiber" and (kind, index) == ("gauss", 0):
                 return shifted
             return row
 
@@ -419,6 +424,23 @@ class TestKernel:
         assert "gauss-ratio-bridge" in failed[suite_theorem5x]
         if mutation != "psi-row-next-fiber":  # Y's evaluation has no Gauss sum
             assert "fiber-transform" in failed[suite_theorem5x]
+
+    @pytest.mark.parametrize("q", [7, 11])
+    @pytest.mark.parametrize("a", ["one", "g"])
+    def test_wrong_twisted_gauss_rows_fail_mellin_single(self, monkeypatch, q, a):
+        # the rows of G2(nu N M8^e) read one fiber off, Phi[k + 1] served as
+        # Phi[k] (a copy); only mellin-single reads a twisted row
+        real_row = classical_sums._fiber_row
+
+        def wrong_row(tower, kind, index):
+            row = real_row(tower, kind, index)
+            return row[1:] + row[:1] if kind == "gauss" and index else row
+
+        monkeypatch.setattr(classical_sums, "_fiber_row", wrong_row)
+        tower = build_tower(q)
+        ctx = KatzContext(tower, 1 if a == "one" else tower.base.g)
+        failed = [r.check_id for r in suite_mellin(ctx, DEFAULT_POLICY).records if not r.passed]
+        assert failed and set(failed) == {"mellin-single"}
 
     def test_zero_j_rejected(self):
         with pytest.raises(ValueError):
