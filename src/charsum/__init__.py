@@ -5,13 +5,10 @@ Eisenstein, hypergeometric and classical Gauss/Jacobi machinery around it.
 """
 
 from .characters import (
-    AddChar,
     MultChar,
     char,
     decompose_odd,
     delta,
-    delta_elem,
-    is_odd,
     norm_compose,
     octic_M8,
     quadratic_char,
@@ -35,7 +32,6 @@ from .finite_field import (
     build_tower,
     construct_field,
     factor_prime_power,
-    trace_to_prime,
 )
 from .harness import RunConfig, run
 from .hypergeometric import (

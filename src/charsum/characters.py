@@ -1,10 +1,11 @@
-"""Multiplicative and additive characters on F_q and F_{q^2}.
+"""Multiplicative characters on F_q and F_{q^2}.
 
 A multiplicative character is just an index modulo q*-1: it sends g^k to
 exp(2*pi*i*index*k/(q*-1)) and 0 to 0.  Keeping characters as indices makes
 products, powers, conjugates and norm composition exact integer operations,
 with a single shared root-of-unity table per field; only the final complex
-value is floating point.
+value is floating point.  The canonical additive character
+psi(y) = exp(2*pi*i*Tr(y)/p) is the field's psi_table, indexed by code.
 """
 
 from math import gcd
@@ -90,28 +91,6 @@ class MultChar:
         return f"MultChar(index={self.index}, field order {self.field.order})"
 
 
-class AddChar:
-    """The canonical additive character psi(y) = exp(2*pi*i*Tr(y)/p)."""
-
-    __slots__ = ("field",)
-
-    def __init__(self, field: PrimePowerField):
-        self.field = field
-
-    def __call__(self, x) -> complex:
-        if isinstance(x, FieldElement):
-            if x.field is not self.field:
-                raise FieldError("element belongs to a different field")
-            code = x.code
-        else:
-            code = int(x) % self.field.p
-        return self.field.psi_table[code]
-
-    @property
-    def table(self) -> list[complex]:
-        return self.field.psi_table
-
-
 def char(field: PrimePowerField, index: int) -> MultChar:
     """The character sending the field generator to e^(2*pi*i*index/(q*-1))."""
     return MultChar(field, index)
@@ -157,21 +136,9 @@ def restrict_to_base(tower: FieldTower, beta: MultChar) -> MultChar:
     return MultChar(tower.base, beta.index % (tower.q - 1))
 
 
-def is_odd(chi: MultChar) -> bool:
-    return chi.is_odd()
-
-
 def delta(chi: MultChar) -> int:
     """1 if chi is trivial, else 0."""
     return 1 if chi.index == 0 else 0
-
-
-def delta_elem(j, k) -> int:
-    """Kronecker delta on field elements."""
-    if isinstance(j, FieldElement) and isinstance(k, FieldElement):
-        if j.field is not k.field:
-            raise FieldError("elements from different fields")
-    return 1 if j == k else 0
 
 
 def decompose_odd(chi: MultChar) -> MultChar:

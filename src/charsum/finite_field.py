@@ -314,26 +314,6 @@ class PrimePowerField:
             raise FieldError(f"code {code} out of range for field of order {self.order}")
         return FieldElement(self, code)
 
-    def scalar(self, c: int) -> "FieldElement":
-        """Lift of the integer c through Z -> F_p -> F_{p^m}."""
-        return FieldElement(self, c % self.p)
-
-    @property
-    def zero(self) -> "FieldElement":
-        return FieldElement(self, 0)
-
-    @property
-    def one(self) -> "FieldElement":
-        return FieldElement(self, 1)
-
-    @property
-    def generator(self) -> "FieldElement":
-        return FieldElement(self, self._g)
-
-    def elements(self):
-        for code in range(self.order):
-            yield FieldElement(self, code)
-
     def coeffs_of(self, code: int) -> tuple[int, ...]:
         """Coefficients c0, c1, ... of the element, low degree first."""
         return tuple(code // self.p**i % self.p for i in range(self.m))
@@ -437,19 +417,16 @@ def construct_field(p: int, m: int = 1) -> PrimePowerField:
     return PrimePowerField(p, m)
 
 
-def trace_to_prime(field: PrimePowerField, y) -> int:
-    """Absolute trace y^p + y^(p^2) + ... + y^(p^m), as an integer in [0, p)."""
-    code = y.code if isinstance(y, FieldElement) else int(y)
-    return field.trace_table[code]
-
-
 class FieldTower:
     """F_q inside F_{q^2}, sharing one arithmetic kernel over F_p.
 
-    The top field is the canonical F_{p^(2t)}; the base field takes the
-    smallest degree-t modulus, but its generator is forced to norm(g2), so
-    that base-field discrete logs compose exactly with the norm map (this is
-    what makes norm-composed characters a pure index operation).
+    The top field is the canonical F_{p^(2t)} with generator g2; the base
+    field takes the smallest degree-t modulus, but its generator is forced to
+    g = N(g2) = g2^(q+1), so that base-field discrete logs compose exactly
+    with the norm map: N(g2^m) = g^(m mod q-1).  This makes norm-composed
+    characters a pure index operation and each norm fiber one residue class
+    of logs.  The tower keeps no Frobenius or norm table: z^q and N(z) are
+    read through dlog.
     """
 
     def __init__(self, p: int, t: int):
@@ -464,17 +441,12 @@ class FieldTower:
         if len(set(self.embed_table)) != q:
             raise FieldError("embedding is not injective")  # sanity
 
-        n2, exp2, dlog2 = top.order - 1, top.exp, top.dlog
-        self.frob = [0] + [exp2[dlog2[z] * q % n2] for z in range(1, top.order)]
-        self.g2 = top.g
-        # norm(g2) = g2^(q+1); the norm of g2^k is then the base code g_base^k
-        g_base = dict(zip(self.embed_table, range(q))).get(exp2[q + 1])
+        g_base = dict(zip(self.embed_table, range(q))).get(top.exp[q + 1])
         if g_base is None:
             raise FieldError("norm left the subfield")  # sanity
-        self.base = base = PrimePowerField(p, t, modulus=modulus, generator=g_base)
-        self.norm_table = [0] + [base.exp[dlog2[z] % (q - 1)] for z in range(1, top.order)]
+        self.base = PrimePowerField(p, t, modulus=modulus, generator=g_base)
 
-        self.i_code = top.pow_code(self.g2, n2 // 4)
+        self.i_code = top.exp[(top.order - 1) // 4]  # i^2 = -1
         self._trace_line = None
         self._i_line = None
         self._fiber_rows: dict[tuple[str, int], list[complex]] = {}  # see classical_sums
@@ -500,11 +472,6 @@ class FieldTower:
             power = top.mul_codes(power, theta)
         return table
 
-    @property
-    def i_elem(self) -> FieldElement:
-        """A fixed primitive fourth root of unity, i^2 = -1."""
-        return FieldElement(self.top, self.i_code)
-
     def embed(self, x) -> FieldElement:
         code = x.code if isinstance(x, FieldElement) else int(x)
         return FieldElement(self.top, self.embed_table[code])
@@ -512,15 +479,19 @@ class FieldTower:
     def norm(self, z) -> FieldElement:
         """z * z^q, pulled back to the base field; norm(0) = 0."""
         code = z.code if isinstance(z, FieldElement) else int(z)
-        return FieldElement(self.base, self.norm_table[code])
+        if code == 0:
+            return FieldElement(self.base, 0)
+        return FieldElement(self.base, self.base.exp[self.top.dlog[code] % (self.q - 1)])
 
     @property
     def trace_line(self) -> list[int]:
         """Codes of {z in F_{q^2} : z + z^q = 1}; exactly q points."""
         if self._trace_line is None:
             top = self.top
+            n2, exp2, dlog2, q = top.order - 1, top.exp, top.dlog, self.q
             self._trace_line = [
-                z for z in range(top.order) if top.add_codes(z, self.frob[z]) == 1
+                z for z in range(1, top.order)
+                if top.add_codes(z, exp2[q * dlog2[z] % n2]) == 1
             ]
         return self._trace_line
 

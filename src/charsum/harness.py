@@ -546,7 +546,8 @@ def build_tasks(config: RunConfig) -> list[tuple]:
 
 
 def run(config: RunConfig) -> tuple[int, list[VerificationReport]]:
-    """Execute the configured suites; returns (exit_code, sorted reports).
+    """Execute the configured suites; returns (exit_code, reports sorted by
+    suite, q and a; the records of each stay in check order).
 
     Raises ConfigError for unusable configs, FieldError for field
     construction problems, OSError for output failures.
@@ -558,8 +559,7 @@ def run(config: RunConfig) -> tuple[int, list[VerificationReport]]:
             reports = list(pool.map(_run_task, tasks))
     else:
         reports = [_run_task(t) for t in tasks]
-    reports = [rep.sorted() for rep in reports]
-    reports.sort(key=report_sort_key)
+    reports.sort(key=report_sort_key)  # write_json sorts each report's records
     if config.out_json:
         write_json(reports, config.out_json)
     if config.out_csv:

@@ -4,7 +4,9 @@ norm-restricted Jacobi sum together with its hypergeometric reduction.
 The norm fiber {z in F_{q^2} : N(z) = c} is enumerated in O(q) through the
 discrete log: z0 = g2^k with k = dlog_base(c) is one solution (the tower
 fixes g = N(g2)), and the kernel of the norm is the cyclic group generated
-by g2^(q-1), of size q+1.  A full O(q^2) scan is kept as the debug oracle.
+by g2^(q-1), of size q+1; so the fiber is the logs k + (q-1)i, and R walks
+them.  A full O(q^2) scan that tests z^(q+1) = c is kept as the oracle; the
+hypergeometric suite's norm-fiber check runs it against the log route.
 """
 
 from .characters import MultChar, norm_compose, quadratic_char
@@ -43,23 +45,35 @@ def binom(a: MultChar, b: MultChar) -> complex:
     return b(-1) * jacobi(a, b.conj) / a.field.order
 
 
+def fiber_logs(tower: FieldTower, c_code: int) -> range:
+    """The logs m, ascending, of the fiber N(g2^m) = c of a nonzero base code:
+    m = dlog(c) (mod q-1), since the tower fixes g = N(g2)."""
+    return range(tower.base.dlog[c_code], tower.top.order - 1, tower.q - 1)
+
+
 def norm_fiber(tower: FieldTower, c, scan: bool = False) -> list[int]:
-    """Codes of {z in F_{q^2} : N(z) = c} for nonzero c; exactly q+1 of them."""
+    """Codes of {z in F_{q^2} : N(z) = c} for nonzero c; exactly q+1 of them.
+
+    The codes g2^m of fiber_logs, in log order; scan=True instead tests
+    z^(q+1) = c in the top field for every z, in code order, so it does not
+    rest on the tower's link g = N(g2)."""
     c_code = c.code if isinstance(c, FieldElement) else int(c)
     if c_code == 0:
         raise ValueError("norm fiber of 0 is just {0}; a nonzero c is required")
-    if scan:
-        nt = tower.norm_table
-        return [z for z in range(1, tower.top.order) if nt[z] == c_code]
-    k = tower.base.dlog[c_code]
-    n2 = tower.top.order - 1
     exp2 = tower.top.exp
-    step = tower.q - 1
-    return [exp2[(k + step * i) % n2] for i in range(tower.q + 1)]
+    if scan:
+        n2, dlog2, e = tower.top.order - 1, tower.top.dlog, tower.q + 1
+        target = tower.embed_table[c_code]
+        return [z for z in range(1, n2 + 1) if exp2[dlog2[z] * e % n2] == target]
+    return list(map(exp2.__getitem__, fiber_logs(tower, c_code)))
 
 
 def norm_restricted_jacobi(ctx, d: MultChar, j, scan: bool = False) -> complex:
-    """R(D, j) = sum over N(z) = j^4 of M8(z) * conj(D)N(1 - z), j nonzero."""
+    """R(D, j) = sum over N(z) = j^4 of M8(z) * conj(D)N(1 - z), j nonzero.
+
+    The fiber is walked by its logs m, and 1 - g2^m = 1 + g2^(m + n/2) has
+    log zech[m + n/2], n = q^2 - 1 (zech reads -1 where 1 - z = 0).
+    scan=True walks the logs of the scanned fiber instead."""
     tower = ctx.tower
     if d.field is not tower.base:
         raise FieldError("norm-restricted Jacobi sum needs a base-field character")
@@ -67,14 +81,32 @@ def norm_restricted_jacobi(ctx, d: MultChar, j, scan: bool = False) -> complex:
     if j.code == 0:
         raise ValueError("norm-restricted Jacobi sum requires j != 0")
     top = tower.top
-    n2, roots, dlog2, om = top.order - 1, top.unity_roots, top.dlog, top.one_minus
+    n2, roots, zech = top.order - 1, top.unity_roots, top._zech
+    half = n2 // 2
     m8, dn = ctx.M8.index, norm_compose(tower, d.conj).index
-    fiber = norm_fiber(tower, j**4, scan=scan)
-    # the values the q^2-entry tables would hold, read at the q+1 fiber points
-    return sum(
-        roots[m8 * dlog2[z] % n2] * (roots[dn * dlog2[om[z]] % n2] if om[z] else 0j)
-        for z in fiber
-    )
+    j4 = (j**4).code
+    if scan:
+        logs = [top.dlog[z] for z in norm_fiber(tower, j4, scan=True)]
+    else:
+        logs = fiber_logs(tower, j4)
+    total = 0
+    for m in logs:
+        lg = zech[(m + half) % n2]
+        total += roots[m8 * m % n2] * (roots[dn * lg % n2] if lg >= 0 else 0j)
+    return total
+
+
+def hyp2f1_of_j(d: MultChar, j) -> complex | None:
+    """2F1(D, D^2 phi; D phi | -((j+1)/(j-1))^2), the factor that the closed
+    forms of R(D, j) and of the kernel h(D, j) share; None at j = +-1, where
+    both take a Jacobi-sum form instead."""
+    field = d.field
+    j = field.element(j)
+    if j.code == 1 or j.code == field.neg[1]:
+        return None
+    phi = quadratic_char(field)
+    x = -(((j + 1) / (j - 1)) ** 2)
+    return hyp2f1(d, d**2 * phi, d * phi, x)
 
 
 def norm_jacobi_hyp_deviation(ctx, d: MultChar, j) -> float:
@@ -83,14 +115,13 @@ def norm_jacobi_hyp_deviation(ctx, d: MultChar, j) -> float:
     j = +-1:  -conj(D)(4) J(phi D^2, phi)
     else:     -phi(j) q conj(D)^4(j-1) 2F1(D, D^2 phi; D phi | -((j+1)/(j-1))^2)
     """
-    tower = ctx.tower
-    base = tower.base
+    base = ctx.tower.base
     j = base.element(j)
     phi = quadratic_char(base)
     lhs = norm_restricted_jacobi(ctx, d, j)
-    if j.code == 1 or j.code == base.neg[1]:
+    hyp = hyp2f1_of_j(d, j)
+    if hyp is None:
         rhs = -d.conj(4) * jacobi(phi * d**2, phi)
     else:
-        x = -(((j + 1) / (j - 1)) ** 2)
-        rhs = -phi(j) * base.order * (d.conj**4)(j - 1) * hyp2f1(d, d**2 * phi, d * phi, x)
+        rhs = -phi(j) * base.order * (d.conj**4)(j - 1) * hyp
     return abs(lhs - rhs)

@@ -49,7 +49,7 @@ from .characters import (
 )
 from .classical_sums import gauss, jacobi, lifted_gauss, lifted_jacobi
 from .finite_field import FieldError, FieldTower, build_tower, construct_field, factor_prime_power
-from .hypergeometric import hyp2f1, norm_fiber, norm_restricted_jacobi
+from .hypergeometric import fiber_logs, hyp2f1_of_j, norm_fiber, norm_restricted_jacobi
 from .report import VerificationReport
 from .tolerance import DEFAULT_POLICY, TolerancePolicy
 
@@ -85,9 +85,9 @@ class KatzContext:
         self.tau = -_sqrt_upper_half(tower.q * self.M8(tower.embed(-self.a)))
         self.inv_g_phi = 1 / gauss(self.phi)
 
-        n2, roots, dlog2 = tower.top.order - 1, tower.top.unity_roots, tower.top.dlog
-        m8 = self.M8.index
-        self._fiber_pairs = [(z, roots[m8 * dlog2[z] % n2]) for z in norm_fiber(tower, self.a)]
+        # the logs m of the fiber N(g2^m) = a, each with M8(g2^m)
+        n2, roots, m8 = tower.top.order - 1, tower.top.unity_roots, self.M8.index
+        self._fiber_pairs = [(m, roots[m8 * m % n2]) for m in fiber_logs(tower, self.a_code)]
 
         # x-loop data for the mixed sum, in log coordinates: for each x with
         # a/x != x, the logs of x and a/x and the sign phi(a/x - x) as an
@@ -171,24 +171,24 @@ def mixed_sum(ctx: KatzContext, j, k) -> complex:
 
 
 def norm_restricted_gauss(ctx: KatzContext, j, scan: bool = False) -> complex:
-    """V(j) over the norm fiber of a; V(0) = 0.  scan=True is the O(q^2) oracle."""
+    """V(j) over the norm fiber of a, walked by its logs m: psi2(j^2 g2^m) is
+    read at g2^(log j^2 + m); V(0) = 0.  scan=True walks the logs of the
+    O(q^2) scanned fiber instead, with M8 read from its value table."""
     tower = ctx.tower
-    base = tower.base
+    base, top = tower.base, tower.top
     jc = j.code if hasattr(j, "code") else int(j)
     if jc == 0:
         return 0j
-    j2_top = tower.embed_table[base.mul_codes(jc, jc)]
-    psi2 = tower.top.psi_table
-    mul2 = tower.top.mul_codes
+    n2, exp2, dlog2, psi2 = top.order - 1, top.exp, top.dlog, top.psi_table
+    lj = dlog2[tower.embed_table[base.mul_codes(jc, jc)]]
     if scan:
         tm8 = ctx.M8.value_table()
-        nt = tower.norm_table
-        pairs = [(z, tm8[z]) for z in range(1, tower.top.order) if nt[z] == ctx.a_code]
+        pairs = [(dlog2[z], tm8[z]) for z in norm_fiber(tower, ctx.a_code, scan=True)]
     else:
         pairs = ctx._fiber_pairs
     acc = 0j
-    for z, m8v in pairs:
-        acc += m8v * psi2[mul2(j2_top, z)]
+    for m, m8v in pairs:
+        acc += m8v * psi2[exp2[(lj + m) % n2]]
     tphi = ctx.phi.value_table()
     return tphi[jc] * acc / ctx.tau
 
@@ -334,19 +334,13 @@ def kernel_closed_form_deviation(d: MultChar, j) -> float:
     j = field.element(j)
     lhs = kernel_sum(d, j)
     phi = quadratic_char(field)
-    if j.code == 1 or j.code == field.neg[1]:
+    hyp = hyp2f1_of_j(d, j)
+    if hyp is None:
         rhs = -phi(j) * d.conj(16) * jacobi(d, phi)
     elif d.is_trivial:
         rhs = 0j
     else:
-        x = -(((j + 1) / (j - 1)) ** 2)
-        rhs = (
-            gauss(phi)
-            * gauss(d) ** 2
-            / gauss(phi * d**2)
-            * (d.conj**4)(j - 1)
-            * hyp2f1(d, d**2 * phi, d * phi, x)
-        )
+        rhs = gauss(phi) * gauss(d) ** 2 / gauss(phi * d**2) * (d.conj**4)(j - 1) * hyp
     return abs(lhs - rhs)
 
 
@@ -412,14 +406,10 @@ def kernel_transform_deviation(ctx: KatzContext, d: MultChar, nu: MultChar) -> f
     return abs(lhs - rhs)
 
 
-def fiber_jacobi_transform(ctx: KatzContext, d: MultChar, nu: MultChar,
-                           scan: bool = False) -> complex:
+def fiber_jacobi_transform(ctx: KatzContext, d: MultChar, nu: MultChar) -> complex:
     """Y(D) = sum_{j != 0} nu^4(j) R(D, j)."""
-    field = d.field
     w = (nu**4).value_table()
-    return sum(
-        w[j] * norm_restricted_jacobi(ctx, d, j, scan=scan) for j in range(1, field.order)
-    )
+    return sum(w[j] * norm_restricted_jacobi(ctx, d, j) for j in range(1, d.field.order))
 
 
 def fiber_jacobi_transform_deviation(ctx: KatzContext, d: MultChar, nu: MultChar) -> float:

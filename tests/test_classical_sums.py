@@ -144,7 +144,7 @@ class TestJacobi:
         for i in range(n):
             for k in range(n):
                 a, b = char(field, i), char(field, k)
-                literal = sum(a(y) * b(1 - y) for y in field.elements() if y)
+                literal = sum(a(y) * b(1 - y) for y in map(field.element, range(1, field.order)))
                 assert jacobi(a, b) == literal
                 assert field._jacobi_memo[(i, k)] == literal
 
@@ -272,7 +272,7 @@ class TestEisenstein:
 
     def test_e_sums_the_points_one_plus_i_y(self):
         tower = build_tower(7)
-        line = [(1 + tower.i_elem * tower.embed(y)).code for y in range(7)]
+        line = [(1 + tower.top.element(tower.i_code) * tower.embed(y)).code for y in range(7)]
         assert tower.i_line == line
         for k in (0, 1, 5, 30):
             beta = char(tower.top, k)

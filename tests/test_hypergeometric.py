@@ -1,12 +1,14 @@
 import cmath
+import copy
 
 import pytest
 
 from charsum.characters import char, norm_compose, quadratic_char, trivial_char
-from charsum.finite_field import build_tower, construct_field
+from charsum.finite_field import PrimePowerField, build_tower, construct_field
 from charsum.hypergeometric import (
     binom,
     hyp2f1,
+    hyp2f1_of_j,
     norm_fiber,
     norm_jacobi_hyp_deviation,
     norm_restricted_jacobi,
@@ -90,7 +92,20 @@ class TestNormFiber:
             fib = norm_fiber(tower, c)
             assert len(fib) == p + 1
             assert sorted(fib) == norm_fiber(tower, c, scan=True)
-            assert all(tower.norm_table[z] == c for z in fib)
+            assert all(tower.norm(z).code == c for z in fib)
+
+    @pytest.mark.parametrize("p,t", [(7, 1), (3, 3)])
+    def test_scan_does_not_rest_on_the_generator_link(self, p, t):
+        # a tower whose base generator is not N(g2): the log route walks the
+        # wrong fibers, while the scan still finds the true ones
+        tower = copy.copy(build_tower(p, t))
+        real = tower.base
+        # g^5 also generates F_q*, since 5 is prime to q-1 = 6 and to 26
+        tower.base = PrimePowerField(p, t, modulus=real.modulus, generator=real.exp[5])
+        c = real.exp[1]
+        assert sorted(norm_fiber(tower, c)) != norm_fiber(tower, c, scan=True)
+        assert all(real.exp[tower.top.dlog[z] % (tower.q - 1)] == c
+                   for z in norm_fiber(tower, c, scan=True))
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -167,6 +182,17 @@ class TestHypergeometricReduction:
         # D = char(1), j = 3: the deviation compares the fiber sum to the 2F1 value
         dev = norm_jacobi_hyp_deviation(ctx7, char(ctx7.tower.base, 1), ctx7.tower.base.element(3))
         assert dev < TOL
+
+    def test_shared_2f1_factor(self):
+        # the 2F1 of both closed forms, at x = -((j+1)/(j-1))^2; none at j = +-1
+        field = construct_field(11)
+        phi = quadratic_char(field)
+        for di in range(10):
+            d = char(field, di)
+            assert hyp2f1_of_j(d, 1) is None and hyp2f1_of_j(d, 10) is None
+            for j in range(2, 10):
+                x = -((j + 1) * pow(j - 1, -1, 11)) ** 2 % 11  # integer arithmetic mod 11
+                assert hyp2f1_of_j(d, j) == hyp2f1(d, d**2 * phi, d * phi, field.element(x))
 
     def test_trivial_character_included(self, ctx7):
         base = ctx7.tower.base

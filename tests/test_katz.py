@@ -3,10 +3,11 @@ import json
 
 import pytest
 
-from charsum import classical_sums, katz
+from charsum import classical_sums, hypergeometric, katz
 from charsum.characters import char, norm_compose, quadratic_char, trivial_char
 from charsum.finite_field import FieldTower, build_tower, construct_field
 from charsum.harness import suite_hypergeometric, suite_mellin, suite_theorem41, suite_theorem5x
+from charsum.hypergeometric import norm_fiber
 from charsum.katz import (
     KatzContext,
     decompose_q,
@@ -139,8 +140,10 @@ class TestContext:
     def test_fiber_pairs_hold_the_m8_table_values(self):
         tower = build_tower(11)
         ctx = KatzContext(tower, tower.base.g)
-        tm8 = ctx.M8.value_table()
-        assert [v for _, v in ctx._fiber_pairs] == [tm8[z] for z, _ in ctx._fiber_pairs]
+        tm8, exp2 = ctx.M8.value_table(), tower.top.exp
+        assert [v for _, v in ctx._fiber_pairs] == [tm8[exp2[m]] for m, _ in ctx._fiber_pairs]
+        fiber = [exp2[m] for m, _ in ctx._fiber_pairs]
+        assert sorted(fiber) == norm_fiber(tower, ctx.a, scan=True)
 
     def test_suites_build_no_top_field_value_tables(self, monkeypatch):
         tower = build_tower(23)
@@ -222,6 +225,44 @@ class TestNormRestrictedGauss:
     def test_point_identity_at_one(self, ctx7):
         v1 = norm_restricted_gauss(ctx7, 1)
         assert abs(mixed_sum(ctx7, 1, 1) - v1 * v1) < TOL
+
+
+class TestFiberWalks:
+    """V and R walk their norm fibers by logs; a walk one log off, onto the
+    fiber of c*g, must fail the checks that read it and only those."""
+
+    SUITES = {
+        "hypergeometric": suite_hypergeometric,
+        "theorem-4.1": suite_theorem41,
+        "mellin": suite_mellin,
+        "theorem-5.x": suite_theorem5x,
+        "master": verify_master_identity,
+    }
+
+    @pytest.mark.parametrize("q", [7, 11])
+    @pytest.mark.parametrize("walk", ["V", "R"])
+    def test_walks_one_log_off_fail_the_checks(self, monkeypatch, q, walk):
+        # V's walk is katz's fiber_logs; R's is hypergeometric's, which
+        # norm_fiber shares, so the norm-fiber check sees it too
+        module = katz if walk == "V" else hypergeometric
+        real = hypergeometric.fiber_logs
+        monkeypatch.setattr(
+            module, "fiber_logs",
+            lambda tower, c: [(m + 1) % (tower.top.order - 1) for m in real(tower, c)],
+        )
+        tower = build_tower(q)
+        ctx = KatzContext(tower, tower.base.g)
+        failed = {
+            name: {r.check_id for r in suite(ctx, DEFAULT_POLICY).records if not r.passed}
+            for name, suite in self.SUITES.items()
+        }
+        if walk == "V":
+            expected = {"mellin": {"mellin-single", "double-mellin-product"},
+                        "master": {"point-identity", "mellin-match"}}
+        else:
+            expected = {"hypergeometric": {"norm-fiber"}, "theorem-4.1": {"fiber-jacobi-hyp"},
+                        "theorem-5.x": {"fiber-transform"}}
+        assert failed == {name: expected.get(name, set()) for name in self.SUITES}
 
 
 class TestMellinSingle:
