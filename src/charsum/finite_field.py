@@ -167,23 +167,15 @@ class PrimePowerField:
         self._build_log_tables()
 
         n = order - 1
-        one_plus = []  # one_plus[c] = 1 + c: the constant digit of c bumped mod p
-        for c in range(0, order, p):
-            one_plus += range(c + 1, c + p)
-            one_plus.append(c)
-        dlog = self.dlog
+        one_plus, dlog = self._one_plus(), self.dlog
         self._zech = [dlog[one_plus[c]] for c in self.exp]  # 1 + g^k = g^zech[k]; -1 if 0
-        neg = [0]  # digitwise negation, one digit position at a time
-        for w in (p**i for i in range(m)):
-            neg = [(-d % p) * w + c for d in range(p) for c in neg]
-        self.neg = neg
-        self.one_minus = [one_plus[c] for c in neg]
-        self.trace_table = self._build_trace_table()
+        del one_plus  # freed before the root tables are built
 
         self.unity_roots = [cmath.exp(2j * math.pi * k / n) for k in range(n)]
         self.p_roots = [cmath.exp(2j * math.pi * t / p) for t in range(p)]
-        self.psi_table = [self.p_roots[t] for t in self.trace_table]
+        self.psi_table = [self.p_roots[t] for t in self._build_trace_table()]
 
+        self._neg = self._one_minus = self._trace_table = None  # see neg
         self._gauss_sums: list[complex] | None = None
         self._jacobi_memo: dict[tuple[int, int], complex] = {}
         self._kernel_rows: dict[int, list[complex]] = {}
@@ -243,6 +235,46 @@ class PrimePowerField:
         self.exp = exp
         self.dlog = dlog
 
+    def _one_plus(self) -> list[int]:
+        """one_plus[c] = 1 + c: the constant digit of c bumped mod p."""
+        p, one_plus = self.p, []
+        for c in range(0, self.order, p):
+            one_plus += range(c + 1, c + p)
+            one_plus.append(c)
+        return one_plus
+
+    # neg, one_minus and trace_table are built on first read: the top field
+    # of a tower needs none of them after construction, and each holds q^2
+    # entries there.  Each is a property over an attribute set in __init__,
+    # not a functools.cached_property: writing the instance __dict__ directly
+    # made every attribute read of the field, as in mul_codes, about twice
+    # as slow on CPython 3.11.
+
+    @property
+    def neg(self) -> list[int]:
+        """neg[c] = -c, negated digitwise, one digit position at a time."""
+        if self._neg is None:
+            p, neg = self.p, [0]
+            for w in (p**i for i in range(self.m)):
+                neg = [(-d % p) * w + c for d in range(p) for c in neg]
+            self._neg = neg
+        return self._neg
+
+    @property
+    def one_minus(self) -> list[int]:
+        """one_minus[c] = 1 - c."""
+        if self._one_minus is None:
+            one_plus = self._one_plus()
+            self._one_minus = [one_plus[c] for c in self.neg]
+        return self._one_minus
+
+    @property
+    def trace_table(self) -> list[int]:
+        """trace_table[c] = Tr(c), in [0, p)."""
+        if self._trace_table is None:
+            self._trace_table = self._build_trace_table()
+        return self._trace_table
+
     def _build_trace_table(self):
         """Tr(y) = y + y^p + ... + y^(p^(m-1)) lands in F_p and is F_p-linear:
         Tr(sum c_i x^i) = sum c_i Tr(x^i).  Built one digit position at a time."""
@@ -275,7 +307,9 @@ class PrimePowerField:
         return 0 if z < 0 else self.exp[(la + z) % n]
 
     def sub_codes(self, a: int, b: int) -> int:
-        return self.add_codes(a, self.neg[b])
+        if self.m == 1:
+            return (a - b) % self.p
+        return self.add_codes(a, (self._neg or self.neg)[b])  # no property call once built
 
     def mul_codes(self, a: int, b: int) -> int:
         if a == 0 or b == 0:

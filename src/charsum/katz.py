@@ -18,9 +18,13 @@ computing |lhs - rhs| with the two sides obtained by independent routes.
 P has one route at every q, which shares nothing with V's.  The trace is
 F_p-linear, so psi(x s + (a/x) d) = zeta_p^(Tr(x s) + Tr((a/x) d)): the sum
 over x adds lookups in two precomputed rows of traces, one for s and one for
-d.  P depends on (j, k) only through the squares s = (j+k)^2 and
-d = (j-k)^2, so the full matrix sums F(s, d) once for each of the
-((q+1)/2)^2 pairs of squares: about q^3/4 terms, with no field-size limit.
+d.  Since phi(-1) = -1, the term of -x is minus the conjugate of the term of
+x, so each pair {x, -x} adds phi(a/x - x) 2i Im psi(x s + (a/x) d) and the
+sum runs over one member of each pair.  P depends on (j, k) only through the
+squares s = (j+k)^2 and d = (j-k)^2, so the full matrix sums F(s, d) once
+for each of the ((q+1)/2)^2 pairs of squares: about q^3/8 real terms, with
+no field-size limit.  The double transform T(chi1, chi2) reads the inner
+sums sum_k chi2(k) P(j,k) from a cache on the context, one vector per chi2.
 
 The kernel sums h(D, j) do not depend on a.  kernel_row memoizes the whole
 row h(D, .) on the field, keyed by the index of D: at most q-1 rows of q
@@ -89,25 +93,33 @@ class KatzContext:
         n2, roots, m8 = tower.top.order - 1, tower.top.unity_roots, self.M8.index
         self._fiber_pairs = [(m, roots[m8 * m % n2]) for m in fiber_logs(tower, self.a_code)]
 
-        # x-loop data for the mixed sum, in log coordinates: for each x with
-        # a/x != x, the logs of x and a/x and the sign phi(a/x - x) as an
-        # offset of 0 or 2p into _roots (phi(w) = -1 iff dlog(w) is odd)
-        p, dlog = base.p, base.dlog
+        # x-loop data for the mixed sum, in log coordinates.  x -> -x flips
+        # phi(a/x - x) (phi(-1) = -1) and conjugates psi, so the pair {x, -x}
+        # adds phi(a/x - x) 2i Im psi(x s + (a/x) d): keep the member with
+        # dlog x < (q-1)/2 of each pair with a/x != x, with the logs of x and
+        # a/x and the sign phi(a/x - x) as an offset of 0 or 2p into _roots
+        # (phi(w) = -1 iff dlog(w) is odd)
+        p, dlog, exp = base.p, base.dlog, base.exp
         terms = []
-        for x in range(1, tower.q):
+        for lx in range((tower.q - 1) // 2):
+            x = exp[lx]
             ax = base.mul_codes(self.a_code, base.inv_code(x))
             w = base.sub_codes(ax, x)
             if w:
-                terms.append((dlog[x], dlog[ax], 2 * p * (dlog[w] % 2)))
+                terms.append((lx, dlog[ax], 2 * p * (dlog[w] % 2)))
         self._s_side = ([t[0] for t in terms], [t[2] for t in terms])
         self._d_side = ([t[1] for t in terms], [0] * len(terms))
-        # zeta_p^t for t < 2p and -zeta_p^t from 2p on
-        self._roots = base.p_roots * 2 + [-r for r in base.p_roots] * 2
+        # 2 Im zeta_p^t = zeta_p^t - conj(zeta_p^t), exactly, for t < 2p,
+        # and its negative from 2p on
+        im = [2 * r.imag for r in base.p_roots] * 2
+        self._roots = im + [-v for v in im]
         # Tr(g^k) for k in [0, 2(q-1)), so a sum of two logs needs no modulo
         self._trace_exp = [base.trace_table[e] for e in base.exp] * 2
 
         self._v = None
         self._pm = None
+        # inner[j] = sum_k chi2(k) P(j,k) for every code j, by chi2.index
+        self._mixed_inner: dict[int, list[complex]] = {}
 
     def a_index(self) -> int:
         """dlog of a with respect to the tower's base generator."""
@@ -145,8 +157,9 @@ class KatzContext:
 
     def _p_value(self, s: int, d: int, s_row: list[int], d_row: list[int]) -> complex:
         """P at s = (j+k)^2, d = (j-k)^2 from the trace rows of s and d:
-        G(phi)^-1 F(s, d) + [j = k] + phi(-1) [j = -k], where j = k iff d = 0."""
-        val = sum(map(self._roots.__getitem__, map(operator.add, s_row, d_row)), 0j)
+        G(phi)^-1 F(s, d) + [j = k] + phi(-1) [j = -k], where j = k iff d = 0;
+        F(s, d) is i times the real sum over the x-pairs."""
+        val = 1j * sum(map(self._roots.__getitem__, map(operator.add, s_row, d_row)), 0.0)
         val *= self.inv_g_phi
         if d == 0:
             val += 1.0
@@ -346,13 +359,21 @@ def kernel_closed_form_deviation(d: MultChar, j) -> float:
 
 def double_mellin_mixed(ctx: KatzContext, chi1: MultChar, chi2: MultChar) -> complex:
     """T(chi1, chi2) = sum_{j,k != 0} chi1(j) chi2(k) P(j,k), as a literal
-    double sum over the context's cached matrix of P values."""
-    pm = ctx.mixed_sum_matrix()
-    t1, t2 = chi1.value_table(), chi2.value_table()
-    q = ctx.tower.q
+    double sum over the context's cached matrix of P values.  The inner sums
+    over k are cached on the context, one vector per chi2."""
+    if chi1.field is not ctx.tower.base or chi2.field is not ctx.tower.base:
+        raise FieldError("the double Mellin transform needs base-field characters")
+    inner = ctx._mixed_inner.get(chi2.index)
+    if inner is None:
+        t2 = chi2.value_table()
+        inner = ctx._mixed_inner[chi2.index] = [
+            sum(map(operator.mul, t2, row), 0j)  # t2[0] = 0: k = 0 adds 0
+            for row in ctx.mixed_sum_matrix()
+        ]
+    t1 = chi1.value_table()
     total = 0j
-    for j in range(1, q):
-        total += t1[j] * sum(map(operator.mul, t2, pm[j]), 0j)  # t2[0] = 0: k = 0 adds 0
+    for j in range(1, ctx.tower.q):
+        total += t1[j] * inner[j]
     return total
 
 

@@ -144,6 +144,15 @@ class TestArithmetic:
             assert field.add_codes(a, field.neg[a]) == 0
             assert field.add_codes(field.one_minus[a], a) == 1
 
+    def test_lazy_tables_built_on_first_read(self):
+        field = PrimePowerField(3, 4)  # not the cached canonical field
+        lazy = ("_neg", "_one_minus", "_trace_table")
+        assert [getattr(field, name) for name in lazy] == [None] * 3
+        assert field.one_minus[0] == 1 and field.neg[1] == 2
+        assert field.psi_table == [field.p_roots[t] for t in field.trace_table]
+        assert None not in [getattr(field, name) for name in lazy]
+        assert field.neg is field.neg
+
     def test_element_operators(self):
         field = construct_field(7)
         x, y = field.element(3), field.element(5)

@@ -1,11 +1,13 @@
 import cmath
+import inspect
 import json
+import operator
 
 import pytest
 
 from charsum import classical_sums, hypergeometric, katz
 from charsum.characters import char, norm_compose, quadratic_char, trivial_char
-from charsum.finite_field import FieldTower, build_tower, construct_field
+from charsum.finite_field import FieldError, FieldTower, build_tower, construct_field
 from charsum.harness import suite_hypergeometric, suite_mellin, suite_theorem41, suite_theorem5x
 from charsum.hypergeometric import norm_fiber
 from charsum.katz import (
@@ -32,6 +34,7 @@ from charsum.katz import (
     quadratic_kernel_expected,
     quadratic_kernel_mellin,
     ratio_bracket_deviation,
+    select_char_pairs,
     spaced_sample,
     verify_master_identity,
 )
@@ -150,12 +153,16 @@ class TestContext:
         # the top field is shared: start it with no tables and no transform
         monkeypatch.setattr(tower.top, "_char_tables", {})
         monkeypatch.setattr(tower.top, "_gauss_sums", None)
+        lazy = ("_neg", "_one_minus", "_trace_table")  # built on first read
+        for name in lazy:
+            monkeypatch.setattr(tower.top, name, None)
         ctx = KatzContext(tower, tower.base.g)
         for suite in (suite_hypergeometric, suite_theorem41, suite_mellin, suite_theorem5x,
                       verify_master_identity):
             assert suite(ctx, DEFAULT_POLICY).all_passed
         assert tower.top._char_tables == {}
         assert tower.top._gauss_sums is None
+        assert [getattr(tower.top, name) for name in lazy] == [None] * 3
 
 
 class TestMixedSum:
@@ -199,6 +206,58 @@ class TestMixedSumMatrix:
                 for k in range(tower.q):
                     assert abs(pm[j][k] - p_literal(ctx, j, k)) < 1e-12
                     assert mixed_sum(ctx, j, k) == pm[j][k]
+
+
+class TestXPairing:
+    """mixed_sum_matrix sums one member x of each pair {x, -x}: the partner's
+    term is minus the conjugate, since phi(-1) = -1."""
+
+    @pytest.mark.parametrize("p,t", [(3, 1), (7, 1), (11, 1), (3, 3), (263, 1)])
+    def test_keeps_exactly_half_the_x_terms(self, p, t):
+        tower = build_tower(p, t)
+        base = tower.base
+        for a in (1, base.g):
+            ctx = KatzContext(tower, a)
+            # the full loop: every x with a/x != x
+            full = {x for x in range(1, tower.q) if base.mul_codes(x, x) != ctx.a_code}
+            kept = [base.exp[lx] for lx in ctx._s_side[0]]
+            assert 2 * len(kept) == len(full)
+            assert set(kept) | {base.neg[x] for x in kept} == full
+            assert all(lx < (tower.q - 1) // 2 for lx in ctx._s_side[0])
+
+    @pytest.mark.parametrize("p,t", [(7, 1), (11, 1), (3, 3)])
+    def test_partner_added_fails_point_identity(self, p, t):
+        # forgetting phi(-1) = -1: each pair adds phi(a/x - x) 2 Re psi(...).
+        # The table holds -i 2 Re zeta_p^t, so the route's factor i yields it
+        tower = build_tower(p, t)
+        ctx = KatzContext(tower, tower.base.g)
+        re = [2 * r.real for r in tower.base.p_roots] * 2
+        ctx._roots = [-1j * v for v in re + [-v for v in re]]
+        rep = verify_master_identity(ctx, include_mellin=False)
+        assert len(rep.records) == tower.q**2
+        assert not any(r.passed for r in rep.records)
+
+    @pytest.mark.parametrize("q", [7, 11])
+    @pytest.mark.parametrize("entry", ["off-diagonal", "diagonal"])
+    def test_one_wrong_entry_fails_the_records_that_read_it(self, monkeypatch, q, entry):
+        tower = build_tower(q)
+        base = tower.base
+        sq = [base.mul_codes(c, c) for c in range(q)]
+        s0 = sq[2]
+        d0 = sq[1] if entry == "off-diagonal" else 0
+        real = KatzContext._p_value
+
+        def wrong(self, s, d, s_row, d_row):
+            val = real(self, s, d, s_row, d_row)
+            return val + 0.01 if (s, d) == (s0, d0) else val
+
+        monkeypatch.setattr(KatzContext, "_p_value", wrong)
+        for a in (1, base.g):
+            rep = verify_master_identity(KatzContext(tower, a), include_mellin=False)
+            reading = {f"j={j},k={k}" for j in range(q) for k in range(q)
+                       if (sq[base.add_codes(j, k)], sq[base.sub_codes(j, k)]) == (s0, d0)}
+            assert len(reading) == (4 if d0 else 2)
+            assert {r.inputs for r in rep.records if not r.passed} == reading
 
 
 class TestNormRestrictedGauss:
@@ -345,6 +404,53 @@ class TestDoubleMellin:
                     ctx, char(tower.base, i1), char(tower.base, i2)
                 )
                 assert dev < TOL
+
+    @pytest.mark.parametrize("p", [7, 11])
+    def test_cached_inner_vectors_give_the_uncached_sum(self, p):
+        tower = build_tower(p)
+        ctx = KatzContext(tower, tower.base.g)
+        pm = ctx.mixed_sum_matrix()
+        for i1 in range(p - 1):
+            for i2 in range(p - 1):
+                c1, c2 = char(tower.base, i1), char(tower.base, i2)
+                t1, t2 = c1.value_table(), c2.value_table()
+                total = 0j
+                for j in range(1, p):
+                    total += t1[j] * sum(map(operator.mul, t2, pm[j]), 0j)
+                assert double_mellin_mixed(ctx, c1, c2) == total
+
+    def test_cache_holds_one_vector_per_chi2(self):
+        tower = build_tower(19)
+        ctx = KatzContext(tower, tower.base.g)
+        assert ctx._mixed_inner == {}
+        verify_master_identity(ctx, DEFAULT_POLICY)
+        chi2s = {i2 for _, i2 in select_char_pairs(tower.base)}
+        assert set(ctx._mixed_inner) == chi2s and len(chi2s) <= 6
+        assert all(len(v) == tower.q for v in ctx._mixed_inner.values())
+        cached = dict(ctx._mixed_inner)
+        suite_mellin(ctx, DEFAULT_POLICY)  # the same pairs: every vector is reused
+        assert ctx._mixed_inner == cached
+        assert all(ctx._mixed_inner[i] is cached[i] for i in cached)
+        # the vectors read P, which depends on a
+        assert KatzContext(tower, 1)._mixed_inner == {}
+
+    def test_rejects_characters_of_another_field(self, ctx7):
+        # the cache is keyed by character index, which only the base field fixes
+        base, other = ctx7.tower.base, construct_field(7)
+        for c1, c2 in ((char(other, 1), char(base, 1)), (char(base, 1), char(other, 1))):
+            with pytest.raises(FieldError):
+                double_mellin_mixed(ctx7, c1, c2)
+
+    @pytest.mark.parametrize("q", [7, 11, 19])
+    def test_cache_keyed_on_chi1_fails_mellin_match(self, monkeypatch, q):
+        src = inspect.getsource(katz.double_mellin_mixed)
+        assert src.count("chi2.index") == 2
+        namespace = dict(vars(katz))
+        exec(src.replace("chi2.index", "chi1.index"), namespace)
+        monkeypatch.setattr(katz, "double_mellin_mixed", namespace["double_mellin_mixed"])
+        tower = build_tower(q)
+        rep = verify_master_identity(KatzContext(tower, tower.base.g), DEFAULT_POLICY)
+        assert {r.check_id for r in rep.records if not r.passed} == {"mellin-match"}
 
     def test_even_pairs_vanish(self, ctx7):
         base = ctx7.tower.base
