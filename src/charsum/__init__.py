@@ -57,7 +57,7 @@ from .katz import (
     quadratic_kernel_mellin,
     verify_master_identity,
 )
-from .report import CheckRecord, VerificationReport
+from .report import VerificationReport
 from .tolerance import TolerancePolicy
 
 __version__ = "0.1.0"

@@ -17,6 +17,7 @@ from .harness import (
     run,
     set_option,
 )
+from .report import nan_max
 
 # argparse settings of a config key's flag beyond the defaults; every flag
 # value stays text for the key's parser, as in the config file
@@ -106,7 +107,7 @@ def main(argv=None) -> int:
         print(rep.summary_line())
     n_checks = sum(len(r.records) for r in reports)
     n_failed = sum(r.n_failed for r in reports)
-    overall = max((r.max_deviation for r in reports), default=0.0)
+    overall = nan_max(r.max_deviation for r in reports)
     status = "PASS" if code == 0 else "FAIL"
     print(f"total: {n_checks} checks, {n_failed} failed, max deviation {overall:.3g} -> {status}")
     return code

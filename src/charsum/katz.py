@@ -600,6 +600,8 @@ def verify_master_identity(
     """Check P(j,k) = V(j)V(k) for all j, k (zeros included), the agreement of
     the two double-Mellin transforms over a pair sweep, and the Gauss-ratio
     bridge for D = mu*phi^i.  Failures become report records, not exceptions.
+    At q=3, a=1 both nonzero x have x^2 = a, so the x-sum of P is empty and
+    point-identity checks only its delta terms and V.
     """
     policy = policy or DEFAULT_POLICY
     base = ctx.tower.base

@@ -2,7 +2,8 @@
 
 import csv
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
 from json.encoder import encode_basestring_ascii as _json_str
 
 
@@ -11,15 +12,10 @@ def _sig3(x: float) -> float:
     return float(f"{x:.3g}")
 
 
-@dataclass
-class CheckRecord:
-    check_id: str
-    inputs: str
-    deviation: float
-    passed: bool
-
-    def sort_key(self):
-        return (self.check_id, self.inputs)
+def nan_max(values) -> float:
+    """max(values, default=0.0), but nan if any value is NaN."""
+    values = list(values)
+    return math.nan if any(map(math.isnan, values)) else max(values, default=0.0)
 
 
 @dataclass
@@ -27,28 +23,28 @@ class VerificationReport:
     suite: str
     q: int
     a_index: int | None  # dlog of the parameter a, None when a-independent
-    records: list[CheckRecord] = field(default_factory=list)
+    # (check_id, inputs, deviation, passed) in check order; no (check_id, inputs)
+    # repeats, so tuple order is (check_id, inputs) order
+    records: list[tuple[str, str, float, bool]] = field(default_factory=list)
     wall_time: float = 0.0
 
     def add(self, check_id: str, inputs: str, deviation: float, tol: float):
-        self.records.append(CheckRecord(check_id, inputs, deviation, deviation <= tol))
+        self.records.append((check_id, inputs, deviation, deviation <= tol))
 
     @property
     def max_deviation(self) -> float:
-        return max((r.deviation for r in self.records), default=0.0)
+        return nan_max(r[2] for r in self.records)
 
     @property
     def n_failed(self) -> int:
-        return sum(1 for r in self.records if not r.passed)
+        return sum(1 for r in self.records if not r[3])
 
     @property
     def all_passed(self) -> bool:
         return self.n_failed == 0
 
     def sorted(self) -> "VerificationReport":
-        rep = VerificationReport(self.suite, self.q, self.a_index, wall_time=self.wall_time)
-        rep.records = sorted(self.records, key=CheckRecord.sort_key)
-        return rep
+        return replace(self, records=sorted(self.records))
 
     def summary_line(self) -> str:
         a_part = "" if self.a_index is None else f" a_index={self.a_index}"
@@ -78,12 +74,12 @@ def write_json(reports: list[VerificationReport], path: str):
                 f' {{\n  "suite": {json.dumps(rep.suite)},\n  "q": {json.dumps(rep.q)},\n'
                 f'  "a_index": {json.dumps(rep.a_index)},\n  "check_id": '
             )
-            for r in rep.sorted().records:
-                dev = float.__repr__(_sig3(r.deviation))
+            for check_id, inputs, deviation, passed in sorted(rep.records):
+                dev = float.__repr__(_sig3(deviation))
                 fh.write(
-                    f'{sep}{head}{_json_str(r.check_id)},\n  "inputs": {_json_str(r.inputs)},\n'
+                    f'{sep}{head}{_json_str(check_id)},\n  "inputs": {_json_str(inputs)},\n'
                     f'  "deviation": {_JSON_NONFINITE.get(dev, dev)},\n'
-                    f'  "pass": {"true" if r.passed else "false"}\n }}'
+                    f'  "pass": {"true" if passed else "false"}\n }}'
                 )
                 sep = ",\n"
         fh.write("[]\n" if sep == "[\n" else "\n]\n")

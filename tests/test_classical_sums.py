@@ -90,7 +90,7 @@ class TestGaussSums:
         failed = {}
         for suite in (harness.suite_classical, harness.suite_eisenstein):
             rep = suite(tower, DEFAULT_POLICY)
-            failed[suite] = {r.check_id for r in rep.records if not r.passed}
+            failed[suite] = {check_id for check_id, _, _, passed in rep.records if not passed}
         assert {"gauss-jacobi-bridge", "hd-product"} <= failed[harness.suite_classical]
         assert failed[harness.suite_eisenstein] == {"eisenstein-gauss-ratio"}
 

@@ -44,6 +44,11 @@ from charsum.tolerance import DEFAULT_POLICY
 TOL = 1e-10
 
 
+def failed_ids(rep) -> list[str]:
+    """The check_id of each failed record of rep, in check order."""
+    return [check_id for check_id, _, _, passed in rep.records if not passed]
+
+
 @pytest.fixture(scope="module")
 def ctx7():
     return KatzContext(build_tower(7), 1)
@@ -235,7 +240,7 @@ class TestXPairing:
         ctx._roots = [-1j * v for v in re + [-v for v in re]]
         rep = verify_master_identity(ctx, include_mellin=False)
         assert len(rep.records) == tower.q**2
-        assert not any(r.passed for r in rep.records)
+        assert not any(passed for *_, passed in rep.records)
 
     @pytest.mark.parametrize("q", [7, 11])
     @pytest.mark.parametrize("entry", ["off-diagonal", "diagonal"])
@@ -257,7 +262,7 @@ class TestXPairing:
             reading = {f"j={j},k={k}" for j in range(q) for k in range(q)
                        if (sq[base.add_codes(j, k)], sq[base.sub_codes(j, k)]) == (s0, d0)}
             assert len(reading) == (4 if d0 else 2)
-            assert {r.inputs for r in rep.records if not r.passed} == reading
+            assert {inputs for _, inputs, _, passed in rep.records if not passed} == reading
 
 
 class TestNormRestrictedGauss:
@@ -312,7 +317,7 @@ class TestFiberWalks:
         tower = build_tower(q)
         ctx = KatzContext(tower, tower.base.g)
         failed = {
-            name: {r.check_id for r in suite(ctx, DEFAULT_POLICY).records if not r.passed}
+            name: set(failed_ids(suite(ctx, DEFAULT_POLICY)))
             for name, suite in self.SUITES.items()
         }
         if walk == "V":
@@ -450,7 +455,7 @@ class TestDoubleMellin:
         monkeypatch.setattr(katz, "double_mellin_mixed", namespace["double_mellin_mixed"])
         tower = build_tower(q)
         rep = verify_master_identity(KatzContext(tower, tower.base.g), DEFAULT_POLICY)
-        assert {r.check_id for r in rep.records if not r.passed} == {"mellin-match"}
+        assert set(failed_ids(rep)) == {"mellin-match"}
 
     def test_even_pairs_vanish(self, ctx7):
         base = ctx7.tower.base
@@ -526,7 +531,7 @@ class TestKernel:
         }
         for suite, check_ids in expected.items():
             rep = suite(ctx, DEFAULT_POLICY)
-            assert {r.check_id for r in rep.records if not r.passed} == check_ids
+            assert set(failed_ids(rep)) == check_ids
 
     @pytest.mark.parametrize("q", [7, 11])
     def test_wrong_kernel_rows_at_a_square_a(self, monkeypatch, q):
@@ -539,7 +544,7 @@ class TestKernel:
         ctx = KatzContext(build_tower(q), 1)
         assert suite_mellin(ctx, DEFAULT_POLICY).all_passed
         rep = verify_master_identity(ctx, DEFAULT_POLICY)
-        assert {r.check_id for r in rep.records if not r.passed} == {"gauss-ratio-bridge"}
+        assert set(failed_ids(rep)) == {"gauss-ratio-bridge"}
 
     @pytest.mark.parametrize("q", [7, 11])
     @pytest.mark.parametrize("mutation", ["A-row-next-fiber", "A-row-of-conj-A", "psi-row-next-fiber"])
@@ -564,7 +569,7 @@ class TestKernel:
         tower = build_tower(q)
         ctx = KatzContext(tower, tower.base.g)
         failed = {
-            suite: {r.check_id for r in suite(ctx, DEFAULT_POLICY).records if not r.passed}
+            suite: set(failed_ids(suite(ctx, DEFAULT_POLICY)))
             for suite in (suite_theorem5x, verify_master_identity)
         }
         assert failed[verify_master_identity] == {"gauss-ratio-bridge"}
@@ -586,7 +591,7 @@ class TestKernel:
         monkeypatch.setattr(classical_sums, "_fiber_row", wrong_row)
         tower = build_tower(q)
         ctx = KatzContext(tower, 1 if a == "one" else tower.base.g)
-        failed = [r.check_id for r in suite_mellin(ctx, DEFAULT_POLICY).records if not r.passed]
+        failed = failed_ids(suite_mellin(ctx, DEFAULT_POLICY))
         assert failed and set(failed) == {"mellin-single"}
 
     def test_zero_j_rejected(self):
@@ -706,10 +711,10 @@ class TestMasterIdentity:
         assert rep.suite == "master"
         assert rep.q == 7
         assert rep.a_index == 0
-        points = [r for r in rep.records if r.check_id == "point-identity"]
-        assert len(points) == 49
-        assert any(r.check_id == "mellin-match" for r in rep.records)
-        assert any(r.check_id == "gauss-ratio-bridge" for r in rep.records)
+        check_ids = [check_id for check_id, *_ in rep.records]
+        assert check_ids.count("point-identity") == 49
+        assert "mellin-match" in check_ids
+        assert "gauss-ratio-bridge" in check_ids
         assert rep.all_passed
         assert rep.max_deviation < TOL
 

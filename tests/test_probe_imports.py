@@ -7,6 +7,8 @@ import importlib
 import types
 from pathlib import Path
 
+from charsum.report import VerificationReport
+
 PROBE = Path(__file__).resolve().parents[1] / "perfbench" / "probe.py"
 
 
@@ -44,3 +46,17 @@ def test_every_name_the_probe_takes_from_charsum_exists():
     } <= names
     missing = [f"{m}.{n}" for m, n in sorted(names) if not hasattr(importlib.import_module(m), n)]
     assert missing == []
+
+
+def test_report_sorted_gives_records_in_key_order():
+    # the probe calls rep.sorted() on an instance, which the name check above
+    # cannot see
+    assert callable(getattr(VerificationReport, "sorted", None))
+    rep = VerificationReport("master", 7, 1, wall_time=0.5)
+    for check_id, inputs, deviation in [("b", "j=2", 1e-9), ("a", "j=9", 2e-9), ("b", "j=10", 3e-9)]:
+        rep.add(check_id, inputs, deviation, 1e-6)
+    got = rep.sorted()
+    assert (got.suite, got.q, got.a_index, got.wall_time) == ("master", 7, 1, 0.5)
+    assert sorted(got.records) == sorted(rep.records)
+    keys = [(check_id, inputs) for check_id, inputs, *_ in got.records]
+    assert keys == [("a", "j=9"), ("b", "j=10"), ("b", "j=2")]

@@ -1,11 +1,14 @@
-"""The JSON report writer against json.dumps(..., indent=1), byte for byte."""
+"""The JSON report writer against json.dumps(..., indent=1), byte for byte,
+and the NaN-aware maxima of the summaries."""
 
+import csv
 import json
 import math
 
 import pytest
 
-from charsum.report import VerificationReport, _sig3, write_json
+from charsum import cli
+from charsum.report import VerificationReport, _sig3, write_csv, write_json
 
 
 def json_dump_reference(reports) -> str:
@@ -14,13 +17,13 @@ def json_dump_reference(reports) -> str:
             "suite": rep.suite,
             "q": rep.q,
             "a_index": rep.a_index,
-            "check_id": r.check_id,
-            "inputs": r.inputs,
-            "deviation": _sig3(r.deviation),
-            "pass": r.passed,
+            "check_id": check_id,
+            "inputs": inputs,
+            "deviation": _sig3(deviation),
+            "pass": passed,
         }
         for rep in reports
-        for r in rep.sorted().records
+        for check_id, inputs, deviation, passed in sorted(rep.records, key=lambda r: (r[0], r[1]))
     ]
     return json.dumps(objs, indent=1) + "\n"
 
@@ -62,9 +65,42 @@ def test_write_json_matches_json_dump(tmp_path, case):
     assert path.read_bytes() == json_dump_reference(reports).encode("utf-8")
 
 
+SORT_CASES = [
+    ([("b", "2", 0.0), ("a", "9", 0.0), ("b", "1", 0.0)], [("a", "9"), ("b", "1"), ("b", "2")]),
+    # string order, not numeric order
+    ([("p", "j=2,k=0", 0.0), ("p", "j=10,k=0", 0.0)], [("p", "j=10,k=0"), ("p", "j=2,k=0")]),
+    # keys descending, deviations ascending: the deviation never decides
+    ([("b", "2", 1e-9), ("b", "1", 2e-9), ("a", "9", 3e-9)], [("a", "9"), ("b", "1"), ("b", "2")]),
+]
+
+
 def test_write_json_sorts_records_within_a_report(tmp_path):
-    rep = report("master", 7, 1, [("b", "2", 0.0), ("a", "9", 0.0), ("b", "1", 0.0)])
     path = tmp_path / "report.json"
-    write_json([rep], str(path))
-    got = [(o["check_id"], o["inputs"]) for o in json.loads(path.read_text())]
-    assert got == [("a", "9"), ("b", "1"), ("b", "2")]
+    for rows, want in SORT_CASES:
+        rep = report("master", 7, 1, rows)
+        before = list(rep.records)
+        write_json([rep], str(path))
+        got = [(o["check_id"], o["inputs"]) for o in json.loads(path.read_text())]
+        assert got == want
+        assert rep.records == before  # the report itself stays in check order
+
+
+@pytest.mark.parametrize("devs", [[1e-15, math.nan], [math.nan, 1e-15]], ids=["nan-last", "nan-first"])
+def test_a_nan_deviation_is_the_maximum_in_either_order(tmp_path, monkeypatch, capsys, devs):
+    rep = report("master", 7, 1, [("point-identity", f"j={i},k=0", d) for i, d in enumerate(devs)])
+    assert math.isnan(rep.max_deviation)
+    assert "max_dev=nan" in rep.summary_line()
+    path = tmp_path / "report.csv"
+    write_csv([rep], str(path))
+    assert next(csv.DictReader(path.open()))["max_deviation"] == "nan"
+    # the total line over reports: the NaN report comes after a finite one
+    finite = report("master", 7, 0, [("point-identity", "j=0,k=0", 1e-15)])
+    monkeypatch.setattr(cli, "run", lambda cfg: (1, [finite, rep]))
+    assert cli.main(["run", "--q", "7"]) == 1
+    assert "max deviation nan -> FAIL" in capsys.readouterr().out
+
+
+def test_max_deviation_without_nan():
+    assert report("master", 7, 1, []).max_deviation == 0.0
+    rows = [("p", "1", 2e-15), ("p", "2", math.inf), ("p", "3", 0.0)]
+    assert report("master", 7, 1, rows).max_deviation == math.inf
