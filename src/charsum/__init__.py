@@ -37,7 +37,9 @@ from .harness import RunConfig, run
 from .hypergeometric import (
     binom,
     hyp2f1,
+    hyp2f1_row,
     norm_fiber,
+    norm_jacobi_row,
     norm_restricted_jacobi,
 )
 from .katz import (

@@ -179,6 +179,7 @@ class PrimePowerField:
         self._gauss_sums: list[complex] | None = None
         self._jacobi_memo: dict[tuple[int, int], complex] = {}
         self._kernel_rows: dict[int, list[complex]] = {}
+        self._hyp_rows: dict[int, list[complex]] = {}  # see hypergeometric
         self._char_tables: dict[int, list[complex]] = {}
 
     # -- construction helpers ------------------------------------------------

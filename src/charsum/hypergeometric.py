@@ -7,7 +7,18 @@ fixes g = N(g2)), and the kernel of the norm is the cyclic group generated
 by g2^(q-1), of size q+1; so the fiber is the logs k + (q-1)i, and R walks
 them.  A full O(q^2) scan that tests z^(q+1) = c is kept as the oracle; the
 hypergeometric suite's norm-fiber check runs it against the log route.
+
+The closed forms of R(D, j) and of the kernel h(D, j) share one 2F1 per D,
+read at every j.  hyp2f1_row sums 2F1(A,B;C | .) once for every argument,
+and hyp2f1_of_j memoizes the row of (D, D^2 phi, D phi) on the field, keyed
+by the index of D: at most q-1 rows of q entries per field, which every task
+of one process reuses.  norm_jacobi_row memoizes R(D, .) on the KatzContext,
+keyed by the index of D, since R reads the context's octic M8.  Each entry
+of either row equals the per-point value exactly; hyp2f1 and
+norm_restricted_jacobi stay as the literal oracles.
 """
+
+import operator
 
 from .characters import MultChar, norm_compose, quadratic_char
 from .classical_sums import jacobi
@@ -36,6 +47,32 @@ def hyp2f1(a: MultChar, b: MultChar, c: MultChar, x) -> complex:
     for y in range(1, field.order):
         total += tb[y] * tbc[neg[om[y]]] * tac[om[mul(x_code, y)]]
     return total / field.order
+
+
+def hyp2f1_row(a: MultChar, b: MultChar, c: MultChar) -> list[complex]:
+    """2F1(A,B;C | x) for every code x, indexed by code; entry 0 is 0j.
+
+    The weights B(y) (conj(B)C)(y-1) are formed once, in code order of y.
+    conj(A)(1 - x*y) is read from the table by_log[l] = conj(A)(1 - g^l),
+    rotated by dlog x, at the logs of y.  Each entry keeps hyp2f1's product
+    order and summation order, so it equals hyp2f1's value exactly."""
+    field = a.field
+    if b.field is not field or c.field is not field:
+        raise FieldError("2F1 needs all characters on one field")
+    tb = b.value_table()
+    tbc = (b.conj * c).value_table()
+    tac = a.conj.value_table()
+    neg, om, dlog = field.neg, field.one_minus, field.dlog
+    ys = range(1, field.order)
+    weights = [tb[y] * tbc[neg[om[y]]] for y in ys]
+    lys = [dlog[y] for y in ys]
+    by_log = [tac[om[e]] for e in field.exp]
+    row = [0j]
+    for x in ys:
+        lx = dlog[x]
+        vals = map((by_log[lx:] + by_log[:lx]).__getitem__, lys)
+        row.append(sum(map(operator.mul, weights, vals), 0j) / field.order)
+    return row
 
 
 def binom(a: MultChar, b: MultChar) -> complex:
@@ -96,17 +133,43 @@ def norm_restricted_jacobi(ctx, d: MultChar, j, scan: bool = False) -> complex:
     return total
 
 
+def norm_jacobi_row(ctx, d: MultChar) -> list[complex]:
+    """R(D, j) for every code j, indexed by code; entry 0 is 0j, since R
+    needs j != 0.  Memoized on the context by the index of D.  j and -j
+    share the fiber of j^4, so each fiber is walked once, by
+    norm_restricted_jacobi."""
+    if d.field is not ctx.tower.base:
+        raise FieldError("norm-restricted Jacobi sum needs a base-field character")
+    row = ctx._norm_jacobi_rows.get(d.index)
+    if row is None:
+        base = ctx.tower.base
+        by_j4 = {}
+        row = [0j]
+        for j in range(1, base.order):
+            j4 = base.pow_code(j, 4)
+            r = by_j4.get(j4)
+            if r is None:
+                r = by_j4[j4] = norm_restricted_jacobi(ctx, d, j)
+            row.append(r)
+        ctx._norm_jacobi_rows[d.index] = row
+    return row
+
+
 def hyp2f1_of_j(d: MultChar, j) -> complex | None:
     """2F1(D, D^2 phi; D phi | -((j+1)/(j-1))^2), the factor that the closed
     forms of R(D, j) and of the kernel h(D, j) share; None at j = +-1, where
-    both take a Jacobi-sum form instead."""
+    both take a Jacobi-sum form instead.  Read from the row of
+    (D, D^2 phi, D phi), memoized on the field by the index of D."""
     field = d.field
     j = field.element(j)
     if j.code == 1 or j.code == field.neg[1]:
         return None
-    phi = quadratic_char(field)
+    row = field._hyp_rows.get(d.index)
+    if row is None:
+        phi = quadratic_char(field)
+        row = field._hyp_rows[d.index] = hyp2f1_row(d, d**2 * phi, d * phi)
     x = -(((j + 1) / (j - 1)) ** 2)
-    return hyp2f1(d, d**2 * phi, d * phi, x)
+    return row[x.code]
 
 
 def norm_jacobi_hyp_deviation(ctx, d: MultChar, j) -> float:
@@ -117,8 +180,10 @@ def norm_jacobi_hyp_deviation(ctx, d: MultChar, j) -> float:
     """
     base = ctx.tower.base
     j = base.element(j)
+    if j.code == 0:
+        raise ValueError("norm-restricted Jacobi sum requires j != 0")
     phi = quadratic_char(base)
-    lhs = norm_restricted_jacobi(ctx, d, j)
+    lhs = norm_jacobi_row(ctx, d)[j.code]
     hyp = hyp2f1_of_j(d, j)
     if hyp is None:
         rhs = -d.conj(4) * jacobi(phi * d**2, phi)

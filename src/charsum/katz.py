@@ -29,8 +29,11 @@ sums sum_k chi2(k) P(j,k) from a cache on the context, one vector per chi2.
 The kernel sums h(D, j) do not depend on a.  kernel_row memoizes the whole
 row h(D, .) on the field, keyed by the index of D: at most q-1 rows of q
 entries per field, which every a-task of one process reuses (a KatzContext
-is built per task, so the memo cannot live on it).  Every Jacobi or Gauss sum
-over F_{q^2} has a lifted character C N, times M8^e in the Mellin
+is built per task, so the memo cannot live on it).  The kernel closed form
+reads its 2F1 from the row that hyp2f1_of_j memoizes on the same field.
+Y(D) reads R(D, .) from norm_jacobi_row, which is memoized on the context,
+since R reads the context's octic M8 (see hypergeometric).  Every Jacobi or
+Gauss sum over F_{q^2} has a lifted character C N, times M8^e in the Mellin
 evaluation, and is summed over the q-1 norm fibers by lifted_jacobi and
 lifted_gauss, whose fiber rows are memoized on the tower; the Gauss sums over
 F_q are read from the field's one transform (see classical_sums).  No
@@ -53,7 +56,7 @@ from .characters import (
 )
 from .classical_sums import gauss, jacobi, lifted_gauss, lifted_jacobi
 from .finite_field import FieldError, FieldTower, build_tower, construct_field, factor_prime_power
-from .hypergeometric import fiber_logs, hyp2f1_of_j, norm_fiber, norm_restricted_jacobi
+from .hypergeometric import fiber_logs, hyp2f1_of_j, norm_fiber, norm_jacobi_row
 from .report import VerificationReport
 from .tolerance import DEFAULT_POLICY, TolerancePolicy
 
@@ -120,6 +123,8 @@ class KatzContext:
         self._pm = None
         # inner[j] = sum_k chi2(k) P(j,k) for every code j, by chi2.index
         self._mixed_inner: dict[int, list[complex]] = {}
+        # R(D, .) for every code, by D.index (see hypergeometric)
+        self._norm_jacobi_rows: dict[int, list[complex]] = {}
 
     def a_index(self) -> int:
         """dlog of a with respect to the tower's base generator."""
@@ -428,9 +433,10 @@ def kernel_transform_deviation(ctx: KatzContext, d: MultChar, nu: MultChar) -> f
 
 
 def fiber_jacobi_transform(ctx: KatzContext, d: MultChar, nu: MultChar) -> complex:
-    """Y(D) = sum_{j != 0} nu^4(j) R(D, j)."""
+    """Y(D) = sum_{j != 0} nu^4(j) R(D, j), read from norm_jacobi_row(D)."""
     w = (nu**4).value_table()
-    return sum(w[j] * norm_restricted_jacobi(ctx, d, j) for j in range(1, d.field.order))
+    r = norm_jacobi_row(ctx, d)
+    return sum(w[j] * r[j] for j in range(1, d.field.order))
 
 
 def fiber_jacobi_transform_deviation(ctx: KatzContext, d: MultChar, nu: MultChar) -> float:

@@ -4,13 +4,15 @@ import copy
 import pytest
 
 from charsum.characters import char, norm_compose, quadratic_char, trivial_char
-from charsum.finite_field import PrimePowerField, build_tower, construct_field
+from charsum.finite_field import FieldError, PrimePowerField, build_tower, construct_field
 from charsum.hypergeometric import (
     binom,
     hyp2f1,
     hyp2f1_of_j,
+    hyp2f1_row,
     norm_fiber,
     norm_jacobi_hyp_deviation,
+    norm_jacobi_row,
     norm_restricted_jacobi,
 )
 from charsum.katz import KatzContext
@@ -45,6 +47,42 @@ class TestHyp2F1:
         field = construct_field(7)
         v = hyp2f1(char(field, 1), char(field, 2), char(field, 3), field.element(3))
         assert abs(v) <= 6 / 7 + 1e-9
+
+
+class TestHyp2F1Row:
+    @pytest.mark.parametrize("p,t", [(7, 1), (11, 1), (3, 3), (59, 1)])
+    def test_equals_per_point_values(self, p, t):
+        # same products in the same order: equal with ==, x = 0 included
+        field = build_tower(p, t).base
+        n = field.order - 1
+        phi = quadratic_char(field)
+        triples = [(0, 0, 0), (1, 2, 3), (n - 1, n // 2, 1), (2, 0, n // 2 + 1)]
+        triples += [(d, 2 * d + n // 2, d + n // 2) for d in (1, 3, n - 2)]  # (D, D^2 phi, D phi)
+        for ia, ib, ic in triples:
+            a, b, c = (char(field, i % n) for i in (ia, ib, ic))
+            row = hyp2f1_row(a, b, c)
+            assert len(row) == field.order
+            assert row == [hyp2f1(a, b, c, field.element(x)) for x in range(field.order)]
+        assert char(field, 2 + n // 2) == char(field, 1) ** 2 * phi
+
+    def test_memoized_row_serves_hyp2f1_of_j(self, monkeypatch):
+        field = build_tower(11).base
+        monkeypatch.setattr(field, "_hyp_rows", {})
+        phi = quadratic_char(field)
+        for di in range(10):
+            d = char(field, di)
+            for j in range(2, 10):
+                x = -((j + 1) * pow(j - 1, -1, 11)) ** 2 % 11
+                assert hyp2f1_of_j(d, j) == hyp2f1(d, d**2 * phi, d * phi, x)
+            assert field._hyp_rows[di] == hyp2f1_row(d, d**2 * phi, d * phi)
+        assert sorted(field._hyp_rows) == list(range(10))
+
+    def test_characters_on_mixed_fields_rejected(self):
+        f7, f11 = construct_field(7), construct_field(11)
+        with pytest.raises(FieldError):
+            hyp2f1_row(char(f7, 1), char(f11, 1), char(f7, 1))
+        with pytest.raises(FieldError):
+            hyp2f1_row(char(f7, 1), char(f7, 1), char(f11, 1))
 
 
 class TestBinom:
@@ -152,6 +190,42 @@ class TestNormRestrictedJacobi:
                     norm_restricted_jacobi(ctx7, d, je)
                     - norm_restricted_jacobi(ctx7, d, je, scan=True)
                 ) < TOL
+
+
+class TestNormJacobiRow:
+    @pytest.mark.parametrize("p,t", [(7, 1), (11, 1), (3, 3), (59, 1)])
+    def test_equals_per_point_values(self, p, t):
+        # every D, every j and all four octic variants, compared with ==
+        tower = build_tower(p, t)
+        base = tower.base
+        for variant in (1, 3, 5, 7):
+            ctx = KatzContext(tower, 1, m8_variant=variant)
+            for di in range(base.order - 1):
+                d = char(base, di)
+                row = norm_jacobi_row(ctx, d)
+                assert row[0] == 0j and len(row) == base.order
+                assert row[1:] == [norm_restricted_jacobi(ctx, d, j) for j in range(1, base.order)]
+
+    def test_memoized_on_the_context(self):
+        tower = build_tower(7)
+        ctx = KatzContext(tower, 1)
+        row = norm_jacobi_row(ctx, char(tower.base, 2))
+        assert ctx._norm_jacobi_rows == {2: row}
+        assert norm_jacobi_row(ctx, char(tower.base, 2)) is row
+        assert KatzContext(tower, 1)._norm_jacobi_rows == {}
+
+    def test_characters_on_other_fields_rejected(self):
+        # including a field whose character index is already memoized
+        tower = build_tower(7)
+        ctx = KatzContext(tower, 1)
+        norm_jacobi_row(ctx, char(tower.base, 1))
+        for field in (construct_field(7), tower.top):
+            with pytest.raises(FieldError):
+                norm_jacobi_row(ctx, char(field, 1))
+
+    def test_zero_j_rejected_by_the_deviation(self, ctx7):
+        with pytest.raises(ValueError):
+            norm_jacobi_hyp_deviation(ctx7, char(ctx7.tower.base, 1), 0)
 
 
 class TestHypergeometricReduction:

@@ -5,9 +5,15 @@ import operator
 
 import pytest
 
-from charsum import classical_sums, hypergeometric, katz
+from charsum import classical_sums, harness, hypergeometric, katz
 from charsum.characters import char, norm_compose, quadratic_char, trivial_char
-from charsum.finite_field import FieldError, FieldTower, build_tower, construct_field
+from charsum.finite_field import (
+    FieldError,
+    FieldTower,
+    build_tower,
+    construct_field,
+    factor_prime_power,
+)
 from charsum.harness import suite_hypergeometric, suite_mellin, suite_theorem41, suite_theorem5x
 from charsum.hypergeometric import norm_fiber
 from charsum.katz import (
@@ -327,6 +333,91 @@ class TestFiberWalks:
             expected = {"hypergeometric": {"norm-fiber"}, "theorem-4.1": {"fiber-jacobi-hyp"},
                         "theorem-5.x": {"fiber-transform"}}
         assert failed == {name: expected.get(name, set()) for name in self.SUITES}
+
+
+class TestClosedFormRows:
+    """theorem-4.1 and theorem-5.x read the 2F1 and R rows; a wrong row must
+    fail the checks that read it and only those, and no suite may fall back
+    to the per-point sums."""
+
+    SUITES = TestFiberWalks.SUITES
+
+    def failures(self, q, monkeypatch):
+        tower = build_tower(*factor_prime_power(q))
+        # the mutated 2F1 rows land in the field's memo: start and end it clean
+        monkeypatch.setattr(tower.base, "_hyp_rows", {})
+        ctx = KatzContext(tower, tower.base.g)
+        failed = {
+            name: set(failed_ids(suite(ctx, DEFAULT_POLICY)))
+            for name, suite in self.SUITES.items()
+        }
+        return {name: ids for name, ids in failed.items() if ids}
+
+    @pytest.mark.parametrize("q", [7, 11, 27])
+    @pytest.mark.parametrize("wrong", ["shifted", "D*phi"])
+    def test_wrong_hyp_rows_fail_the_checks(self, monkeypatch, q, wrong):
+        # hyp-bound reads the mutated rows too and passes them: a magnitude
+        # bound cannot see a row shifted by one x or the row of D*phi
+        real = hypergeometric.hyp2f1_row
+        if wrong == "shifted":
+            def row(a, b, c):
+                r = real(a, b, c)
+                return [0j] + r[2:] + r[1:2]
+        else:
+            def row(a, b, c):
+                phi = quadratic_char(a.field)
+                return real(a * phi, b, c * phi)  # (D phi, D^2 phi, D) for (D, D^2 phi, D phi)
+        monkeypatch.setattr(hypergeometric, "hyp2f1_row", row)
+        monkeypatch.setattr(harness, "hyp2f1_row", row)
+        assert self.failures(q, monkeypatch) == {
+            "theorem-4.1": {"fiber-jacobi-hyp"}, "theorem-5.x": {"kernel-closed-form"},
+        }
+
+    @pytest.mark.parametrize("q", [7, 11, 27])
+    def test_wrong_norm_jacobi_rows_fail_the_checks(self, monkeypatch, q):
+        # the row of D*phi served as the row of D (a copy, memos untouched)
+        real = hypergeometric.norm_jacobi_row
+
+        def row(ctx, d):
+            return list(real(ctx, d * quadratic_char(d.field)))
+
+        monkeypatch.setattr(hypergeometric, "norm_jacobi_row", row)
+        monkeypatch.setattr(katz, "norm_jacobi_row", row)
+        assert self.failures(q, monkeypatch) == {
+            "theorem-4.1": {"fiber-jacobi-hyp"}, "theorem-5.x": {"fiber-transform"},
+        }
+
+    def test_no_per_point_sums(self, monkeypatch):
+        q = 19
+        tower = build_tower(q)
+        monkeypatch.setattr(tower.base, "_hyp_rows", {})  # the rows are built here
+        calls = {"hyp2f1": 0, "norm_restricted_jacobi": 0}
+
+        def counting(name, real):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return wrapper
+
+        hyp2f1 = counting("hyp2f1", hypergeometric.hyp2f1)
+        for module in (hypergeometric, harness):
+            monkeypatch.setattr(module, "hyp2f1", hyp2f1)
+        monkeypatch.setattr(hypergeometric, "norm_restricted_jacobi", counting(
+            "norm_restricted_jacobi", hypergeometric.norm_restricted_jacobi))
+
+        def count(suite):
+            for name in calls:
+                calls[name] = 0
+            assert suite(KatzContext(tower, tower.base.g), DEFAULT_POLICY).all_passed
+            return dict(calls)
+
+        assert count(suite_theorem41)["hyp2f1"] == 0
+        assert count(suite_theorem41)["norm_restricted_jacobi"] <= (q - 1) ** 2 // 2
+        assert count(suite_theorem5x)["hyp2f1"] == 0
+        k = 6  # characters per axis above q = 11: one hyp-zero-arg record per (A, B)
+        rep = suite_hypergeometric(KatzContext(tower, tower.base.g), DEFAULT_POLICY)
+        assert sum(check_id == "hyp-zero-arg" for check_id, *_ in rep.records) == k * k
+        assert count(suite_hypergeometric)["hyp2f1"] == k * k
 
 
 class TestMellinSingle:
