@@ -139,7 +139,7 @@ def _smallest_irreducible(p, m):
 class PrimePowerField:
     """F_{p^m} with exp/dlog tables and precomputed character ingredients."""
 
-    def __init__(self, p: int, m: int, modulus=None, generator: int | None = None):
+    def __init__(self, p: int, m: int, generator: int | None = None):
         if not _is_prime(p):
             raise FieldError(f"p = {p} is not prime")
         if p == 2:
@@ -153,15 +153,7 @@ class PrimePowerField:
         self.m = m
         self.order = order
 
-        if modulus is None:
-            modulus = _smallest_irreducible(p, m)
-        else:
-            modulus = tuple(int(c) % p for c in modulus)
-            if len(modulus) != m + 1 or modulus[m] != 1:
-                raise FieldError("modulus must be monic of degree m")
-            if not _is_irreducible(modulus, p, m):
-                raise FieldError("modulus is reducible")
-        self.modulus = modulus
+        self.modulus = _smallest_irreducible(p, m)
 
         self._g = self._find_generator() if generator is None else int(generator)
         self._build_log_tables()
@@ -183,12 +175,6 @@ class PrimePowerField:
         self._char_tables: dict[int, list[complex]] = {}
 
     # -- construction helpers ------------------------------------------------
-
-    def _encode(self, coeffs) -> int:
-        code = 0
-        for c in reversed(coeffs):
-            code = code * self.p + c
-        return code
 
     def _find_generator(self) -> int:
         n = self.order - 1
@@ -335,15 +321,13 @@ class PrimePowerField:
     # -- elements ---------------------------------------------------------------
 
     def element(self, value) -> "FieldElement":
-        """Element from an integer code or a coefficient sequence."""
+        """The element of this field given by an integer code or an element of
+        this field.  Every element argument in the library goes through here;
+        raises FieldError for another field's element or a code out of range."""
         if isinstance(value, FieldElement):
             if value.field is not self:
                 raise FieldError("element belongs to a different field")
             return value
-        if isinstance(value, (tuple, list)):
-            if len(value) != self.m:
-                raise FieldError(f"coefficient vector must have length {self.m}")
-            return FieldElement(self, self._encode(tuple(c % self.p for c in value)))
         code = int(value)
         if not 0 <= code < self.order:
             raise FieldError(f"code {code} out of range for field of order {self.order}")
@@ -469,9 +453,9 @@ class FieldTower:
         self.t = t
         self.q = q = p**t
         self.top = top = construct_field(p, 2 * t)
-        modulus = _smallest_irreducible(p, t)
 
-        theta = self._smallest_modulus_root(modulus)
+        # theta is a root, in the top field, of the base field's modulus
+        theta = self._smallest_modulus_root(_smallest_irreducible(p, t))
         self.embed_table = self._build_embed_table(theta)
         if len(set(self.embed_table)) != q:
             raise FieldError("embedding is not injective")  # sanity
@@ -479,7 +463,7 @@ class FieldTower:
         g_base = dict(zip(self.embed_table, range(q))).get(top.exp[q + 1])
         if g_base is None:
             raise FieldError("norm left the subfield")  # sanity
-        self.base = PrimePowerField(p, t, modulus=modulus, generator=g_base)
+        self.base = PrimePowerField(p, t, generator=g_base)
 
         self.i_code = top.exp[(top.order - 1) // 4]  # i^2 = -1
         self._trace_line = None
@@ -508,12 +492,11 @@ class FieldTower:
         return table
 
     def embed(self, x) -> FieldElement:
-        code = x.code if isinstance(x, FieldElement) else int(x)
-        return FieldElement(self.top, self.embed_table[code])
+        return FieldElement(self.top, self.embed_table[self.base.element(x).code])
 
     def norm(self, z) -> FieldElement:
         """z * z^q, pulled back to the base field; norm(0) = 0."""
-        code = z.code if isinstance(z, FieldElement) else int(z)
+        code = self.top.element(z).code
         if code == 0:
             return FieldElement(self.base, 0)
         return FieldElement(self.base, self.base.exp[self.top.dlog[code] % (self.q - 1)])

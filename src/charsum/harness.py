@@ -122,10 +122,7 @@ class RunConfig:
         out = []
         for p, t in self.fields:
             q = p**t
-            try:
-                factor_prime_power(q)  # re-validates p odd prime
-            except FieldError as e:
-                raise ConfigError(str(e)) from None
+            parse_q(q)  # re-validates p odd prime
             applicable = [s for s in suites if q % 4 == SUITES[s].mod4]
             bad = [s for s in suites if s not in applicable]
             if explicit and bad:
@@ -178,7 +175,7 @@ def a_values(q: int, policy: str) -> list[int]:
     n = int(policy[len("sample-"):])
     p, t = factor_prime_power(q)
     base = build_tower(p, t).base
-    return sorted({base.exp[k % (q - 1)] for k in range(n)})
+    return sorted({base.exp[k] for k in range(min(n, q - 1))})
 
 
 # ---------------------------------------------------------------------------

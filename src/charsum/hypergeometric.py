@@ -22,7 +22,7 @@ import operator
 
 from .characters import MultChar, norm_compose, quadratic_char
 from .classical_sums import jacobi
-from .finite_field import FieldElement, FieldError, FieldTower
+from .finite_field import FieldError, FieldTower
 
 
 def hyp2f1(a: MultChar, b: MultChar, c: MultChar, x) -> complex:
@@ -30,12 +30,7 @@ def hyp2f1(a: MultChar, b: MultChar, c: MultChar, x) -> complex:
     field = a.field
     if b.field is not field or c.field is not field:
         raise FieldError("2F1 needs all characters on one field")
-    if isinstance(x, FieldElement):
-        if x.field is not field:
-            raise FieldError("2F1 argument lives on a different field")
-        x_code = x.code
-    else:
-        x_code = int(x) % field.p
+    x_code = field.element(x).code
     if x_code == 0:
         return 0j
     tb = b.value_table()
@@ -94,7 +89,7 @@ def norm_fiber(tower: FieldTower, c, scan: bool = False) -> list[int]:
     The codes g2^m of fiber_logs, in log order; scan=True instead tests
     z^(q+1) = c in the top field for every z, in code order, so it does not
     rest on the tower's link g = N(g2)."""
-    c_code = c.code if isinstance(c, FieldElement) else int(c)
+    c_code = tower.base.element(c).code
     if c_code == 0:
         raise ValueError("norm fiber of 0 is just {0}; a nonzero c is required")
     exp2 = tower.top.exp

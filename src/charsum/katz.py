@@ -177,10 +177,9 @@ class KatzContext:
 
 
 def mixed_sum(ctx: KatzContext, j, k) -> complex:
-    """P(j, k); j, k field elements of the base field (or integer codes)."""
+    """P(j, k) at elements (or codes) j, k of the base field."""
     base = ctx.tower.base
-    jc = j.code if hasattr(j, "code") else int(j)
-    kc = k.code if hasattr(k, "code") else int(k)
+    jc, kc = base.element(j).code, base.element(k).code
     s = base.add_codes(jc, kc)
     s = base.mul_codes(s, s)
     d = base.sub_codes(jc, kc)
@@ -194,7 +193,7 @@ def norm_restricted_gauss(ctx: KatzContext, j, scan: bool = False) -> complex:
     O(q^2) scanned fiber instead, with M8 read from its value table."""
     tower = ctx.tower
     base, top = tower.base, tower.top
-    jc = j.code if hasattr(j, "code") else int(j)
+    jc = base.element(j).code
     if jc == 0:
         return 0j
     n2, exp2, dlog2, psi2 = top.order - 1, top.exp, top.dlog, top.psi_table

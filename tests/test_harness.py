@@ -94,6 +94,16 @@ class TestConfig:
         sample = a_values(7, "sample-3")
         assert len(sample) == 3 and 1 in sample
 
+    def test_a_values_huge_sample_is_every_a(self):
+        # N past q-1 repeats generator powers: the sweep is every a, at once
+        assert a_values(7, "sample-" + "9" * 20) == [1, 2, 3, 4, 5, 6]
+        assert a_values(27, "sample-26") == a_values(27, "sample-" + "9" * 20)
+
+    def test_jobs_reject_fields_that_are_not_odd_prime_powers(self):
+        for fields in ([(2, 3)], [(6, 1)], [(7, 1), (1, 1)]):
+            with pytest.raises(ConfigError):
+                RunConfig(fields=fields, suites=["classical"]).jobs()
+
     def test_config_file_roundtrip(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text(
