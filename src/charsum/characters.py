@@ -8,6 +8,7 @@ value is floating point.  The canonical additive character
 psi(y) = exp(2*pi*i*Tr(y)/p) is the field's psi_table, indexed by code.
 """
 
+import operator
 from math import gcd
 
 from .finite_field import FieldElement, FieldError, FieldTower, PrimePowerField
@@ -31,7 +32,7 @@ class MultChar:
                 raise FieldError("element belongs to a different field")
             code = x.code
         else:
-            code = int(x) % self.field.p  # integers are scalars, as in the formulas
+            code = operator.index(x) % self.field.p  # integers are scalars, as in the formulas
         if code == 0:
             return 0j
         n = self.field.order - 1

@@ -328,7 +328,7 @@ class PrimePowerField:
             if value.field is not self:
                 raise FieldError("element belongs to a different field")
             return value
-        code = int(value)
+        code = operator.index(value)
         if not 0 <= code < self.order:
             raise FieldError(f"code {code} out of range for field of order {self.order}")
         return FieldElement(self, code)

@@ -1,12 +1,12 @@
 """Run configuration, suite orchestration and result persistence.
 
-A run is a set of (field, suite) jobs; suites that depend on the parameter a
-fan out further over an a-sweep.  Every job produces a VerificationReport
-whose records are deterministic for a given configuration, so serial and
-parallel runs agree after sorting.  What a suite takes, which fields it
-accepts and how it fans out is its entry in the `SUITES` registry; every
-configuration setting is one row of `CONFIG_KEYS`, which the config file and
-the CLI flags share.
+A run is a set of tasks, one per (field, a, octic variant); the suites of a
+task that read M8 share one KatzContext, and the a-independent suites join
+the task at a = 1.  Every suite gives a VerificationReport whose records are
+deterministic for a given configuration, so serial and parallel runs agree
+after sorting.  The fields a suite accepts and how it fans out are its entry
+in the `SUITES` registry; every configuration setting is one row of
+`CONFIG_KEYS`, which the config file and the CLI flags share.
 """
 
 import math
@@ -489,53 +489,49 @@ def suite_remark_z(q: int, policy: TolerancePolicy) -> VerificationReport:
 # registry and orchestration
 
 
-def _q(p: int, t: int, a_code: int | None, variant: int) -> int:
-    return p**t
-
-
-def _tower(p: int, t: int, a_code: int | None, variant: int):
-    return build_tower(p, t)
-
-
-def _katz_context(p: int, t: int, a_code: int | None, variant: int) -> KatzContext:
-    return KatzContext(build_tower(p, t), a_code if a_code is not None else 1, m8_variant=variant)
-
-
 @dataclass(frozen=True)
 class Suite:
-    """A registered suite: its check function, the argument it takes, the
-    fields it accepts, and how its tasks fan out."""
+    """A registered suite: its check, fields and fan-out.  The check takes the
+    task's KatzContext if octic, else the tower if q = 3 (mod 4), else q."""
 
-    check: Callable  # check(arg, policy) -> VerificationReport
-    takes: Callable  # takes(p, t, a_code, variant) -> q, a tower or a KatzContext
+    check: Callable  # check(ctx | tower | q, policy) -> VerificationReport
     mod4: int = 3  # the q mod 4 it requires
     default_q: tuple[int, ...] = DEFAULT_Q  # its fields when none are given
     a_sweep: bool = False  # one task per a of the a-sweep
-    octic: bool = False  # one task per octic variant when octic_variants is set
+    octic: bool = False  # reads M8: one task per octic variant when octic_variants is set
 
 
 SUITES = {
-    "classical": Suite(suite_classical, _tower),
-    "eisenstein": Suite(suite_eisenstein, _tower),
-    "hypergeometric": Suite(suite_hypergeometric, _katz_context, octic=True),
-    "theorem-4.1": Suite(suite_theorem41, _katz_context, octic=True),
-    "mellin": Suite(suite_mellin, _katz_context, a_sweep=True, octic=True),
-    "theorem-5.x": Suite(suite_theorem5x, _katz_context, octic=True),
-    "remark-Z": Suite(suite_remark_z, _q, mod4=1, default_q=DEFAULT_Q_REMARK),
-    "master": Suite(verify_master_identity, _katz_context, a_sweep=True, octic=True),
+    "classical": Suite(suite_classical),
+    "eisenstein": Suite(suite_eisenstein),
+    "hypergeometric": Suite(suite_hypergeometric, octic=True),
+    "theorem-4.1": Suite(suite_theorem41, octic=True),
+    "mellin": Suite(suite_mellin, a_sweep=True, octic=True),
+    "theorem-5.x": Suite(suite_theorem5x, octic=True),
+    "remark-Z": Suite(suite_remark_z, mod4=1, default_q=DEFAULT_Q_REMARK),
+    "master": Suite(verify_master_identity, a_sweep=True, octic=True),
 }
 
 
-def _run_task(task) -> VerificationReport:
-    suite, p, t, a_code, variant, floor, scale = task
-    entry = SUITES[suite]
-    arg = entry.takes(p, t, a_code, variant)
-    t0 = time.perf_counter()
-    rep = entry.check(arg, TolerancePolicy(floor=floor, scale=scale))
-    rep.wall_time = time.perf_counter() - t0
-    if variant != 1:
-        rep.suite = f"{rep.suite}@m8={variant}"
-    return rep
+def _run_task(task) -> list[VerificationReport]:
+    """Run one (p, t, a, variant, floor, scale) task's suites in registry order,
+    those that read M8 on one KatzContext.  mellin, the first to read V and P,
+    builds P after its single-Mellin rows, so P is not held during those."""
+    (p, t, a_code, variant, floor, scale), suites = task
+    ctx, reports = None, []
+    for suite in sorted(suites, key=list(SUITES).index):
+        entry = SUITES[suite]
+        if entry.octic:
+            arg = ctx = ctx or KatzContext(build_tower(p, t), a_code, m8_variant=variant)
+        else:
+            arg = build_tower(p, t) if entry.mod4 == 3 else p**t
+        t0 = time.perf_counter()
+        rep = entry.check(arg, TolerancePolicy(floor=floor, scale=scale))
+        rep.wall_time = time.perf_counter() - t0
+        if variant != 1:
+            rep.suite = f"{rep.suite}@m8={variant}"
+        reports.append(rep)
+    return reports
 
 
 def build_tasks(config: RunConfig) -> list[tuple]:
@@ -556,13 +552,16 @@ def run(config: RunConfig) -> tuple[int, list[VerificationReport]]:
     Raises ConfigError for unusable configs, FieldError for field
     construction problems, OSError for output failures.
     """
-    tasks = build_tasks(config)
+    groups = {}
+    for suite, p, t, a_code, *rest in build_tasks(config):
+        groups.setdefault((p, t, a_code or 1, *rest), []).append(suite)
+    tasks = list(groups.items())
     workers = config.workers(len(tasks))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(_run_task, tasks))
+            reports = [rep for reps in pool.map(_run_task, tasks) for rep in reps]
     else:
-        reports = [_run_task(t) for t in tasks]
+        reports = [rep for task in tasks for rep in _run_task(task)]
     reports.sort(key=report_sort_key)  # write_json sorts each report's records
     if config.out_json:
         write_json(reports, config.out_json)

@@ -93,9 +93,11 @@ def test_characters_and_operators_read_an_integer_as_a_scalar():
 
 def test_element_takes_a_code_or_an_element_only():
     field = construct_field(3, 3)
-    for value in [(1, 2, 0), [1, 2, 0]]:
+    for value in [(1, 2, 0), [1, 2, 0], 2.9, 1.0, "3"]:
         with pytest.raises(TypeError):
             field.element(value)
+    with pytest.raises(TypeError):
+        quadratic_char(field)(2.9)
     assert field.element(field.element(7)).code == 7
 
 

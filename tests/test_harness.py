@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
@@ -355,15 +356,60 @@ class TestSuites:
         assert paths[0] == paths[1]
 
     def test_parallel_matches_serial(self, tmp_path):
-        texts = []
-        for par in (1, 2):
-            out = tmp_path / f"p{par}.json"
-            cfg = RunConfig(fields=[(3, 1), (7, 1)], suites=["master"],
-                            a_policy="sample-2", parallelism=par, out_json=str(out))
-            code, _ = run(cfg)
-            assert code == EXIT_OK
-            texts.append(out.read_text())
-        assert texts[0] == texts[1]
+        # the second input mixes tower and context suites in one task
+        for i, options in enumerate([
+            dict(suites=["master"], a_policy="sample-2"),
+            dict(suites=None, a_policy="all", octic_variants=True),
+        ]):
+            texts = []
+            for par in (1, 2):
+                out = tmp_path / f"p{i}-{par}.json"
+                cfg = RunConfig(fields=[(3, 1), (7, 1)], parallelism=par, out_json=str(out),
+                                **options)
+                code, _ = run(cfg)
+                assert code == EXIT_OK
+                texts.append(out.read_text())
+            assert texts[0] == texts[1]
+
+    def test_a_task_runs_its_suites_in_registry_order(self, monkeypatch):
+        # mellin builds P only after its single-Mellin rows, so running it
+        # before master keeps P from being held while those rows are built
+        monkeypatch.delenv("CHARSUM_PARALLELISM", raising=False)
+        order = []
+        for name, entry in SUITES.items():
+            def check(arg, policy, name=name, inner=entry.check):
+                order.append(name)
+                return inner(arg, policy)
+            monkeypatch.setitem(SUITES, name, replace(entry, check=check))
+        run(RunConfig(fields=[(7, 1)], suites=["master", "classical", "mellin"],
+                      a_policy="sample-1"))
+        assert order == ["classical", "mellin", "master"]
+
+    def test_one_context_and_one_p_per_point(self, monkeypatch):
+        # the suites of one (q, a, octic variant) share a KatzContext, so P
+        # is built once there however many suites read it
+        monkeypatch.delenv("CHARSUM_PARALLELISM", raising=False)
+        init, matrix = KatzContext.__init__, KatzContext.mixed_sum_matrix
+        counts = {}
+
+        def counting_init(self, *args, **kwargs):
+            counts["contexts"] += 1
+            init(self, *args, **kwargs)
+
+        def counting_matrix(self):
+            counts["P"] += self._pm is None
+            return matrix(self)
+
+        monkeypatch.setattr(KatzContext, "__init__", counting_init)
+        monkeypatch.setattr(KatzContext, "mixed_sum_matrix", counting_matrix)
+        for cfg, points in [
+            (RunConfig(), 84),  # q in DEFAULT_Q, every a
+            (RunConfig(fields=[(7, 1)], a_policy="all", octic_variants=True), 24),
+        ]:
+            counts.update(contexts=0, P=0)
+            _, reports = run(cfg)
+            assert counts == {"contexts": points, "P": points}
+            assert all(rep.wall_time > 0 for rep in reports)
 
     def test_master_records_independent_of_classical_first(self, tmp_path):
         # classical fills the Gauss-sum transforms of F_7 and F_49 in the
