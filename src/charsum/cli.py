@@ -105,7 +105,7 @@ def main(argv=None) -> int:
         return EXIT_IO
     for rep in reports:
         print(rep.summary_line())
-    n_checks = sum(len(r.records) for r in reports)
+    n_checks = sum(r.n_checks for r in reports)
     n_failed = sum(r.n_failed for r in reports)
     overall = nan_max(r.max_deviation for r in reports)
     status = "PASS" if code == 0 else "FAIL"

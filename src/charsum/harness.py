@@ -2,7 +2,7 @@
 
 A run is a set of tasks, one per (field, a, octic variant); the suites of a
 task that read M8 share one KatzContext, and the a-independent suites join
-the task at a = 1.  Every suite gives a VerificationReport whose records are
+the task at a = 1.  Every suite gives a VerificationReport whose checks are
 deterministic for a given configuration, so serial and parallel runs agree
 after sorting.  The fields a suite accepts and how it fans out are its entry
 in the `SUITES` registry; every configuration setting is one row of
@@ -96,8 +96,13 @@ class RunConfig:
         An explicit suite list is strict: every listed suite must accept every
         listed field.  Omitted suites, or "all" anywhere in the list, select
         the applicable ones; every other listed name must still be a suite.
-        An empty field or suite list selects nothing and is an error.
+        An empty field or suite list selects nothing and is an error, and so
+        are JSON and CSV paths that name the same file.
         """
+        if self.out_json and self.out_csv and (
+            os.path.realpath(self.out_json) == os.path.realpath(self.out_csv)
+        ):
+            raise ConfigError(f"--out and --csv name the same file {self.out_json!r}")
         if self.fields is not None and not self.fields:
             raise ConfigError("no field selected")
         if self.suites is not None and not self.suites:
@@ -267,39 +272,47 @@ def suite_classical(tower, policy: TolerancePolicy) -> VerificationReport:
     tol = policy.abs_tol(q, 4 * top.order)
     g, g2 = gauss_sums(base), gauss_sums(top)
 
+    gauss_trivial = rep.family("gauss-trivial", "order={}", tol)
     for f, gf in ((base, g), (top, g2)):
-        rep.add("gauss-trivial", f"order={f.order}", abs(gf[0] + 1), tol)
+        gauss_trivial(abs(gf[0] + 1), f.order)
+    conjugate = rep.family("gauss-conjugate", "A={}", tol)
     for a in _all_chars(base)[1:]:
-        dev = abs(g[a.index] * g[a.conj.index] - a(-1) * q)
-        rep.add("gauss-conjugate", f"A={a.index}", dev, tol)
+        conjugate(abs(g[a.index] * g[a.conj.index] - a(-1) * q), a.index)
+    conjugate_top = rep.family("gauss-conjugate-top", "beta={}", tol)
     for b in _all_chars(top)[1:]:
-        dev = abs(g2[b.index] * g2[b.conj.index] - b(-1) * top.order)
-        rep.add("gauss-conjugate-top", f"beta={b.index}", dev, tol)
+        conjugate_top(abs(g2[b.index] * g2[b.conj.index] - b(-1) * top.order), b.index)
 
     eps = trivial_char(base)
-    rep.add("jacobi-trivial", "", abs(jacobi(eps, eps) - (q - 2)), tol)
+    rep.family("jacobi-trivial", "", tol)(abs(jacobi(eps, eps) - (q - 2)))
+    inverse = rep.family("jacobi-inverse", "A={}", tol)
+    with_trivial = rep.family("jacobi-with-trivial", "A={}", tol)
     for a in _all_chars(base)[1:]:
-        rep.add("jacobi-inverse", f"A={a.index}", abs(jacobi(a, a.conj) + a(-1)), tol)
-        rep.add("jacobi-with-trivial", f"A={a.index}", abs(jacobi(eps, a) + 1), tol)
+        inverse(abs(jacobi(a, a.conj) + a(-1)), a.index)
+        with_trivial(abs(jacobi(eps, a) + 1), a.index)
 
+    bridge = rep.family("gauss-jacobi-bridge", "A={},B={}", tol)
+    reflection = rep.family("jacobi-reflection", "A={},C={}", tol)
+    hd_product = rep.family("hd-product", "A={}", tol)
     for a in _all_chars(base):
         for b in _all_chars(base):
             if (a * b).is_trivial:
                 continue
             dev = abs(jacobi(a, b) - g[a.index] * g[b.index] / g[(a * b).index])
-            rep.add("gauss-jacobi-bridge", f"A={a.index},B={b.index}", dev, tol)
+            bridge(dev, a.index, b.index)
         for c in _all_chars(base)[1:]:
             dev = abs(jacobi(a, c.conj) - a(-1) * jacobi(a, a.conj * c))
-            rep.add("jacobi-reflection", f"A={a.index},C={c.index}", dev, tol)
-        rep.add("hd-product", f"A={a.index}", hasse_davenport_product_deviation(a), tol)
+            reflection(dev, a.index, c.index)
+        hd_product(hasse_davenport_product_deviation(a), a.index)
 
+    lifted = rep.family("lifted-gauss", "C={}", tol)
+    quartic = rep.family("quartic-gauss", "C={}", tol)
     for c in _all_chars(base):
-        rep.add("lifted-gauss", f"C={c.index}", lifted_gauss_deviation(tower, c), tol)
-        rep.add("quartic-gauss", f"C={c.index}", quartic_gauss_deviation(tower, c), tol)
+        lifted(lifted_gauss_deviation(tower, c), c.index)
+        quartic(quartic_gauss_deviation(tower, c), c.index)
 
+    frobenius = rep.family("gauss-frobenius", "beta={}", tol)
     for b in _all_chars(top):
-        dev = abs(g2[b.index] - g2[(b**q).index])
-        rep.add("gauss-frobenius", f"beta={b.index}", dev, tol)
+        frobenius(abs(g2[b.index] - g2[(b**q).index]), b.index)
     return rep
 
 
@@ -311,18 +324,15 @@ def suite_eisenstein(tower, policy: TolerancePolicy) -> VerificationReport:
     tol = policy.abs_tol(q, 4 * top.order)
 
     triv = trivial_char(top)
-    rep.add("line-count", "", abs(len(tower.trace_line) - q), tol)
-    rep.add("eisenstein-trivial", "", abs(eisenstein_E2(tower, triv) - q), tol)
-    rep.add("eisenstein-line-trivial", "", abs(eisenstein_E(tower, triv) - q), tol)
+    rep.family("line-count", "", tol)(abs(len(tower.trace_line) - q))
+    rep.family("eisenstein-trivial", "", tol)(abs(eisenstein_E2(tower, triv) - q))
+    rep.family("eisenstein-line-trivial", "", tol)(abs(eisenstein_E(tower, triv) - q))
+    shift = rep.family("eisenstein-shift", "beta={}", tol)
+    gauss_ratio = rep.family("eisenstein-gauss-ratio", "beta={}", tol)
     for b in _all_chars(top):
-        rep.add("eisenstein-shift", f"beta={b.index}", eisenstein_shift_deviation(tower, b), tol)
+        shift(eisenstein_shift_deviation(tower, b), b.index)
         if not b.is_trivial:
-            rep.add(
-                "eisenstein-gauss-ratio",
-                f"beta={b.index}",
-                eisenstein_gauss_deviation(tower, b),
-                tol,
-            )
+            gauss_ratio(eisenstein_gauss_deviation(tower, b), b.index)
     return rep
 
 
@@ -340,41 +350,41 @@ def suite_hypergeometric(ctx: KatzContext, policy: TolerancePolicy) -> Verificat
     rep = VerificationReport("hypergeometric", q, None)
     tol = policy.abs_tol(q, 4 * tower.top.order)
 
+    norm_fiber_check = rep.family("norm-fiber", "c={}", tol)
     for c in range(1, q):
         fib = norm_fiber(tower, c)
         dev = abs(len(fib) - (q + 1))
         if sorted(fib) != norm_fiber(tower, c, scan=True):
             dev = max(dev, 1.0)
-        rep.add("norm-fiber", f"c={c}", dev, tol)
+        norm_fiber_check(dev, c)
 
     idx = list(range(q - 1)) if q <= 11 else spaced_sample(list(range(q - 1)), 6)
     chars = [char(base, i) for i in idx]
+    zero_arg = rep.family("hyp-zero-arg", "A={},B={}", tol)
+    bound = rep.family("hyp-bound", "A={},B={},C={},x={}", tol)
     for a in chars:
         for b in chars:
-            rep.add(
-                "hyp-zero-arg", f"A={a.index},B={b.index}", abs(hyp2f1(a, b, a, 0)), tol
-            )
+            zero_arg(abs(hyp2f1(a, b, a, 0)), a.index, b.index)
             for c in chars:
                 row = hyp2f1_row(a, b, c)
                 for x in range(1, q):
-                    dev = max(0.0, abs(row[x]) - (q - 1) / q)
-                    rep.add(
-                        "hyp-bound", f"A={a.index},B={b.index},C={c.index},x={x}", dev, tol
-                    )
+                    bound(max(0.0, abs(row[x]) - (q - 1) / q), a.index, b.index, c.index, x)
 
+    reflection = rep.family("binom-reflection", "D={},chi={}", tol)
     for d in chars:
         for c in chars:
             lhs = binom(d * c.conj, c.conj)
             rhs = d(-1) * binom(c, d.conj * c)
-            rep.add("binom-reflection", f"D={d.index},chi={c.index}", abs(lhs - rhs), tol)
+            reflection(abs(lhs - rhs), d.index, c.index)
 
+    even = rep.family("fiber-jacobi-even", "D={},j={}", tol)
     for d in chars:
         for j in range(1, q):
             je = base.element(j)
             dev = abs(
                 norm_restricted_jacobi(ctx, d, je) - norm_restricted_jacobi(ctx, d, -je)
             )
-            rep.add("fiber-jacobi-even", f"D={d.index},j={j}", dev, tol)
+            even(dev, d.index, j)
     return rep
 
 
@@ -384,11 +394,11 @@ def suite_theorem41(ctx: KatzContext, policy: TolerancePolicy) -> VerificationRe
     base = ctx.tower.base
     rep = VerificationReport("theorem-4.1", q, None)
     tol = policy.abs_tol(q, 4 * q * q)
+    fiber_hyp = rep.family("fiber-jacobi-hyp", "D={},j={}", tol)
     for d_idx in range(q - 1):
         d = char(base, d_idx)
         for j in range(1, q):
-            dev = norm_jacobi_hyp_deviation(ctx, d, base.element(j))
-            rep.add("fiber-jacobi-hyp", f"D={d_idx},j={j}", dev, tol)
+            fiber_hyp(norm_jacobi_hyp_deviation(ctx, d, base.element(j)), d_idx, j)
     return rep
 
 
@@ -402,33 +412,31 @@ def suite_mellin(ctx: KatzContext, policy: TolerancePolicy) -> VerificationRepor
     tol = policy.abs_tol(q, 4 * q * q)
     tol_pairs = policy.abs_tol(q, q**3)
 
+    single = rep.family("mellin-single", "chi={}", tol)
     for i in range(q - 1):
-        rep.add("mellin-single", f"chi={i}", mellin_single_deviation(ctx, char(base, i)), tol)
+        single(mellin_single_deviation(ctx, char(base, i)), i)
 
+    product = rep.family("double-mellin-product", "chi1={},chi2={}", tol_pairs)
+    mixed = rep.family("double-mellin-mixed", "chi1={},chi2={}", tol_pairs)
+    literal = q <= 11 and rep.family("double-mellin-literal", "chi1={},chi2={}", tol_pairs)
     for i1, i2 in select_char_pairs(base):
         chi1, chi2 = char(base, i1), char(base, i2)
-        inputs = f"chi1={i1},chi2={i2}"
-        rep.add(
-            "double-mellin-product", inputs, double_mellin_product_deviation(ctx, chi1, chi2),
-            tol_pairs,
-        )
-        rep.add(
-            "double-mellin-mixed", inputs,
-            double_mellin_mixed_deviation(ctx, chi1, chi2), tol_pairs,
-        )
-        if q <= 11:
+        product(double_mellin_product_deviation(ctx, chi1, chi2), i1, i2)
+        mixed(double_mellin_mixed_deviation(ctx, chi1, chi2), i1, i2)
+        if literal:
             dev = abs(
                 double_mellin_product(ctx, chi1, chi2, literal=True)
                 - double_mellin_product(ctx, chi1, chi2)
             )
-            rep.add("double-mellin-literal", inputs, dev, tol_pairs)
+            literal(dev, i1, i2)
 
     v = ctx.v_vector()
     s_all = [mellin_transform(ctx, char(base, i)) for i in range(q - 1)]
     tables = [char(base, i).value_table() for i in range(q - 1)]
+    inversion = rep.family("mellin-inversion", "j={}", tol_pairs)
     for j in range(1, q):
         recon = sum(s_all[i] * tables[i][j].conjugate() for i in range(q - 1)) / (q - 1)
-        rep.add("mellin-inversion", f"j={j}", abs(recon - v[j]), tol_pairs)
+        inversion(abs(recon - v[j]), j)
     return rep
 
 
@@ -442,36 +450,34 @@ def suite_theorem5x(ctx: KatzContext, policy: TolerancePolicy) -> VerificationRe
     tol = policy.abs_tol(q, 4 * q * q)
 
     all_idx = list(range(q - 1))
+    closed_form = rep.family("kernel-closed-form", "D={},j={}", tol)
     for d_idx in all_idx:
         d = char(base, d_idx)
         for j in range(1, q):
-            dev = kernel_closed_form_deviation(d, base.element(j))
-            rep.add("kernel-closed-form", f"D={d_idx},j={j}", dev, tol)
+            closed_form(kernel_closed_form_deviation(d, base.element(j)), d_idx, j)
 
     idx = all_idx if q <= 11 else spaced_sample(all_idx, 6)
+    transform = rep.family("kernel-transform", "D={},nu={}", tol)
+    fiber_transform = rep.family("fiber-transform", "D={},nu={}", tol)
+    bridge = rep.family("gauss-ratio-bridge", "D={},nu={}", tol)
     for d_idx in idx:
         d = char(base, d_idx)
         for n_idx in idx:
             nu = char(base, n_idx)
-            inputs = f"D={d_idx},nu={n_idx}"
-            rep.add("kernel-transform", inputs, kernel_transform_deviation(ctx, d, nu), tol)
-            rep.add(
-                "fiber-transform", inputs, fiber_jacobi_transform_deviation(ctx, d, nu), tol
-            )
-            rep.add("gauss-ratio-bridge", inputs, ratio_bracket_deviation(ctx, nu, d), tol)
+            transform(kernel_transform_deviation(ctx, d, nu), d_idx, n_idx)
+            fiber_transform(fiber_jacobi_transform_deviation(ctx, d, nu), d_idx, n_idx)
+            bridge(ratio_bracket_deviation(ctx, nu, d), d_idx, n_idx)
 
+    double_sum = rep.family("kernel-double-sum", "nu={}", tol)
     for n_idx in idx:
-        rep.add(
-            "kernel-double-sum", f"nu={n_idx}",
-            kernel_double_sum_deviation(q, n_idx, ctx.m8_variant), tol,
-        )
+        double_sum(kernel_double_sum_deviation(q, n_idx, ctx.m8_variant), n_idx)
     anchor = kernel_double_sum_anchor(q)
-    rep.add("kernel-double-anchor", "nu=0", abs(kernel_double_sum(q) - anchor), tol)
+    rep.family("kernel-double-anchor", "nu=0", tol)(abs(kernel_double_sum(q) - anchor))
 
+    square_fourth = rep.family("delta-square-fourth", "mu={}", tol)
     for m_idx in all_idx:
         mu = char(base, m_idx)
-        dev = abs(int((mu**4).is_trivial) - int((mu**2).is_trivial))
-        rep.add("delta-square-fourth", f"mu={m_idx}", float(dev), tol)
+        square_fourth(float(abs(int((mu**4).is_trivial) - int((mu**2).is_trivial))), m_idx)
     return rep
 
 
@@ -481,7 +487,7 @@ def suite_remark_z(q: int, policy: TolerancePolicy) -> VerificationReport:
     tol = policy.abs_tol(q, 4 * q * q)
     val = quadratic_kernel_mellin(q)
     expected = quadratic_kernel_expected(q)
-    rep.add("z-evaluation", f"expected={expected}", abs(val - expected), tol)
+    rep.family("z-evaluation", "expected={}", tol)(abs(val - expected), expected)
     return rep
 
 
@@ -547,7 +553,7 @@ def build_tasks(config: RunConfig) -> list[tuple]:
 
 def run(config: RunConfig) -> tuple[int, list[VerificationReport]]:
     """Execute the configured suites; returns (exit_code, reports sorted by
-    suite, q and a; the records of each stay in check order).
+    suite, q and a; the checks of each stay in check order).
 
     Raises ConfigError for unusable configs, FieldError for field
     construction problems, OSError for output failures.

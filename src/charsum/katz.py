@@ -615,28 +615,28 @@ def verify_master_identity(
 
     v = ctx.v_vector()
     pm = ctx.mixed_sum_matrix()
-    tol_point = policy.abs_tol(q, 4 * q)
+    point = rep.family("point-identity", "j={},k={}", policy.abs_tol(q, 4 * q))
     for j in range(q):
         row = pm[j]
         vj = v[j]
         for k in range(q):
-            rep.add("point-identity", f"j={j},k={k}", abs(row[k] - vj * v[k]), tol_point)
+            point(abs(row[k] - vj * v[k]), j, k)
 
     if include_mellin:
-        tol_pair = policy.abs_tol(q, q**3)
+        match = rep.family("mellin-match", "chi1={},chi2={}", policy.abs_tol(q, q**3))
         bridge_args = set()
         for i1, i2 in select_char_pairs(base):
             chi1, chi2 = char(base, i1), char(base, i2)
             s_val = double_mellin_product(ctx, chi1, chi2)
             t_val = double_mellin_mixed(ctx, chi1, chi2)
-            rep.add("mellin-match", f"chi1={i1},chi2={i2}", abs(s_val - t_val), tol_pair)
+            match(abs(s_val - t_val), i1, i2)
             if chi1.is_odd() and chi2.is_odd():
                 nu1 = decompose_odd(chi1)
                 mu = nu1 * decompose_odd(chi2)
                 for i in (0, 1):
                     bridge_args.add((nu1.index, (mu * ctx.phi**i).index))
-        tol_bridge = policy.abs_tol(q, 4 * q * q)
+        bridge = rep.family("gauss-ratio-bridge", "nu1={},D={}", policy.abs_tol(q, 4 * q * q))
         for nu1_idx, d_idx in sorted(bridge_args):
             dev = ratio_bracket_deviation(ctx, char(base, nu1_idx), char(base, d_idx))
-            rep.add("gauss-ratio-bridge", f"nu1={nu1_idx},D={d_idx}", dev, tol_bridge)
+            bridge(dev, nu1_idx, d_idx)
     return rep

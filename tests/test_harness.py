@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import pytest
 
-from charsum import cli
+from charsum import cli, harness
 from charsum.finite_field import build_tower
 from charsum.harness import (
     EXIT_CHECK_FAILED,
@@ -478,6 +478,19 @@ class TestCli:
         res = run_cli("run", "--q", "1048583", "--suite", "classical", "--out", str(out))
         assert res.returncode == 3
         assert not out.exists()
+
+    def test_same_json_and_csv_path_is_config_error(self, tmp_path, monkeypatch, capsys):
+        def no_build(*args):
+            raise AssertionError("a field was built before the outputs were checked")
+
+        monkeypatch.setattr(harness, "build_tower", no_build)
+        monkeypatch.chdir(tmp_path)
+        for out, csv_path in [("f", "f"), ("f", "./f"), ("f", str(tmp_path / "f"))]:
+            code = cli.main(["run", "--q", "7", "--suite", "classical",
+                             "--out", out, "--csv", csv_path])
+            assert code == 2
+            assert "--out and --csv name the same file" in capsys.readouterr().err
+            assert not (tmp_path / "f").exists()
 
     def test_parallelism_env_not_integer_exit_code(self):
         res = run_cli("run", "--q", "3", "--suite", "classical",

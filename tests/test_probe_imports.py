@@ -53,8 +53,8 @@ def test_report_sorted_gives_records_in_key_order():
     # cannot see
     assert callable(getattr(VerificationReport, "sorted", None))
     rep = VerificationReport("master", 7, 1, wall_time=0.5)
-    for check_id, inputs, deviation in [("b", "j=2", 1e-9), ("a", "j=9", 2e-9), ("b", "j=10", 3e-9)]:
-        rep.add(check_id, inputs, deviation, 1e-6)
+    for check_id, j, deviation in [("b", 2, 1e-9), ("a", 9, 2e-9), ("b", 10, 3e-9)]:
+        rep.family(check_id, "j={}", 1e-6)(deviation, j)
     got = rep.sorted()
     assert (got.suite, got.q, got.a_index, got.wall_time) == ("master", 7, 1, 0.5)
     assert sorted(got.records) == sorted(rep.records)
