@@ -7,6 +7,7 @@ import sys
 from .finite_field import FieldError
 from .harness import (
     CONFIG_KEYS,
+    ENV_PARALLELISM,
     EXIT_CONFIG,
     EXIT_FIELD,
     EXIT_IO,
@@ -35,10 +36,23 @@ _FLAG_OPTIONS = {
     ),
     "out_json": dict(metavar="PATH", help="JSON report path"),
     "out_csv": dict(metavar="PATH", help="CSV summary path"),
-    "parallelism": dict(metavar="N"),
+    "parallelism": dict(
+        metavar="N",
+        help=f"worker processes (default 1); {ENV_PARALLELISM} overrides it, and it is "
+        "capped at the CPU count and the number of tasks",
+    ),
     "octic_variants": dict(
         action="store_const", const="true",
         help="re-run octic-dependent suites with all four choices of M8",
+    ),
+    "tol_floor": dict(
+        metavar="TOL",
+        help="tolerance floor (default 1e-6): a check passes when its deviation is at "
+        "most max(floor, scale * n_terms * sqrt(q))",
+    ),
+    "tol_scale": dict(
+        metavar="SCALE",
+        help="tolerance scale in max(floor, scale * n_terms * sqrt(q)) (default 1e-12)",
     ),
 }
 

@@ -3,13 +3,13 @@
 A run is a set of tasks, one per (field, a, octic variant); the suites of a
 task that read M8 share one KatzContext, and the a-independent suites join
 the task at a = 1.  Every suite gives a VerificationReport whose checks are
-deterministic for a given configuration, so serial and parallel runs agree
-after sorting.  The fields a suite accepts and how it fans out are its entry
-in the `SUITES` registry; every configuration setting is one row of
-`CONFIG_KEYS`, which the config file and the CLI flags share.
+deterministic for a given configuration and kept in check order, so serial
+and parallel runs write the same records in the same order.  The fields a
+suite accepts and how it fans out are its entry in the `SUITES` registry;
+every configuration setting is one row of `CONFIG_KEYS`, which the config
+file and the CLI flags share.
 """
 
-import math
 import os
 import time
 from collections.abc import Callable
@@ -115,10 +115,6 @@ class RunConfig:
         if not _valid_a_policy(self.a_policy):
             raise ConfigError(f"bad a-policy {self.a_policy!r}; use all, sample-N or auto")
         self.workers(1)  # validates parallelism and its environment override
-        for name in ("floor", "scale"):
-            value = getattr(self.tolerance, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise ConfigError(f"tolerance {name} must be finite and >= 0, got {value}")
 
         if self.fields is None:
             out = [(s, *factor_prime_power(q)) for s in suites for q in SUITES[s].default_q]
@@ -227,15 +223,18 @@ def set_option(cfg: RunConfig, key: str, text: str, where: str) -> None:
     except ValueError:
         raise ConfigError(f"{where}: bad value {text!r}") from None
     if name in ("floor", "scale"):
-        cfg.tolerance = replace(cfg.tolerance, **{name: value})
+        try:
+            cfg.tolerance = replace(cfg.tolerance, **{name: value})
+        except ValueError as e:  # TolerancePolicy's rule for its values
+            raise ConfigError(f"{where}: {e}") from None
     else:
         setattr(cfg, name, value)
 
 
 def load_config(path: str) -> RunConfig:
     """Flat key = value format; '#' starts a comment.  The keys are those of
-    CONFIG_KEYS."""
-    cfg = RunConfig()
+    CONFIG_KEYS, each at most once."""
+    cfg, seen = RunConfig(), {}
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
@@ -251,6 +250,9 @@ def load_config(path: str) -> RunConfig:
         key = key.strip()
         if key not in CONFIG_KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in seen:
+            raise ConfigError(f"{path}:{lineno}: key {key!r} repeats line {seen[key]}")
+        seen[key] = lineno
         set_option(cfg, key, value.strip(), f"{path}:{lineno}: {key}")
     return cfg
 
@@ -568,7 +570,7 @@ def run(config: RunConfig) -> tuple[int, list[VerificationReport]]:
             reports = [rep for reps in pool.map(_run_task, tasks) for rep in reps]
     else:
         reports = [rep for task in tasks for rep in _run_task(task)]
-    reports.sort(key=report_sort_key)  # write_json sorts each report's records
+    reports.sort(key=report_sort_key)
     if config.out_json:
         write_json(reports, config.out_json)
     if config.out_csv:

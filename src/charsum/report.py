@@ -2,30 +2,24 @@
 
 A VerificationReport maps each check id, in first-use order, to one
 CheckFamily: the inputs template (e.g. "j={},k={}"), the family's one
-tolerance, an array('d') of deviations and one argument column per
-placeholder, an array('q') while every value is an int and a plain list
-otherwise.  A check passes when deviation <= tol, evaluated when read, so a
+tolerance, an array('d') of deviations and an array('q') column per
+placeholder.  A check passes when deviation <= tol, evaluated when read, so a
 NaN deviation fails.  No record tuple and no inputs string exist between a
 check and the writer: write_json formats each inputs string as it writes
 that record.
 
-The JSON orders records by the string order of (check_id, inputs), in which
-"j=10" sorts before "j=2".  For int columns the writer takes that order from
-per-column ranks, each int ranked by the string order of its decimal form,
-and puts each row in the slot of its tuple of ranks.  That equals the order
-of the formatted inputs because family() accepts only templates whose
-placeholders are each followed by the end of the template or by a character
-that sorts below '0'.  A family with other values, repeated inputs or few
-rows per slot sorts its formatted inputs instead.
+Records come out in check order everywhere: a report's families in
+first-use order, the checks of each in the order they were added.  One task
+builds each report in a fixed loop order, so the same configuration writes
+the same bytes, in serial and parallel runs alike.
 """
 
 import csv
 import json
 import math
-import operator
 import string
 from array import array
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import repeat
 from json.encoder import encode_basestring_ascii as _json_str
 
@@ -38,21 +32,10 @@ def nan_max(values) -> float:
 
 def _placeholders(template: str) -> int:
     """The number of placeholders of an inputs template; ValueError unless
-    each is a bare {} followed by the end of the template or by a character
-    below '0', so that the string order of the filled template is the order
-    of its int arguments' decimal strings, column by column."""
+    each is a bare {}, which str.format fills with the positional ints."""
     parts = list(string.Formatter().parse(template))
-    for i, (_, name, spec, conversion) in enumerate(parts):
-        if name is None:
-            continue
-        if name or spec or conversion:
-            raise ValueError(f"inputs template {template!r}: placeholders must be bare {{}}")
-        after = parts[i + 1][0] if i + 1 < len(parts) else None
-        if after is not None and not (after and after[0] < "0"):
-            raise ValueError(
-                f"inputs template {template!r}: a placeholder must end the template "
-                "or be followed by a character below '0'"
-            )
+    if any(name or spec or conversion for _, name, spec, conversion in parts):
+        raise ValueError(f"inputs template {template!r}: placeholders must be bare {{}}")
     return sum(name is not None for _, name, _, _ in parts)
 
 
@@ -71,22 +54,10 @@ class CheckFamily:
 
     def adder(self):
         """add(deviation, *args): one check whose inputs are the template
-        filled with args.  A column moves from array('q') to a list at its
-        first value that is not an int; a bool while it is an array('q') is
-        stored as 0 or 1."""
-        cols, dev, k = self.columns, self.deviations.append, len(self.columns)
-
-        def slow(deviation, args):
-            n = len(self.deviations)
-            for col in cols:
-                del col[n:]  # the appends of the fast path before it failed
-            dev(deviation)  # a bad deviation raises here, with the family unchanged
-            for i, value in enumerate(args):
-                if type(cols[i]) is array and not (
-                    isinstance(value, int) and -(2**63) <= value < 2**63
-                ):
-                    cols[i] = list(cols[i])
-                cols[i].append(value)
+        filled with args, each an int of 64 bits.  A wrong argument count, a
+        non-int or out-of-range argument or a deviation that is not a number
+        raises TypeError or OverflowError and leaves the family unchanged."""
+        cols, devs, k = self.columns, self.deviations, len(self.columns)
 
         def add(deviation, *args):
             if len(args) != k:
@@ -94,14 +65,21 @@ class CheckFamily:
             try:
                 for col, value in zip(cols, args):
                     col.append(value)
-                dev(deviation)
+                devs.append(deviation)
             except (TypeError, OverflowError):
-                slow(deviation, args)
+                n = len(devs)
+                for col in cols:
+                    del col[n:]  # the appends before the one that failed
+                raise
 
         return add
 
-    def inputs(self, i: int) -> str:
-        return self.template.format(*[col[i] for col in self.columns])
+    def formatted(self):
+        """The inputs string of each check in check order, each formatted
+        when it is read."""
+        if not self.columns:
+            return repeat(self.template.format(), len(self.deviations))
+        return map(self.template.format, *self.columns)
 
     @property
     def n_failed(self) -> int:
@@ -122,49 +100,6 @@ class CheckFamily:
         """tol / max deviation: inf when every deviation is 0, nan for a NaN."""
         worst = self.max_deviation
         return self.tol / worst if worst else math.inf
-
-    def order(self):
-        """Row indices in the string order of their inputs; rows with equal
-        inputs keep check order."""
-        n, cols = len(self.deviations), self.columns
-        if not cols or not n:
-            return range(n)
-        if all(type(col) is array for col in cols):
-            ranks = [sorted(set(col), key=str) for col in cols]
-            size = math.prod(map(len, ranks))
-            if size <= 2 * n + 64:
-                # each row's slot is the rank of its argument tuple, with the
-                # first column most significant; rows share a slot only if
-                # they share their inputs
-                stride, row_slots = size, None
-                for values, col in zip(ranks, cols):
-                    stride //= len(values)
-                    part = map({v: r * stride for r, v in enumerate(values)}.__getitem__, col)
-                    row_slots = part if row_slots is None else map(operator.add, row_slots, part)
-                slots = array("q", [-1]) * size
-                for i, slot in enumerate(row_slots):
-                    slots[slot] = i
-                if slots.count(-1) == size - n:
-                    return slots if size == n else array("q", filter((-1).__ne__, slots))
-        return sorted(range(n), key=self.inputs)
-
-    def json_inputs(self, order):
-        """The JSON-encoded inputs of the rows in order, each formatted only
-        when it is read."""
-        cols = [map(col.__getitem__, order) for col in self.columns]
-        if not cols:
-            return repeat(_json_str(self.template.format()), len(order))
-        return map(_json_str, map(self.template.format, *cols))
-
-    def permuted(self) -> "CheckFamily":
-        """A copy with the rows in order()."""
-        order = self.order()
-        fam = CheckFamily(self.template, self.tol)
-        fam.deviations = array("d", map(self.deviations.__getitem__, order))
-        for i, col in enumerate(self.columns):
-            rows = map(col.__getitem__, order)
-            fam.columns[i] = array("q", rows) if type(col) is array else list(rows)
-        return fam
 
 
 @dataclass
@@ -195,9 +130,9 @@ class VerificationReport:
         """(check_id, inputs, deviation, passed) of every check, family by
         family in first-use order and each in check order, built when read."""
         return [
-            (check_id, fam.inputs(i), dev, dev <= fam.tol)
+            (check_id, inputs, dev, dev <= fam.tol)
             for check_id, fam in self.families.items()
-            for i, dev in enumerate(fam.deviations)
+            for inputs, dev in zip(fam.formatted(), fam.deviations)
         ]
 
     @property
@@ -224,10 +159,9 @@ class VerificationReport:
         return self.n_failed == 0
 
     def sorted(self) -> "VerificationReport":
-        """A copy with the families in check_id order and the rows of each in
-        inputs order, the order write_json writes."""
-        fams = self.families
-        return replace(self, families={cid: fams[cid].permuted() for cid in sorted(fams)})
+        """The report itself, already in the order write_json writes; kept
+        for the benchmark's probe (perfbench/probe.py)."""
+        return self
 
     def summary_line(self) -> str:
         a_part = "" if self.a_index is None else f" a_index={self.a_index}"
@@ -255,9 +189,9 @@ def _deviation_text(deviation: float) -> str:
 def write_json(reports: list[VerificationReport], path: str):
     """One object per check, byte for byte what json.dump(..., indent=1)
     writes for the list of {"suite", "q", "a_index", "check_id", "inputs",
-    "deviation", "pass"} records sorted by (check_id, inputs) within each
-    report, followed by a newline.  Each record fills a fixed template and is
-    written as it is formatted."""
+    "deviation", "pass"} records of each report in check order, followed by
+    a newline.  Each record fills a fixed template and is written as it is
+    formatted."""
     with open(path, "w", encoding="utf-8") as fh:
         sep = "[\n"
         for rep in reports:
@@ -265,11 +199,9 @@ def write_json(reports: list[VerificationReport], path: str):
                 f' {{\n  "suite": {json.dumps(rep.suite)},\n  "q": {json.dumps(rep.q)},\n'
                 f'  "a_index": {json.dumps(rep.a_index)},\n  "check_id": '
             )
-            for check_id in sorted(rep.families):
-                fam = rep.families[check_id]
-                order, devs, tol = fam.order(), fam.deviations, fam.tol
-                lead = f'{head}{_json_str(check_id)},\n  "inputs": '
-                for inputs, deviation in zip(fam.json_inputs(order), map(devs.__getitem__, order)):
+            for check_id, fam in rep.families.items():
+                lead, tol = f'{head}{_json_str(check_id)},\n  "inputs": ', fam.tol
+                for inputs, deviation in zip(map(_json_str, fam.formatted()), fam.deviations):
                     fh.write(
                         f'{sep}{lead}{inputs},\n'
                         f'  "deviation": {_deviation_text(deviation)},\n'

@@ -12,10 +12,17 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class TolerancePolicy:
-    """abs_tol(q, n_terms) = max(floor, scale * n_terms * sqrt(q))."""
+    """abs_tol(q, n_terms) = max(floor, scale * n_terms * sqrt(q)); floor and
+    scale must be finite and >= 0, or ValueError."""
 
     floor: float = 1e-6
     scale: float = 1e-12
+
+    def __post_init__(self):
+        for name in ("floor", "scale"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"tolerance {name} must be finite and >= 0, got {value}")
 
     def abs_tol(self, q: int, n_terms: int) -> float:
         return max(self.floor, self.scale * n_terms * math.sqrt(q))

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -45,6 +46,13 @@ def run_cli(*args, env=None, timeout=None):
 class TestTolerancePolicy:
     def test_floor_dominates_small_sums(self):
         assert DEFAULT_POLICY.abs_tol(7, 28) == 1e-6
+
+    @pytest.mark.parametrize("name", ["floor", "scale"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, -1.0, -1e-300])
+    def test_bad_floor_or_scale_rejected_when_built(self, name, value):
+        with pytest.raises(ValueError, match=f"tolerance {name}"):
+            TolerancePolicy(**{name: value})
+        assert TolerancePolicy(**{name: 0.0}).abs_tol(7, 28) >= 0.0
 
     def test_monotone_in_terms(self):
         pol = TolerancePolicy()
@@ -149,9 +157,16 @@ class TestConfig:
     def test_tolerance_keys_validated(self, tmp_path, key, value):
         path = tmp_path / "run.cfg"
         path.write_text(f"q = 7\n{key} = {value}\n")
-        cfg = load_config(str(path))
         with pytest.raises(ConfigError, match="tolerance"):
-            cfg.jobs()
+            load_config(str(path))
+
+    def test_repeated_config_key_names_both_lines(self, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_text("q = 7\nsuites = classical\n# q = 3\n\nq = 11\n")
+        with pytest.raises(ConfigError, match=r"run\.cfg:5: key 'q' repeats line 1"):
+            load_config(str(path))
+        assert cli.main(["run", "--config", str(path)]) == 2
+        assert "repeats line 1" in capsys.readouterr().err
 
     def test_workers_capped_by_tasks_and_cpus(self, monkeypatch):
         monkeypatch.delenv("CHARSUM_PARALLELISM", raising=False)
@@ -174,7 +189,8 @@ class TestConfig:
     @pytest.mark.parametrize("key", ["q", "suites"])
     def test_empty_selection_rejected(self, tmp_path, capsys, key):
         path = tmp_path / "run.cfg"
-        path.write_text(f"q = 7\nsuites = classical\n{key} =\n")
+        values = {"q": "7", "suites": "classical", key: ""}
+        path.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
         with pytest.raises(ConfigError, match="no (field|suite) selected"):
             load_config(str(path)).jobs()
         assert cli.main(["run", "--config", str(path)]) == 2
@@ -204,8 +220,8 @@ class TestConfig:
         assert len(keys) == len(set(keys)) == 191
 
     def test_record_keys_are_unique(self, tmp_path):
-        # write_json orders records by tuple order, which is key order only
-        # while no (suite, q, a_index, check_id, inputs) repeats
+        # a record is known by (suite, q, a_index, check_id, inputs), which
+        # the benchmark's gate compares runs by, so no key may repeat
         out = tmp_path / "r.json"
         run(RunConfig(fields=[(3, 1), (7, 1)], suites=None, a_policy="all",
                       octic_variants=True, out_json=str(out)))
@@ -270,6 +286,17 @@ class TestRegistry:
         assert res.returncode == 0
         for name in SUITE_NAMES:
             assert name in res.stdout, name
+
+    def test_help_explains_parallelism_and_tolerance(self):
+        res = run_cli("run", "--help", env={"COLUMNS": "80"})
+        assert res.returncode == 0
+        text = " ".join(res.stdout.split())
+        assert "CHARSUM_PARALLELISM overrides it" in text
+        assert "capped at the CPU count and the number of tasks" in text
+        assert text.count("max(floor, scale * n_terms * sqrt(q))") == 2
+        assert "--tol-floor TOL tolerance floor (default 1e-6)" in text
+        assert "sqrt(q)) (default 1e-12)" in text
+        assert (DEFAULT_POLICY.floor, DEFAULT_POLICY.scale) == (1e-6, 1e-12)
 
     @pytest.mark.parametrize("flag,value", [
         ("--q", "seven"), ("--parallelism", "abc"), ("--tol-floor", "x"),

@@ -4,10 +4,11 @@ benchmark, so a rename or deletion in charsum has to fail here first."""
 
 import ast
 import importlib
+import json
 import types
 from pathlib import Path
 
-from charsum.report import VerificationReport
+from charsum.report import VerificationReport, write_json
 
 PROBE = Path(__file__).resolve().parents[1] / "perfbench" / "probe.py"
 
@@ -48,7 +49,7 @@ def test_every_name_the_probe_takes_from_charsum_exists():
     assert missing == []
 
 
-def test_report_sorted_gives_records_in_key_order():
+def test_report_sorted_gives_records_in_write_order(tmp_path):
     # the probe calls rep.sorted() on an instance, which the name check above
     # cannot see
     assert callable(getattr(VerificationReport, "sorted", None))
@@ -57,6 +58,8 @@ def test_report_sorted_gives_records_in_key_order():
         rep.family(check_id, "j={}", 1e-6)(deviation, j)
     got = rep.sorted()
     assert (got.suite, got.q, got.a_index, got.wall_time) == ("master", 7, 1, 0.5)
-    assert sorted(got.records) == sorted(rep.records)
     keys = [(check_id, inputs) for check_id, inputs, *_ in got.records]
-    assert keys == [("a", "j=9"), ("b", "j=10"), ("b", "j=2")]
+    assert keys == [("b", "j=2"), ("b", "j=10"), ("a", "j=9")]
+    path = tmp_path / "report.json"
+    write_json([got], str(path))
+    assert [(o["check_id"], o["inputs"]) for o in json.loads(path.read_text())] == keys
