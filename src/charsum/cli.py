@@ -20,16 +20,16 @@ from .harness import (
 )
 from .report import nan_max
 
-# argparse settings of a config key's flag beyond the defaults; every flag
+# every flag appends to a list, so config_from_args can refuse a repeat; only
+# these keys repeat, their values joined as in one config-file line
+_REPEATABLE = ("q", "suites")
+
+# argparse settings of a config key's flag beyond action="append"; every flag
 # value stays text for the key's parser, as in the config file
 _FLAG_OPTIONS = {
-    "q": dict(
-        action="append",
-        help="odd prime power to test (repeatable); defaults to the built-in CI set",
-    ),
+    "q": dict(help="odd prime power to test (repeatable); defaults to the built-in CI set"),
     "suites": dict(
-        action="append", metavar="NAME",
-        help=f"suite to run (repeatable): {', '.join(SUITES)}, or 'all'",
+        metavar="NAME", help=f"suite to run (repeatable): {', '.join(SUITES)}, or 'all'"
     ),
     "a_policy": dict(
         metavar="POLICY", help="a-sweep policy: all, sample-N, or auto (default: all up to q=50)"
@@ -42,7 +42,7 @@ _FLAG_OPTIONS = {
         "capped at the CPU count and the number of tasks",
     ),
     "octic_variants": dict(
-        action="store_const", const="true",
+        action="append_const", const="true",
         help="re-run octic-dependent suites with all four choices of M8",
     ),
     "tol_floor": dict(
@@ -64,20 +64,28 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     p_run = sub.add_parser("run", help="run verification suites")
-    p_run.add_argument("--config", help="flat key = value config file")
+    p_run.add_argument("--config", action="append", help="flat key = value config file")
     for key, (flag, _, _) in CONFIG_KEYS.items():
-        p_run.add_argument(flag, dest=key, **_FLAG_OPTIONS.get(key, {}))
+        p_run.add_argument(flag, dest=key, **{"action": "append", **_FLAG_OPTIONS.get(key, {})})
     return parser
 
 
 def config_from_args(args) -> RunConfig:
-    """The config file, if any, with each given flag set over it; a repeated
-    flag's values are joined, so flags read like config-file values."""
-    cfg = load_config(args.config) if args.config else RunConfig()
-    for key, (flag, _, _) in CONFIG_KEYS.items():
-        text = getattr(args, key)
-        if text is not None:
-            set_option(cfg, key, " ".join(text) if isinstance(text, list) else text, flag)
+    """The config file, if any, with each given flag set over it.  --q and
+    --suite may repeat and their values are joined, so flags read like
+    config-file values; any other flag given twice is a ConfigError, as a
+    repeated config-file key is."""
+    flags = {"config": "--config", **{key: flag for key, (flag, _, _) in CONFIG_KEYS.items()}}
+    given = {key: getattr(args, key) for key in flags}
+    for key, values in given.items():
+        if values is not None and len(values) > 1 and key not in _REPEATABLE:
+            raise ConfigError(
+                f"{flags[key]} is given {len(values)} times; only --q and --suite repeat"
+            )
+    cfg = load_config(given["config"][0]) if given["config"] else RunConfig()
+    for key in CONFIG_KEYS:
+        if given[key] is not None:
+            set_option(cfg, key, " ".join(given[key]), flags[key])
     return cfg
 
 

@@ -8,6 +8,14 @@ is the one with the smallest code, so two builds of the same field agree
 table for table.  Every field carries an eagerly built discrete-log table,
 which makes multiplication and character evaluation O(1).
 
+Every integer table (exp, dlog, the Zech logs, neg, one_minus, trace_table,
+and the tower's embed_table, trace_line and i_line) is an array('i'): 4 bytes
+an entry instead of a list's 8-byte pointer plus a 28-byte int object for
+each entry above 256.  Each table is built in that form, from slices of
+another table or a coset or a digit position at a time, so no list of the
+field's size is made and converted.  SIZE_GUARD keeps every code and every
+log inside 32 bits.  The complex tables (unity_roots, psi_table) stay lists.
+
 Only `exp` is computed from the modulus; every other table is index
 arithmetic on exp/dlog or is built digit by digit.  Addition goes through
 the Zech logarithm 1 + g^k = g^Z(k) (K. Huber, IEEE Trans. Inf. Theory 36(4),
@@ -21,6 +29,7 @@ import cmath
 import itertools
 import math
 import operator
+from array import array
 from functools import lru_cache
 
 SIZE_GUARD = 1 << 20  # dlog tables are built eagerly; refuse fields beyond this
@@ -159,13 +168,18 @@ class PrimePowerField:
         self._build_log_tables()
 
         n = order - 1
-        one_plus, dlog = self._one_plus(), self.dlog
-        self._zech = [dlog[one_plus[c]] for c in self.exp]  # 1 + g^k = g^zech[k]; -1 if 0
-        del one_plus  # freed before the root tables are built
+        # 1 + c bumps the constant digit of c mod p, so the log of 1 + c is
+        # dlog[c + 1], or dlog[c + 1 - p] where that digit is p - 1
+        log_one_plus = self.dlog[1:]
+        log_one_plus.append(0)
+        log_one_plus[p - 1 :: p] = self.dlog[::p]
+        # 1 + g^k = g^zech[k]; -1 if 0
+        self._zech = array("i", map(log_one_plus.__getitem__, self.exp))
+        del log_one_plus  # freed before the root tables are built
 
         self.unity_roots = [cmath.exp(2j * math.pi * k / n) for k in range(n)]
         self.p_roots = [cmath.exp(2j * math.pi * t / p) for t in range(p)]
-        self.psi_table = [self.p_roots[t] for t in self._build_trace_table()]
+        self.psi_table = list(map(self.p_roots.__getitem__, self._build_trace_table()))
 
         self._neg = self._one_minus = self._trace_table = None  # see neg
         self._gauss_sums: list[complex] | None = None
@@ -207,28 +221,20 @@ class PrimePowerField:
             v = [sum(map(operator.mul, row, v)) % p for row in rows]
         h = v[0]  # g^N is a scalar, since (g^N)^(p-1) = 1
         digits = list(zip(*powers))  # digits[i][k]: digit i of g^k
-        exp, s = [], 1
+        exp, s = array("i"), 1
         for _ in range(p - 1):
             codes = [0] * len(powers)
             for w, col in zip((p**i for i in range(m)), digits):
                 codes = [c + s * d % p * w for c, d in zip(codes, col)]
-            exp += codes
+            exp.extend(codes)
             s = s * h % p
-        dlog = [-1] * self.order
+        dlog = array("i", [-1]) * self.order
         for k, c in enumerate(exp):
             dlog[c] = k
         if dlog.count(-1) != 1:  # exp repeats a code exactly when ord(g) < n
             raise FieldError(f"generator {g} is not primitive: its order is below {n}")
         self.exp = exp
         self.dlog = dlog
-
-    def _one_plus(self) -> list[int]:
-        """one_plus[c] = 1 + c: the constant digit of c bumped mod p."""
-        p, one_plus = self.p, []
-        for c in range(0, self.order, p):
-            one_plus += range(c + 1, c + p)
-            one_plus.append(c)
-        return one_plus
 
     # neg, one_minus and trace_table are built on first read: the top field
     # of a tower needs none of them after construction, and each holds q^2
@@ -238,25 +244,32 @@ class PrimePowerField:
     # as slow on CPython 3.11.
 
     @property
-    def neg(self) -> list[int]:
+    def neg(self) -> array:
         """neg[c] = -c, negated digitwise, one digit position at a time."""
         if self._neg is None:
-            p, neg = self.p, [0]
+            p, neg = self.p, array("i", [0])
             for w in (p**i for i in range(self.m)):
-                neg = [(-d % p) * w + c for d in range(p) for c in neg]
+                low, neg = neg, array("i")
+                for d in range(p):
+                    s = -d % p * w
+                    neg.extend([s + c for c in low])
             self._neg = neg
         return self._neg
 
     @property
-    def one_minus(self) -> list[int]:
-        """one_minus[c] = 1 - c."""
+    def one_minus(self) -> array:
+        """one_minus[c] = 1 - c = -(c - 1): neg[c - 1], or neg[c + p - 1]
+        where the constant digit of c is 0."""
         if self._one_minus is None:
-            one_plus = self._one_plus()
-            self._one_minus = [one_plus[c] for c in self.neg]
+            neg, p = self.neg, self.p
+            one_minus = neg[:-1]
+            one_minus.insert(0, 0)
+            one_minus[::p] = neg[p - 1 :: p]
+            self._one_minus = one_minus
         return self._one_minus
 
     @property
-    def trace_table(self) -> list[int]:
+    def trace_table(self) -> array:
         """trace_table[c] = Tr(c), in [0, p)."""
         if self._trace_table is None:
             self._trace_table = self._build_trace_table()
@@ -266,7 +279,7 @@ class PrimePowerField:
         """Tr(y) = y + y^p + ... + y^(p^(m-1)) lands in F_p and is F_p-linear:
         Tr(sum c_i x^i) = sum c_i Tr(x^i).  Built one digit position at a time."""
         p = self.p
-        table = [0]
+        table, residues = array("i", [0]), list(range(p)) * 2
         for i in range(self.m):
             y, tr = p**i, 0
             for _ in range(self.m):
@@ -274,7 +287,10 @@ class PrimePowerField:
                 y = self.pow_code(y, p)
             if tr >= p:
                 raise FieldError("trace left the prime subfield")  # sanity
-            table = [(d * tr + t) % p for d in range(p) for t in table]
+            low, table = table, array("i")
+            for d in range(p):
+                s = d * tr % p  # t -> (s + t) mod p, as a lookup
+                table.extend(map(residues[s : s + p].__getitem__, low))
         return table
 
     # -- code-level arithmetic -------------------------------------------------
@@ -473,7 +489,7 @@ class FieldTower:
     def _smallest_modulus_root(self, base_modulus) -> int:
         """The roots lie in the subfield, so only its q elements are tried."""
         top = self.top
-        for z in sorted([0] + top.exp[:: self.q + 1]):
+        for z in sorted([0, *top.exp[:: self.q + 1]]):
             acc = 0
             for c in reversed(base_modulus):
                 acc = top.add_codes(top.mul_codes(acc, z), c)  # Horner; c < p is a constant code
@@ -484,10 +500,10 @@ class FieldTower:
     def _build_embed_table(self, theta):
         """x = sum c_i X^i maps to sum c_i theta^i, built one digit at a time."""
         top = self.top
-        table, power = [0], 1
+        table, power = array("i", [0]), 1
         for _ in range(self.t):
             multiples = [top.mul_codes(c, power) for c in range(self.p)]
-            table = [top.add_codes(s, e) for s in multiples for e in table]
+            table = array("i", (top.add_codes(s, e) for s in multiples for e in table))
             power = top.mul_codes(power, theta)
         return table
 
@@ -502,25 +518,25 @@ class FieldTower:
         return FieldElement(self.base, self.base.exp[self.top.dlog[code] % (self.q - 1)])
 
     @property
-    def trace_line(self) -> list[int]:
+    def trace_line(self) -> array:
         """Codes of {z in F_{q^2} : z + z^q = 1}; exactly q points."""
         if self._trace_line is None:
             top = self.top
             n2, exp2, dlog2, q = top.order - 1, top.exp, top.dlog, self.q
-            self._trace_line = [
+            self._trace_line = array("i", (
                 z for z in range(1, top.order)
                 if top.add_codes(z, exp2[q * dlog2[z] % n2]) == 1
-            ]
+            ))
         return self._trace_line
 
     @property
-    def i_line(self) -> list[int]:
+    def i_line(self) -> array:
         """Codes of 1 + i*y for the codes y of F_q in order; exactly q points."""
         if self._i_line is None:
             top = self.top
-            self._i_line = [
+            self._i_line = array("i", (
                 top.add_codes(1, top.mul_codes(self.i_code, e)) for e in self.embed_table
-            ]
+            ))
         return self._i_line
 
     def __repr__(self):

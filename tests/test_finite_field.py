@@ -1,3 +1,7 @@
+import subprocess
+import sys
+from array import array
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -317,6 +321,41 @@ ORACLE_TOWERS = {
     "q49": lambda: build_tower(7, 2),
     "q59": lambda: build_tower(59),
 }
+
+
+class TestTableLayout:
+    def test_every_integer_table_is_an_int_array(self, monkeypatch):
+        tower = build_tower(263)
+        for field in (tower.base, tower.top):
+            for name in ("_neg", "_one_minus", "_trace_table"):  # unbuilt again afterwards
+                monkeypatch.setattr(field, name, None)
+            for name in ("exp", "dlog", "_zech", "neg", "one_minus", "trace_table"):
+                table = getattr(field, name)
+                assert isinstance(table, array) and table.typecode == "i", (field, name)
+        monkeypatch.setattr(tower, "_trace_line", None)
+        monkeypatch.setattr(tower, "_i_line", None)
+        for name in ("embed_table", "trace_line", "i_line"):
+            table = getattr(tower, name)
+            assert isinstance(table, array) and table.typecode == "i", name
+
+    def test_size_guard_keeps_codes_and_logs_in_32_bits(self):
+        assert finite_field.SIZE_GUARD < 2**31
+        array("i", [finite_field.SIZE_GUARD])  # an 'i' entry holds every code and log below it
+
+    def test_tower_build_allocates_at_most_72_bytes_per_top_element(self):
+        # a fresh interpreter, so no cached field of the tower exists yet; the
+        # tables take about 60 B: 40 for unity_roots (a pointer and a complex),
+        # 8 for psi_table and 4 for each of exp, dlog and the Zech logs
+        code = (
+            "import tracemalloc\n"
+            "from charsum.finite_field import build_tower\n"
+            "tracemalloc.start()\n"
+            "tower = build_tower(263)\n"
+            "print(tracemalloc.get_traced_memory()[1] / tower.top.order)\n"
+        )
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+        assert float(res.stdout) <= 72
 
 
 class TestTablesAgainstOracle:

@@ -168,6 +168,22 @@ class TestConfig:
         assert cli.main(["run", "--config", str(path)]) == 2
         assert "repeats line 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--a", "sample-1"), ("--out", "r.json"), ("--csv", "r.csv"), ("--parallelism", "1"),
+        ("--tol-floor", "1e-6"), ("--tol-scale", "1e-12"), ("--config", "run.cfg"),
+        ("--octic-variants", None),
+    ])
+    def test_repeated_flag_is_a_config_error(self, tmp_path, monkeypatch, capsys, flag, value):
+        # a repeat is refused like a repeated config-file key, not read last-wins
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "run.cfg").write_text("q = 7\n")
+        once = [flag] if value is None else [flag, value]
+        argv = ["run", "--suite", "classical", "--q", "3"]
+        assert cli.main([*argv, *once, *once]) == 2
+        assert f"config error: {flag} is given 2 times" in capsys.readouterr().err
+        assert not list(tmp_path.glob("r.*"))
+        assert cli.main([*argv, *once]) == 0
+
     def test_workers_capped_by_tasks_and_cpus(self, monkeypatch):
         monkeypatch.delenv("CHARSUM_PARALLELISM", raising=False)
         cpus = os.cpu_count() or 1
@@ -460,6 +476,13 @@ class TestSuites:
 
 
 class TestCli:
+    def test_import_leaves_the_process_pool_unimported(self):
+        # concurrent.futures is imported only by a run with more than one worker
+        code = "import sys, charsum.cli; print('concurrent.futures' in sys.modules)"
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.strip() == "False"
+
     def test_run_master_q7(self, tmp_path):
         out = tmp_path / "rep.json"
         res = run_cli("run", "--q", "7", "--suite", "master", "--a", "sample-2",
