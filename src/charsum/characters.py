@@ -2,14 +2,19 @@
 
 A multiplicative character is just an index modulo q*-1: it sends g^k to
 exp(2*pi*i*index*k/(q*-1)) and 0 to 0.  Keeping characters as indices makes
-products, powers, conjugates and norm composition exact integer operations,
-with a single shared root-of-unity table per field; only the final complex
-value is floating point.  The canonical additive character
-psi(y) = exp(2*pi*i*Tr(y)/p) is the field's psi_table, indexed by code.
+products, powers, conjugates and norm composition exact integer operations;
+only the final complex value is floating point.  A single value is computed
+by the expression of the field's root tables, so it equals their entry bit
+for bit and builds no table; a value table reads the field's full table
+unity_roots.  Sums that read a few characters of F_{q^2} over many points
+read field.char_roots instead: the table of each character's own order.
+The canonical additive character psi(y) = exp(2*pi*i*Tr(y)/p) is the
+field's psi_table, indexed by code.
 """
 
+import cmath
+import math
 import operator
-from math import gcd
 
 from .finite_field import FieldElement, FieldError, FieldTower, PrimePowerField
 
@@ -36,7 +41,7 @@ class MultChar:
         if code == 0:
             return 0j
         n = self.field.order - 1
-        return self.field.unity_roots[(self.index * self.field.dlog[code]) % n]
+        return cmath.exp(2j * math.pi * (self.index * self.field.dlog[code] % n) / n)
 
     def value_table(self) -> list[complex]:
         """Values indexed by element code (cached per field and index)."""
@@ -76,7 +81,7 @@ class MultChar:
     @property
     def order(self) -> int:
         n = self.field.order - 1
-        return n // gcd(n, self.index)
+        return n // math.gcd(n, self.index)
 
     def __eq__(self, other):
         return (

@@ -131,26 +131,35 @@ def _fiber_row(tower: FieldTower, kind: str, index: int) -> list[complex]:
     character of the given index; memoized on the tower by (kind, index).
 
     The fiber of g^k is {g2^m : m = k (mod q-1)}, since the tower fixes
-    g = N(g2), so one pass over m in log order fills the row; no value table
-    is built.  chi(g2^m) is the root of unity of index index*m mod n, and
-    1 - g2^m = 1 + g2^(m + n/2) has log zech[m + n/2], n = q^2 - 1.
+    g = N(g2), so each entry sums one residue class of logs m, ascending; no
+    value table is built.  chi(g2^m) is read from the root table of chi's
+    order d, as tab[u * m % d].  1 - g2^m = 1 + g2^(m + n/2) has log
+    zech[m + n/2], n = q^2 - 1; n/2 = (q-1)(q+1)/2, so the class k of those
+    logs is zech[k::q-1] rotated by (q+1)/2.
     """
     key = (kind, index)
     row = tower._fiber_rows.get(key)
     if row is None:
         top = tower.top
-        n, roots = top.order - 1, top.unity_roots
+        n, step = top.order - 1, tower.q - 1
+        tab, u, d = top.char_roots(index)
+        row = []
         if kind == "gauss":
-            psi = top.psi_table
-            vals = [psi[z] for z in top.exp]
-            if index:  # the twist B(g2^m); the plain row needs no product
-                vals = [roots[index * m % n] * v for m, v in enumerate(vals)]
+            psi, exp = top.psi_table, top.exp
+            for k in range(step):
+                vals = map(psi.__getitem__, exp[k::step])
+                if index:  # the twist B(g2^m); the plain row needs no product
+                    vals = [tab[u * m % d] * v for m, v in zip(range(k, n, step), vals)]
+                row.append(sum(vals, 0j))
         else:
-            half, zech = n // 2, top._zech
-            vals = [roots[index * lg % n] for lg in zech[half:] + zech[:half]]
-            vals[0] = 0j  # z = 1: A(0) = 0
-        step = tower.q - 1
-        row = tower._fiber_rows[key] = [sum(vals[k::step], 0j) for k in range(step)]
+            h, zech = (tower.q + 1) // 2, top._zech
+            for k in range(step):
+                col = zech[k::step]
+                vals = [tab[u * lg % d] for lg in col[h:] + col[:h]]
+                if k == 0:
+                    vals[0] = 0j  # z = 1: A(0) = 0
+                row.append(sum(vals, 0j))
+        tower._fiber_rows[key] = row
     return row
 
 

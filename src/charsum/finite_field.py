@@ -14,7 +14,13 @@ an entry instead of a list's 8-byte pointer plus a 28-byte int object for
 each entry above 256.  Each table is built in that form, from slices of
 another table or a coset or a digit position at a time, so no list of the
 field's size is made and converted.  SIZE_GUARD keeps every code and every
-log inside 32 bits.  The complex tables (unity_roots, psi_table) stay lists.
+log inside 32 bits.  The complex tables stay lists.
+
+The roots of unity are kept per order: root_table(d) holds the d-th roots,
+d | n = order - 1, with entry s computed by the same expression as entry
+(n/d) s of the full table, so both give the same float bit for bit.  A
+character of order d reads only table d; the full table unity_roots, of n
+entries, is table n, built on the first read of a general reader.
 
 Only `exp` is computed from the modulus; every other table is index
 arithmetic on exp/dlog or is built digit by digit.  Addition goes through
@@ -167,7 +173,6 @@ class PrimePowerField:
         self._g = self._find_generator() if generator is None else int(generator)
         self._build_log_tables()
 
-        n = order - 1
         # 1 + c bumps the constant digit of c mod p, so the log of 1 + c is
         # dlog[c + 1], or dlog[c + 1 - p] where that digit is p - 1
         log_one_plus = self.dlog[1:]
@@ -175,13 +180,13 @@ class PrimePowerField:
         log_one_plus[p - 1 :: p] = self.dlog[::p]
         # 1 + g^k = g^zech[k]; -1 if 0
         self._zech = array("i", map(log_one_plus.__getitem__, self.exp))
-        del log_one_plus  # freed before the root tables are built
+        del log_one_plus  # freed before psi_table is built
 
-        self.unity_roots = [cmath.exp(2j * math.pi * k / n) for k in range(n)]
         self.p_roots = [cmath.exp(2j * math.pi * t / p) for t in range(p)]
         self.psi_table = list(map(self.p_roots.__getitem__, self._build_trace_table()))
 
         self._neg = self._one_minus = self._trace_table = None  # see neg
+        self._root_tables: dict[int, list[complex]] = {}  # see root_table
         self._gauss_sums: list[complex] | None = None
         self._jacobi_memo: dict[tuple[int, int], complex] = {}
         self._kernel_rows: dict[int, list[complex]] = {}
@@ -236,12 +241,12 @@ class PrimePowerField:
         self.exp = exp
         self.dlog = dlog
 
-    # neg, one_minus and trace_table are built on first read: the top field
-    # of a tower needs none of them after construction, and each holds q^2
-    # entries there.  Each is a property over an attribute set in __init__,
-    # not a functools.cached_property: writing the instance __dict__ directly
-    # made every attribute read of the field, as in mul_codes, about twice
-    # as slow on CPython 3.11.
+    # neg, one_minus, trace_table and unity_roots are built on first read:
+    # the top field of a tower needs none of them after construction, and
+    # each holds q^2 entries there.  Each is a property over an attribute set
+    # in __init__, not a functools.cached_property: writing the instance
+    # __dict__ directly made every attribute read of the field, as in
+    # mul_codes, about twice as slow on CPython 3.11.
 
     @property
     def neg(self) -> array:
@@ -292,6 +297,32 @@ class PrimePowerField:
                 s = d * tr % p  # t -> (s + t) mod p, as a lookup
                 table.extend(map(residues[s : s + p].__getitem__, low))
         return table
+
+    @property
+    def unity_roots(self) -> list[complex]:
+        """unity_roots[k] = e^(2 pi i k / n), n = order - 1: root_table(n)."""
+        return self.root_table(self.order - 1)
+
+    def root_table(self, d: int) -> list[complex]:
+        """The d-th roots of unity for d | n = order - 1, memoized by d: entry
+        s is e^(2 pi i (n/d) s / n), the expression of unity_roots at
+        k = (n/d) s, so the two tables agree bit for bit."""
+        tab = self._root_tables.get(d)
+        if tab is None:
+            n = self.order - 1
+            if d < 1 or n % d:
+                raise FieldError(f"{d} does not divide the group order {n}")
+            step = n // d
+            tab = [cmath.exp(2j * math.pi * (step * s) / n) for s in range(d)]
+            self._root_tables[d] = tab
+        return tab
+
+    def char_roots(self, index: int) -> tuple[list[complex], int, int]:
+        """(tab, u, d) with chi(g^m) = tab[u * m % d] for the character of the
+        given index: d is its order, tab = root_table(d), and index = (n/d) u."""
+        n = self.order - 1
+        step = math.gcd(n, index)
+        return self.root_table(n // step), index // step, n // step
 
     # -- code-level arithmetic -------------------------------------------------
 

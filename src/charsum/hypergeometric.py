@@ -104,7 +104,8 @@ def norm_restricted_jacobi(ctx, d: MultChar, j, scan: bool = False) -> complex:
     """R(D, j) = sum over N(z) = j^4 of M8(z) * conj(D)N(1 - z), j nonzero.
 
     The fiber is walked by its logs m, and 1 - g2^m = 1 + g2^(m + n/2) has
-    log zech[m + n/2], n = q^2 - 1 (zech reads -1 where 1 - z = 0).
+    log zech[m + n/2], n = q^2 - 1 (zech reads -1 where 1 - z = 0).  M8 and
+    conj(D)N are read from the root tables of their orders (see char_roots).
     scan=True walks the logs of the scanned fiber instead."""
     tower = ctx.tower
     if d.field is not tower.base:
@@ -113,9 +114,10 @@ def norm_restricted_jacobi(ctx, d: MultChar, j, scan: bool = False) -> complex:
     if j.code == 0:
         raise ValueError("norm-restricted Jacobi sum requires j != 0")
     top = tower.top
-    n2, roots, zech = top.order - 1, top.unity_roots, top._zech
+    n2, zech = top.order - 1, top._zech
     half = n2 // 2
-    m8, dn = ctx.M8.index, norm_compose(tower, d.conj).index
+    t8, u8, d8 = top.char_roots(ctx.M8.index)
+    tdn, udn, ddn = top.char_roots(norm_compose(tower, d.conj).index)
     j4 = (j**4).code
     if scan:
         logs = [top.dlog[z] for z in norm_fiber(tower, j4, scan=True)]
@@ -124,7 +126,7 @@ def norm_restricted_jacobi(ctx, d: MultChar, j, scan: bool = False) -> complex:
     total = 0
     for m in logs:
         lg = zech[(m + half) % n2]
-        total += roots[m8 * m % n2] * (roots[dn * lg % n2] if lg >= 0 else 0j)
+        total += t8[u8 * m % d8] * (tdn[udn * lg % ddn] if lg >= 0 else 0j)
     return total
 
 

@@ -38,7 +38,9 @@ evaluation, and is summed over the q-1 norm fibers by lifted_jacobi and
 lifted_gauss, whose fiber rows are memoized on the tower; the Gauss sums over
 F_q are read from the field's one transform (see classical_sums).  No
 top-field value table or transform is built: the few top-field points read
-are looked up through dlog.
+are looked up through dlog, and each top-field character, of order dividing
+4(q-1), reads the root table of its own order, never the full table of
+q^2 - 1 roots (see finite_field.root_table).
 """
 
 import cmath
@@ -93,8 +95,8 @@ class KatzContext:
         self.inv_g_phi = 1 / gauss(self.phi)
 
         # the logs m of the fiber N(g2^m) = a, each with M8(g2^m)
-        n2, roots, m8 = tower.top.order - 1, tower.top.unity_roots, self.M8.index
-        self._fiber_pairs = [(m, roots[m8 * m % n2]) for m in fiber_logs(tower, self.a_code)]
+        tab, u, d = tower.top.char_roots(self.M8.index)
+        self._fiber_pairs = [(m, tab[u * m % d]) for m in fiber_logs(tower, self.a_code)]
 
         # x-loop data for the mixed sum, in log coordinates.  x -> -x flips
         # phi(a/x - x) (phi(-1) = -1) and conjugates psi, so the pair {x, -x}

@@ -26,7 +26,7 @@ from charsum.classical_sums import (
     lifted_jacobi,
     quartic_gauss_deviation,
 )
-from charsum.finite_field import FieldError, build_tower, construct_field
+from charsum.finite_field import FieldError, FieldTower, build_tower, construct_field
 from charsum.katz import spaced_sample
 from charsum.tolerance import DEFAULT_POLICY
 
@@ -180,6 +180,25 @@ class TestLiftedSums:
         lifted_gauss(tower, c.conj)
         lifted_gauss(tower, c.conj, b)
         assert all(rows[key] is row for key, row in zip(keys, first))
+
+    # (3, 3): p = 3 and t > 1
+    @pytest.mark.parametrize("p,t", [(7, 1), (3, 3), (11, 1)])
+    def test_rows_equal_one_pass_over_the_full_table(self, p, t):
+        # the reference walks every m in log order with the full root table
+        # and sums each residue class of a list of q^2 - 1 values: same
+        # values, same order of summation, so the rows agree bit for bit
+        tower = FieldTower(p, t)  # its own fiber rows
+        top, q = tower.top, tower.q
+        n, roots, step = top.order - 1, top.unity_roots, q - 1
+        gauss_vals = [top.psi_table[z] for z in top.exp]
+        log_one_minus = [top._zech[(m + n // 2) % n] for m in range(n)]
+        for i in range(n):
+            twisted = [roots[i * m % n] * v for m, v in enumerate(gauss_vals)] if i else gauss_vals
+            jacobi_vals = [roots[i * lg % n] for lg in log_one_minus]
+            jacobi_vals[0] = 0j
+            for kind, vals in (("gauss", twisted), ("jacobi", jacobi_vals)):
+                ref = [sum(vals[k::step], 0j) for k in range(step)]
+                assert classical_sums._fiber_row(tower, kind, i) == ref, (kind, i)
 
     @pytest.mark.parametrize("q", [7, 11])
     def test_rows_of_a_and_a_to_the_q_agree(self, q):

@@ -1,3 +1,5 @@
+import cmath
+import math
 import subprocess
 import sys
 from array import array
@@ -7,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from charsum import finite_field
+from charsum.characters import char
 from charsum.finite_field import (
     FieldError,
     FieldTower,
@@ -342,10 +345,11 @@ class TestTableLayout:
         assert finite_field.SIZE_GUARD < 2**31
         array("i", [finite_field.SIZE_GUARD])  # an 'i' entry holds every code and log below it
 
-    def test_tower_build_allocates_at_most_72_bytes_per_top_element(self):
+    def test_tower_build_allocates_at_most_32_bytes_per_top_element(self):
         # a fresh interpreter, so no cached field of the tower exists yet; the
-        # tables take about 60 B: 40 for unity_roots (a pointer and a complex),
-        # 8 for psi_table and 4 for each of exp, dlog and the Zech logs
+        # tables take about 25 B: 8 for psi_table (pointers into p_roots) and 4
+        # for each of exp, dlog and the Zech logs.  The build makes no full
+        # root table, which took 40 B more (a pointer and a complex)
         code = (
             "import tracemalloc\n"
             "from charsum.finite_field import build_tower\n"
@@ -355,7 +359,49 @@ class TestTableLayout:
         )
         res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert res.returncode == 0, res.stderr
-        assert float(res.stdout) <= 72
+        assert float(res.stdout) <= 32
+
+
+ROOT_TOWERS = {"q7": lambda: build_tower(7), "q27": lambda: build_tower(3, 3),
+               "q59": lambda: build_tower(59)}
+
+
+class TestRootTables:
+    @pytest.mark.parametrize("make", ROOT_TOWERS.values(), ids=ROOT_TOWERS)
+    def test_every_per_order_read_equals_the_full_table(self, make):
+        top = make().top
+        n, full = top.order - 1, top.unity_roots
+        for index in range(n):
+            tab, u, d = top.char_roots(index)
+            assert tab is top.root_table(d) and len(tab) == d
+            assert d * math.gcd(n, index) == n and u * (n // d) == index
+            # chi(g^m) depends only on m mod d, so m in [0, d) is every read
+            assert [tab[u * m % d] for m in range(d)] == [full[index * m % n] for m in range(d)]
+
+    def test_full_table_built_on_first_read(self):
+        field = PrimePowerField(7, 2)  # not the cached canonical field
+        n = field.order - 1
+        assert field._root_tables == {}
+        assert field.root_table(8) is field.root_table(8)
+        assert n not in field._root_tables
+        full = field.unity_roots
+        assert full is field.root_table(n) and len(full) == n
+        assert full == [cmath.exp(2j * math.pi * k / n) for k in range(n)]
+        with pytest.raises(FieldError):
+            field.root_table(5)
+
+    def test_char_value_reads_no_table(self, monkeypatch):
+        top = build_tower(7).top
+        n = top.order - 1
+        monkeypatch.setattr(top, "_root_tables", {})  # unbuilt again afterwards
+        values = {(i, z): char(top, i)(top.element(z)) for i in range(n) for z in range(top.order)}
+        assert top._root_tables == {}
+        full = top.unity_roots
+        for (i, z), v in values.items():
+            tab, u, d = top.char_roots(i)
+            m = top.dlog[z]
+            assert v == (full[i * m % n] if z else 0j)
+            assert v == (tab[u * m % d] if z else 0j)
 
 
 class TestTablesAgainstOracle:

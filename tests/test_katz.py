@@ -2,6 +2,8 @@ import cmath
 import inspect
 import json
 import operator
+import subprocess
+import sys
 
 import pytest
 
@@ -822,3 +824,40 @@ class TestMasterIdentity:
         objs = json.loads(path.read_text())
         assert len(objs) == 49
         assert set(objs[0]) == {"suite", "q", "a_index", "check_id", "inputs", "deviation", "pass"}
+
+
+class TestRootTables:
+    # the Katz-path characters C N M8^e of F_{q^2} have orders dividing
+    # 4(q-1), since q - 1 = 2 (mod 4); each reads the table of its order
+    @pytest.mark.parametrize("p,t", [(7, 1), (3, 3), (59, 1)])
+    def test_katz_suites_build_no_full_top_table(self, monkeypatch, p, t):
+        tower = FieldTower(p, t)  # its own fiber rows and base memos
+        top, q = tower.top, tower.q
+        monkeypatch.setattr(top, "_root_tables", {})  # unbuilt again afterwards
+        monkeypatch.setattr(top, "_char_tables", {})
+        ctx = KatzContext(tower, 1)
+        for check in (suite_hypergeometric, suite_theorem41, suite_mellin, suite_theorem5x,
+                      verify_master_identity):
+            assert check(ctx, DEFAULT_POLICY).all_passed
+        assert top.order - 1 not in top._root_tables
+        assert top._char_tables == {}
+        assert all(4 * (q - 1) % d == 0 for d in top._root_tables)
+        sigma = sum(d for d in range(1, 4 * q - 3) if 4 * (q - 1) % d == 0)
+        assert sum(map(len, top._root_tables.values())) <= sigma
+
+    def test_master_q263_allocates_at_most_80_bytes_per_top_element(self):
+        # a fresh interpreter: the tower, the context and the master checks
+        # at a = 1 peak at about 69 B per element of F_{263^2}, 121 B while
+        # every tower built the full root table
+        code = (
+            "import tracemalloc\n"
+            "from charsum.finite_field import build_tower\n"
+            "from charsum.katz import KatzContext, verify_master_identity\n"
+            "tracemalloc.start()\n"
+            "tower = build_tower(263)\n"
+            "assert verify_master_identity(KatzContext(tower, 1)).all_passed\n"
+            "print(tracemalloc.get_traced_memory()[1] / tower.top.order)\n"
+        )
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+        assert float(res.stdout) <= 80
