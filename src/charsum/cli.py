@@ -18,7 +18,7 @@ from .harness import (
     run,
     set_option,
 )
-from .report import nan_max
+from .report import Summary
 
 # every flag appends to a list, so config_from_args can refuse a repeat; only
 # these keys repeat, their values joined as in one config-file line
@@ -125,13 +125,12 @@ def main(argv=None) -> int:
     except OSError as e:
         print(f"charsum: i/o error: {e}", file=sys.stderr)
         return EXIT_IO
-    for rep in reports:
-        print(rep.summary_line())
-    n_checks = sum(r.n_checks for r in reports)
-    n_failed = sum(r.n_failed for r in reports)
-    overall = nan_max(r.max_deviation for r in reports)
+    summaries = [rep.summary() for rep in reports]
+    for rep, summary in zip(reports, summaries):
+        print(rep.summary_line(summary))
+    n_checks, n_failed, worst, _ = Summary.fold(summaries)
     status = "PASS" if code == 0 else "FAIL"
-    print(f"total: {n_checks} checks, {n_failed} failed, max deviation {overall:.3g} -> {status}")
+    print(f"total: {n_checks} checks, {n_failed} failed, max deviation {worst:.3g} -> {status}")
     return code
 
 

@@ -27,7 +27,7 @@ from .classical_sums import (
     lifted_gauss_deviation,
     quartic_gauss_deviation,
 )
-from .finite_field import FieldError, build_tower, factor_prime_power
+from .finite_field import SIZE_GUARD, FieldError, build_tower, factor_prime_power
 from .hypergeometric import (
     binom,
     hyp2f1,
@@ -159,7 +159,10 @@ def _valid_a_policy(policy: str) -> bool:
 
 
 def parse_q(q: int) -> tuple[int, int]:
-    """q -> (p, t); rejects q that is not an odd prime power."""
+    """q -> (p, t); rejects q that is not an odd prime power, and q past the
+    table guard before factoring it, since no field of that order is built."""
+    if q > SIZE_GUARD:
+        raise ConfigError(f"field order {q} exceeds the table guard {SIZE_GUARD}")
     try:
         return factor_prime_power(q)
     except FieldError as e:
@@ -554,7 +557,8 @@ def build_tasks(config: RunConfig) -> list[tuple]:
 
 def run(config: RunConfig) -> tuple[int, list[VerificationReport]]:
     """Execute the configured suites; returns (exit_code, reports sorted by
-    suite, q and a; the checks of each stay in check order).
+    suite, q and a; the checks of each stay in check order).  The exit code
+    is EXIT_CHECK_FAILED if any report's summary counts a failed check.
 
     Raises ConfigError for unusable configs, FieldError for field
     construction problems, OSError for output failures.

@@ -145,10 +145,12 @@ class KatzContext:
             base = self.tower.base
             q = self.tower.q
             sq = [base.mul_codes(c, c) for c in range(q)]
-            rows = {c: (self._trace_row(self._s_side, c), self._trace_row(self._d_side, c))
-                    for c in sorted(set(sq))}
-            p_sd = {s: {d: self._p_value(s, d, s_row, d_row) for d, (_, d_row) in rows.items()}
-                    for s, (s_row, _) in rows.items()}
+            squares = sorted(set(sq))
+            d_rows = {d: self._trace_row(self._d_side, d) for d in squares}
+            p_sd = {}
+            for s in squares:  # each s-row lives for its own loop only
+                s_row = self._trace_row(self._s_side, s)
+                p_sd[s] = {d: self._p_value(s, d, s_row, d_row) for d, d_row in d_rows.items()}
             add, sub = base.add_codes, base.sub_codes
             self._pm = [[p_sd[sq[add(j, k)]][sq[sub(j, k)]] for k in range(q)] for j in range(q)]
         return self._pm

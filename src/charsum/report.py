@@ -8,6 +8,12 @@ NaN deviation fails.  No record tuple and no inputs string exist between a
 check and the writer: write_json formats each inputs string as it writes
 that record.
 
+Every aggregate a run prints or writes (the exit code, the summary line, the
+CSV row and the CLI's total) reads one Summary: each family builds its own
+from its deviations, a report's folds its families' and the total folds the
+reports'.  _nan_or holds the one NaN rule: a NaN deviation makes the maximum
+deviation and the minimum margin nan.
+
 Records come out in check order everywhere: a report's families in
 first-use order, the checks of each in the order they were added.  One task
 builds each report in a fixed loop order, so the same configuration writes
@@ -22,12 +28,33 @@ from array import array
 from dataclasses import dataclass, field
 from itertools import repeat
 from json.encoder import encode_basestring_ascii as _json_str
+from typing import NamedTuple
 
 
-def nan_max(values) -> float:
-    """max(values, default=0.0), but nan if any value is NaN."""
-    values = list(values)
-    return math.nan if any(map(math.isnan, values)) else max(values, default=0.0)
+def _nan_or(pick, values, default: float) -> float:
+    """pick(values, default=default), but nan if any value is NaN: the one
+    NaN rule of every summary.  A NaN sum screens for a NaN in one pass;
+    inf - inf gives one too, so any() confirms it."""
+    if math.isnan(sum(values)) and any(map(math.isnan, values)):
+        return math.nan
+    return pick(values, default=default)
+
+
+class Summary(NamedTuple):
+    """The aggregate of a family, a report or a run: the checks, the failed
+    ones, the largest deviation (0 with no checks) and the smallest tol /
+    max deviation over the families (inf when every deviation is 0).  A NaN
+    deviation makes both nan."""
+
+    n_checks: int
+    n_failed: int
+    max_deviation: float
+    min_margin: float
+
+    @classmethod
+    def fold(cls, summaries) -> "Summary":
+        n, failed, worst, margins = list(zip(*summaries)) or [()] * 4
+        return cls(sum(n), sum(failed), _nan_or(max, worst, 0.0), _nan_or(min, margins, math.inf))
 
 
 def _placeholders(template: str) -> int:
@@ -81,25 +108,12 @@ class CheckFamily:
             return repeat(self.template.format(), len(self.deviations))
         return map(self.template.format, *self.columns)
 
-    @property
-    def n_failed(self) -> int:
-        if self.max_deviation <= self.tol:  # the common case, in one pass less
-            return 0
-        return len(self.deviations) - sum(map(self.tol.__ge__, self.deviations))
-
-    @property
-    def max_deviation(self) -> float:
-        devs = self.deviations
-        # a NaN sum screens for a NaN cheaply; inf - inf gives one too
-        if math.isnan(sum(devs)) and any(map(math.isnan, devs)):
-            return math.nan
-        return max(devs, default=0.0)
-
-    @property
-    def margin(self) -> float:
-        """tol / max deviation: inf when every deviation is 0, nan for a NaN."""
-        worst = self.max_deviation
-        return self.tol / worst if worst else math.inf
+    def summary(self) -> Summary:
+        devs, tol = self.deviations, self.tol
+        worst = _nan_or(max, devs, 0.0)
+        # the common case, all passed, needs no counting pass
+        n_failed = 0 if worst <= tol else len(devs) - sum(map(tol.__ge__, devs))
+        return Summary(len(devs), n_failed, worst, tol / worst if worst else math.inf)
 
 
 @dataclass
@@ -125,50 +139,27 @@ class VerificationReport:
             )
         return fam.adder()
 
-    @property
-    def records(self) -> list[tuple[str, str, float, bool]]:
-        """(check_id, inputs, deviation, passed) of every check, family by
-        family in first-use order and each in check order, built when read."""
-        return [
-            (check_id, inputs, dev, dev <= fam.tol)
-            for check_id, fam in self.families.items()
-            for inputs, dev in zip(fam.formatted(), fam.deviations)
-        ]
-
-    @property
-    def n_checks(self) -> int:
-        return sum(map(len, self.families.values()))
-
-    @property
-    def max_deviation(self) -> float:
-        return nan_max(fam.max_deviation for fam in self.families.values())
-
-    @property
-    def min_margin(self) -> float:
-        """Smallest tol / max deviation over the families: inf when every
-        deviation is 0, nan when any is NaN."""
-        margins = [fam.margin for fam in self.families.values()]
-        return math.nan if any(map(math.isnan, margins)) else min(margins, default=math.inf)
-
-    @property
-    def n_failed(self) -> int:
-        return sum(fam.n_failed for fam in self.families.values())
+    def summary(self) -> Summary:
+        return Summary.fold(fam.summary() for fam in self.families.values())
 
     @property
     def all_passed(self) -> bool:
-        return self.n_failed == 0
+        return self.summary().n_failed == 0
 
     def sorted(self) -> "VerificationReport":
         """The report itself, already in the order write_json writes; kept
         for the benchmark's probe (perfbench/probe.py)."""
         return self
 
-    def summary_line(self) -> str:
+    def summary_line(self, summary: Summary | None = None) -> str:
+        """One line for this report, read from summary if the caller has
+        already built this report's summary()."""
+        s = self.summary() if summary is None else summary
         a_part = "" if self.a_index is None else f" a_index={self.a_index}"
-        status = "PASS" if self.all_passed else f"FAIL ({self.n_failed} checks)"
+        status = "PASS" if s.n_failed == 0 else f"FAIL ({s.n_failed} checks)"
         return (
             f"{self.suite:14s} q={self.q:<4d}{a_part:14s} "
-            f"checks={self.n_checks:<6d} max_dev={self.max_deviation:.3g}  {status}"
+            f"checks={s.n_checks:<6d} max_dev={s.max_deviation:.3g}  {status}"
         )
 
 
@@ -219,15 +210,16 @@ def write_csv(reports: list[VerificationReport], path: str):
              "min_margin"]
         )
         for rep in sorted(reports, key=report_sort_key):
+            s = rep.summary()
             w.writerow(
                 [
                     rep.suite,
                     rep.q,
                     "" if rep.a_index is None else rep.a_index,
-                    rep.n_checks,
-                    rep.n_failed,
-                    f"{rep.max_deviation:.3g}",
+                    s.n_checks,
+                    s.n_failed,
+                    f"{s.max_deviation:.3g}",
                     f"{rep.wall_time:.3f}",
-                    f"{rep.min_margin:.3g}",
+                    f"{s.min_margin:.3g}",
                 ]
             )

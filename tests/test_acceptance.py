@@ -54,8 +54,8 @@ def test_criterion_1_master_identity_all_q_all_a():
     for q, tower in towers(MASTER_Q):
         for a in range(1, q):
             rep = verify_master_identity(KatzContext(tower, a), include_mellin=False)
-            worst = max(worst, rep.max_deviation)
-            n += len(rep.records)
+            worst = max(worst, rep.summary().max_deviation)
+            n += rep.summary().n_checks
             if not rep.all_passed:
                 report("1 (master identity)", False, f"q={q}, a={a} failed")
     tol = DEFAULT_POLICY.abs_tol(max(MASTER_Q), 4 * max(MASTER_Q))
@@ -72,8 +72,8 @@ def test_criterion_2_mellin_suites():
     for q, tower in towers(MELLIN_Q):
         for a in range(1, q):
             rep = suite_mellin(KatzContext(tower, a), DEFAULT_POLICY)
-            worst = max(worst, rep.max_deviation)
-            n += len(rep.records)
+            worst = max(worst, rep.summary().max_deviation)
+            n += rep.summary().n_checks
             if not rep.all_passed:
                 report("2 (Mellin)", False, f"q={q}, a={a} failed")
     tol = DEFAULT_POLICY.abs_tol(11, 11**3)
@@ -89,8 +89,8 @@ def test_criterion_3_norm_jacobi_hypergeometric():
     n = 0
     for q, tower in towers(THEOREM41_Q):
         rep = suite_theorem41(KatzContext(tower, 1), DEFAULT_POLICY)
-        worst = max(worst, rep.max_deviation)
-        n += len(rep.records)
+        worst = max(worst, rep.summary().max_deviation)
+        n += rep.summary().n_checks
         if not rep.all_passed:
             report("3 (hypergeometric reduction)", False, f"q={q} failed")
     tol = DEFAULT_POLICY.abs_tol(27, 4 * 27 * 27)
@@ -139,8 +139,8 @@ def test_criterion_6_classical_invariants():
     for q, tower in towers(CLASSICAL_Q):
         for suite in (suite_classical, suite_eisenstein):
             rep = suite(tower, DEFAULT_POLICY)
-            worst = max(worst, rep.max_deviation)
-            n += len(rep.records)
+            worst = max(worst, rep.summary().max_deviation)
+            n += rep.summary().n_checks
             if not rep.all_passed:
                 report("6 (classical sums)", False, f"q={q} {rep.suite} failed")
     tol = DEFAULT_POLICY.abs_tol(11, 4 * 121)
@@ -210,8 +210,8 @@ def test_criterion_8_octic_variants():
         for a in range(1, 7):
             ctx = KatzContext(tower, a, m8_variant=variant)
             rep = verify_master_identity(ctx, include_mellin=False)
-            worst = max(worst, rep.max_deviation)
-            n += len(rep.records)
+            worst = max(worst, rep.summary().max_deviation)
+            n += rep.summary().n_checks
             if not rep.all_passed:
                 report("8 (octic variants)", False, f"variant={variant}, a={a} failed")
     tol = DEFAULT_POLICY.abs_tol(7, 4 * 7)

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from conftest import records
 
 from charsum import classical_sums, harness
 from charsum.characters import (
@@ -90,7 +91,7 @@ class TestGaussSums:
         failed = {}
         for suite in (harness.suite_classical, harness.suite_eisenstein):
             rep = suite(tower, DEFAULT_POLICY)
-            failed[suite] = {check_id for check_id, _, _, passed in rep.records if not passed}
+            failed[suite] = {check_id for check_id, _, _, passed in records(rep) if not passed}
         assert {"gauss-jacobi-bridge", "hd-product"} <= failed[harness.suite_classical]
         assert failed[harness.suite_eisenstein] == {"eisenstein-gauss-ratio"}
 

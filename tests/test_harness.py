@@ -6,6 +6,7 @@ import sys
 from dataclasses import replace
 
 import pytest
+from conftest import records
 
 from charsum import cli, harness
 from charsum.finite_field import build_tower
@@ -356,7 +357,7 @@ class TestSuites:
         tower = build_tower(3)
         for suite in (suite_classical, suite_eisenstein):
             rep = suite(tower, DEFAULT_POLICY)
-            assert rep.all_passed, [r for r in rep.records if not r[3]][:3]
+            assert rep.all_passed, [r for r in records(rep) if not r[3]][:3]
 
     def test_mellin_suite_q3(self):
         rep = suite_mellin(KatzContext(build_tower(3), 1), DEFAULT_POLICY)
@@ -365,12 +366,12 @@ class TestSuites:
     @pytest.mark.parametrize("p,t", [(3, 1), (11, 1)])
     def test_theorem5x_suite_exhaustive_small_q(self, p, t):
         rep = suite_theorem5x(KatzContext(build_tower(p, t), 1), DEFAULT_POLICY)
-        assert rep.all_passed, [r for r in rep.records if not r[3]][:3]
+        assert rep.all_passed, [r for r in records(rep) if not r[3]][:3]
 
     def test_remark_z_suite(self):
         for q in (5, 9):
             rep = suite_remark_z(q, DEFAULT_POLICY)
-            assert rep.all_passed and len(rep.records) == 1
+            assert rep.all_passed and rep.summary().n_checks == 1
 
     def test_run_small_config(self, tmp_path):
         out_json = tmp_path / "r.json"
@@ -525,7 +526,7 @@ class TestCli:
     def test_output_check_leaves_no_file_behind(self, tmp_path):
         # the outputs pass the check, then the field guard stops the run
         out = tmp_path / "rep.json"
-        res = run_cli("run", "--q", "1048583", "--suite", "classical", "--out", str(out))
+        res = run_cli("run", "--q", "1031", "--suite", "classical", "--out", str(out))
         assert res.returncode == 3
         assert not out.exists()
 
@@ -550,16 +551,19 @@ class TestCli:
         assert "Traceback" not in res.stderr
 
     def test_field_guard_exit_code(self):
-        # 1048583 is an odd prime just past the dlog table guard
-        res = run_cli("run", "--q", "1048583", "--suite", "classical")
+        # 1031 is an odd prime whose F_{q^2} (1,062,961 elements) is past the
+        # dlog table guard
+        res = run_cli("run", "--q", "1031", "--suite", "classical")
         assert res.returncode == 3
         assert "table guard" in res.stderr
 
-    def test_large_prime_q_fails_fast(self):
-        # q = 10^9 + 7 is prime: factoring must stop at sqrt(q), then the
-        # table guard refuses F_{q^2}; trial division up to q ran for minutes
-        res = run_cli("run", "--q", "1000000007", timeout=20)
-        assert res.returncode == 3
+    @pytest.mark.parametrize("q", ["1000000007", "99999999999999999989"])
+    def test_large_prime_q_fails_fast(self, q):
+        # both are prime and past the table guard, so no field of order q is
+        # built: a config error before factoring, which would trial-divide up
+        # to sqrt(q), about 10^10 for the second
+        res = run_cli("run", "--q", q, timeout=20)
+        assert res.returncode == 2
         assert "table guard" in res.stderr
 
     def test_config_file_with_flag_override(self, tmp_path):

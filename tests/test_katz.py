@@ -6,6 +6,7 @@ import subprocess
 import sys
 
 import pytest
+from conftest import records
 
 from charsum import classical_sums, harness, hypergeometric, katz
 from charsum.characters import char, norm_compose, quadratic_char, trivial_char
@@ -54,7 +55,7 @@ TOL = 1e-10
 
 def failed_ids(rep) -> list[str]:
     """The check_id of each failed record of rep, in check order."""
-    return [check_id for check_id, _, _, passed in rep.records if not passed]
+    return [check_id for check_id, _, _, passed in records(rep) if not passed]
 
 
 @pytest.fixture(scope="module")
@@ -247,8 +248,8 @@ class TestXPairing:
         re = [2 * r.real for r in tower.base.p_roots] * 2
         ctx._roots = [-1j * v for v in re + [-v for v in re]]
         rep = verify_master_identity(ctx, include_mellin=False)
-        assert len(rep.records) == tower.q**2
-        assert not any(passed for *_, passed in rep.records)
+        assert rep.summary().n_checks == tower.q**2
+        assert not any(passed for *_, passed in records(rep))
 
     @pytest.mark.parametrize("q", [7, 11])
     @pytest.mark.parametrize("entry", ["off-diagonal", "diagonal"])
@@ -270,7 +271,7 @@ class TestXPairing:
             reading = {f"j={j},k={k}" for j in range(q) for k in range(q)
                        if (sq[base.add_codes(j, k)], sq[base.sub_codes(j, k)]) == (s0, d0)}
             assert len(reading) == (4 if d0 else 2)
-            assert {inputs for _, inputs, _, passed in rep.records if not passed} == reading
+            assert {inputs for _, inputs, _, passed in records(rep) if not passed} == reading
 
 
 class TestNormRestrictedGauss:
@@ -418,7 +419,7 @@ class TestClosedFormRows:
         assert count(suite_theorem5x)["hyp2f1"] == 0
         k = 6  # characters per axis above q = 11: one hyp-zero-arg record per (A, B)
         rep = suite_hypergeometric(KatzContext(tower, tower.base.g), DEFAULT_POLICY)
-        assert sum(check_id == "hyp-zero-arg" for check_id, *_ in rep.records) == k * k
+        assert sum(check_id == "hyp-zero-arg" for check_id, *_ in records(rep)) == k * k
         assert count(suite_hypergeometric)["hyp2f1"] == k * k
 
 
@@ -804,18 +805,18 @@ class TestMasterIdentity:
         assert rep.suite == "master"
         assert rep.q == 7
         assert rep.a_index == 0
-        check_ids = [check_id for check_id, *_ in rep.records]
+        check_ids = [check_id for check_id, *_ in records(rep)]
         assert check_ids.count("point-identity") == 49
         assert "mellin-match" in check_ids
         assert "gauss-ratio-bridge" in check_ids
         assert rep.all_passed
-        assert rep.max_deviation < TOL
+        assert rep.summary().max_deviation < TOL
 
     def test_q27_includes_characteristic_three(self):
         tower = build_tower(3, 3)
         rep = verify_master_identity(KatzContext(tower, tower.base.g), include_mellin=False)
         assert rep.all_passed
-        assert len(rep.records) == 27 * 27
+        assert rep.summary().n_checks == 27 * 27
 
     def test_json_objects(self, ctx7, tmp_path):
         rep = verify_master_identity(ctx7, include_mellin=False)

@@ -5,8 +5,13 @@ benchmark, so a rename or deletion in charsum has to fail here first."""
 import ast
 import importlib
 import json
+import os
+import subprocess
+import sys
 import types
 from pathlib import Path
+
+from conftest import records
 
 from charsum.report import VerificationReport, write_json
 
@@ -58,8 +63,23 @@ def test_report_sorted_gives_records_in_write_order(tmp_path):
         rep.family(check_id, "j={}", 1e-6)(deviation, j)
     got = rep.sorted()
     assert (got.suite, got.q, got.a_index, got.wall_time) == ("master", 7, 1, 0.5)
-    keys = [(check_id, inputs) for check_id, inputs, *_ in got.records]
+    keys = [(check_id, inputs) for check_id, inputs, *_ in records(got)]
     assert keys == [("b", "j=2"), ("b", "j=10"), ("a", "j=9")]
     path = tmp_path / "report.json"
     write_json([got], str(path))
     assert [(o["check_id"], o["inputs"]) for o in json.loads(path.read_text())] == keys
+
+
+def test_probe_replay_writes_the_json_of_charsum_run(tmp_path):
+    # the probe also calls rep.sorted(), ctx.v_vector() and
+    # ctx.mixed_sum_matrix() on instances: its traced replay of
+    # default-family runs them all, and must write what `charsum run` writes
+    env = {**os.environ, "PYTHONPATH": str(PROBE.parents[1] / "src")}
+    replay, run_json = tmp_path / "replay", tmp_path / "run.json"
+    replay.mkdir()
+    for args in (
+        [str(PROBE), "replay", "default-family", "--seed", "1", "--out", str(replay)],
+        ["-m", "charsum", "run", "--out", str(run_json)],
+    ):
+        subprocess.run([sys.executable, *args], env=env, check=True, capture_output=True)
+    assert (replay / "report.json").read_bytes() == run_json.read_bytes()

@@ -10,8 +10,9 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from conftest import records
 
-from charsum import cli
+from charsum import cli, harness
 from charsum.report import VerificationReport, write_csv, write_json
 
 
@@ -27,7 +28,7 @@ def json_dump_reference(reports) -> str:
             "pass": passed,
         }
         for rep in reports
-        for check_id, inputs, deviation, passed in rep.records
+        for check_id, inputs, deviation, passed in records(rep)
     ]
     return json.dumps(objs, indent=1) + "\n"
 
@@ -82,13 +83,13 @@ def test_write_json_keeps_check_order(tmp_path):
     write_json([rep], str(path))
     got = [(o["check_id"], o["inputs"]) for o in json.loads(path.read_text())]
     assert got == [("b", "j=10"), ("b", "j=2"), ("a", "j=9")]
-    assert got == [(check_id, inputs) for check_id, inputs, *_ in rep.records]
+    assert got == [(check_id, inputs) for check_id, inputs, *_ in records(rep)]
 
 
 @pytest.mark.parametrize("devs", [[1e-15, math.nan], [math.nan, 1e-15]], ids=["nan-last", "nan-first"])
 def test_a_nan_deviation_is_the_maximum_in_either_order(tmp_path, monkeypatch, capsys, devs):
     rep = report("master", 7, 1, [("point-identity", "j={},k=0", d, i) for i, d in enumerate(devs)])
-    assert math.isnan(rep.max_deviation)
+    assert math.isnan(rep.summary().max_deviation)
     assert "max_dev=nan" in rep.summary_line()
     path = tmp_path / "report.csv"
     write_csv([rep], str(path))
@@ -101,9 +102,9 @@ def test_a_nan_deviation_is_the_maximum_in_either_order(tmp_path, monkeypatch, c
 
 
 def test_max_deviation_without_nan():
-    assert report("master", 7, 1, []).max_deviation == 0.0
+    assert report("master", 7, 1, []).summary().max_deviation == 0.0
     rows = [("p", "{}", 2e-15, 1), ("p", "{}", math.inf, 2), ("p", "{}", 0.0, 3)]
-    assert report("master", 7, 1, rows).max_deviation == math.inf
+    assert report("master", 7, 1, rows).summary().max_deviation == math.inf
 
 
 def test_records_are_the_check_tuples_family_by_family():
@@ -113,15 +114,15 @@ def test_records_are_the_check_tuples_family_by_family():
     rep.family("z", "", 0.5)(1.0)
     point(math.nan, 0, 3)
     rep.family("point-identity", "j={},k={}", 1e-6)(0.0, 1, 1)  # the same family
-    records = rep.records
-    assert [(c, inputs, passed) for c, inputs, _, passed in records] == [
+    got = records(rep)
+    assert [(c, inputs, passed) for c, inputs, _, passed in got] == [
         ("point-identity", "j=2,k=10", True),
         ("point-identity", "j=0,k=3", False),
         ("point-identity", "j=1,k=1", True),
         ("z", "", False),
     ]
-    assert records[0][2] == 1e-9 and math.isnan(records[1][2])
-    assert (rep.n_checks, rep.n_failed) == (4, 2)
+    assert got[0][2] == 1e-9 and math.isnan(got[1][2])
+    assert rep.summary()[:2] == (4, 2)
 
 
 @pytest.mark.parametrize("template", ["{0}", "{:d}", "{!r}", "{x}", "{", "j={}}"])
@@ -137,7 +138,7 @@ def test_family_rejects_another_template_or_tol():
         with pytest.raises(ValueError, match="'p'"):
             rep.family("p", template, tol)
     rep.family("p", "j={},k={}", 1e-6)(0.0, 3, 4)
-    assert [inputs for _, inputs, *_ in rep.records] == ["j=1,k=2", "j=3,k=4"]
+    assert [inputs for _, inputs, *_ in records(rep)] == ["j=1,k=2", "j=3,k=4"]
 
 
 @pytest.mark.parametrize("args,error", [
@@ -159,7 +160,7 @@ def test_a_bad_argument_raises_and_leaves_the_family_unchanged(args, error):
     add(1e-9, 5, 6, 7, True)  # a bool is an int
     fam = rep.families["p"]
     assert all(len(col) == len(fam) == 2 for col in fam.columns)
-    assert [inputs for _, inputs, *_ in rep.records] == ["a=1,b=2,c=3,d=4", "a=5,b=6,c=7,d=1"]
+    assert [inputs for _, inputs, *_ in records(rep)] == ["a=1,b=2,c=3,d=4", "a=5,b=6,c=7,d=1"]
 
 
 def test_min_margin_in_the_csv(tmp_path):
@@ -173,7 +174,64 @@ def test_min_margin_in_the_csv(tmp_path):
     rows = list(csv.reader(path.open()))
     assert rows[0][-2:] == ["wall_time_s", "min_margin"]
     assert [row[-1] for row in rows[1:]] == ["1e+05", "inf", "nan", "inf"]
-    assert margin.min_margin == pytest.approx(1e5)
+    assert margin.summary().min_margin == pytest.approx(1e5)
+
+
+# rows of the case's report; each deviation has at most 3 significant digits,
+# so the JSON holds it exactly
+SUMMARY_CASES = {
+    "nan-first": [("p", "j={}", math.nan, 0), ("p", "j={}", 1e-15, 1)],
+    "nan-last": [("p", "j={}", 1e-15, 0), ("p", "j={}", math.nan, 1)],
+    "inf": [("p", "j={}", 1e-15, 0), ("p", "j={}", math.inf, 1)],
+    "all-zero": [("p", "j={}", 0.0, 0), ("p", "j={}", 0.0, 1)],
+    "family-without-checks": [("p", "j={}", 2.5e-7, 0)],
+    "empty-report": [],
+    "one-failed": [("p", "j={}", 1e-15, 0), ("z", "k={}", 0.5, 1)],
+}
+
+
+def _recount(objs):
+    """(n_checks, n_failed, max deviation, min margin) of JSON records whose
+    checks all have tol 1e-6; a NaN deviation makes both nan."""
+    devs = [o["deviation"] for o in objs]
+    failed = sum(not o["pass"] for o in objs)
+    if any(map(math.isnan, devs)):
+        return len(devs), failed, math.nan, math.nan
+    by_id = {}
+    for o in objs:
+        by_id.setdefault(o["check_id"], []).append(o["deviation"])
+    margins = [1e-6 / max(d) if max(d) else math.inf for d in by_id.values()]
+    return len(devs), failed, max(devs, default=0.0), min(margins, default=math.inf)
+
+
+@pytest.mark.parametrize("case", SUMMARY_CASES)
+def test_every_consumer_agrees_with_a_recount_of_the_json(tmp_path, monkeypatch, capsys, case):
+    # a finite report, then the case's: the run's exit code, the summary
+    # lines, the CSV rows and the total line all read one summary per report
+    reports = [report("master", 7, 0, [("p", "j={}", 1e-15, 0)]),
+               report("master", 7, 1, SUMMARY_CASES[case])]
+    if case == "family-without-checks":
+        reports[1].family("unused", "j={}", 1e-6)
+    monkeypatch.setattr(harness, "_run_task", lambda task: reports)
+    monkeypatch.delenv(harness.ENV_PARALLELISM, raising=False)
+    out, csv_path = tmp_path / "r.json", tmp_path / "r.csv"
+    code = cli.main(["run", "--q", "7", "--suite", "master", "--a", "sample-1",
+                     "--out", str(out), "--csv", str(csv_path)])
+    lines = capsys.readouterr().out.splitlines()
+    objs = json.loads(out.read_text())
+    rows = list(csv.DictReader(csv_path.open()))
+    assert len(lines) == len(rows) + 1 == len(reports) + 1
+    for rep, line, row in zip(reports, lines, rows):
+        n, failed, worst, margin = _recount([o for o in objs if o["a_index"] == rep.a_index])
+        status = "PASS" if failed == 0 else f"FAIL ({failed} checks)"
+        assert f"checks={n} " in line and f" max_dev={worst:.3g} " in line
+        assert line.endswith(f"  {status}")
+        got = [row[k] for k in ("a_index", "n_checks", "n_failed", "max_deviation", "min_margin")]
+        assert got == [str(rep.a_index), str(n), str(failed), f"{worst:.3g}", f"{margin:.3g}"]
+    n, failed, worst, _ = _recount(objs)
+    assert code == (1 if failed else 0)
+    status = "FAIL" if failed else "PASS"
+    assert lines[-1] == f"total: {n} checks, {failed} failed, max deviation {worst:.3g} -> {status}"
 
 
 # with "" a placeholder follows a placeholder ("{}{}"), and with "0" a digit
@@ -229,7 +287,7 @@ def test_writer_order_is_check_order(tmp_path_factory, case):
     ]
     got = [(o["check_id"], o["inputs"]) for o in json.loads(path.read_text())]
     assert got == want
-    assert rep.sorted().records == rep.records
+    assert records(rep.sorted()) == records(rep)
 
 
 def test_int_records_stay_small_and_are_formatted_as_written(tmp_path):
