@@ -149,6 +149,12 @@ def _smallest_irreducible(p, m):
     raise FieldError(f"no irreducible polynomial of degree {m} over F_{p}")  # unreachable
 
 
+def check_order(order: int):
+    """FieldError if a field of this order is past the table guard."""
+    if order > SIZE_GUARD:
+        raise FieldError(f"field order {order} exceeds the table guard {SIZE_GUARD}")
+
+
 # ---------------------------------------------------------------------------
 
 class PrimePowerField:
@@ -162,8 +168,7 @@ class PrimePowerField:
         if m < 1:
             raise FieldError(f"extension degree must be >= 1, got {m}")
         order = p**m
-        if order > SIZE_GUARD:
-            raise FieldError(f"field order {order} exceeds the table guard {SIZE_GUARD}")
+        check_order(order)
         self.p = p
         self.m = m
         self.order = order

@@ -27,7 +27,7 @@ from .classical_sums import (
     lifted_gauss_deviation,
     quartic_gauss_deviation,
 )
-from .finite_field import SIZE_GUARD, FieldError, build_tower, factor_prime_power
+from .finite_field import FieldError, build_tower, check_order, factor_prime_power
 from .hypergeometric import (
     binom,
     hyp2f1,
@@ -161,9 +161,8 @@ def _valid_a_policy(policy: str) -> bool:
 def parse_q(q: int) -> tuple[int, int]:
     """q -> (p, t); rejects q that is not an odd prime power, and q past the
     table guard before factoring it, since no field of that order is built."""
-    if q > SIZE_GUARD:
-        raise ConfigError(f"field order {q} exceeds the table guard {SIZE_GUARD}")
     try:
+        check_order(q)
         return factor_prime_power(q)
     except FieldError as e:
         raise ConfigError(str(e)) from None

@@ -9,10 +9,7 @@ check and the writer: write_json formats each inputs string as it writes
 that record.
 
 Every aggregate a run prints or writes (the exit code, the summary line, the
-CSV row and the CLI's total) reads one Summary: each family builds its own
-from its deviations, a report's folds its families' and the total folds the
-reports'.  _nan_or holds the one NaN rule: a NaN deviation makes the maximum
-deviation and the minimum margin nan.
+CSV row and the CLI's total) reads one Summary, folded from the families'.
 
 Records come out in check order everywhere: a report's families in
 first-use order, the checks of each in the order they were added.  One task
@@ -151,10 +148,8 @@ class VerificationReport:
         for the benchmark's probe (perfbench/probe.py)."""
         return self
 
-    def summary_line(self, summary: Summary | None = None) -> str:
-        """One line for this report, read from summary if the caller has
-        already built this report's summary()."""
-        s = self.summary() if summary is None else summary
+    def summary_line(self, s: Summary) -> str:
+        """One line for this report, read from its summary() s."""
         a_part = "" if self.a_index is None else f" a_index={self.a_index}"
         status = "PASS" if s.n_failed == 0 else f"FAIL ({s.n_failed} checks)"
         return (

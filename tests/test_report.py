@@ -90,7 +90,7 @@ def test_write_json_keeps_check_order(tmp_path):
 def test_a_nan_deviation_is_the_maximum_in_either_order(tmp_path, monkeypatch, capsys, devs):
     rep = report("master", 7, 1, [("point-identity", "j={},k=0", d, i) for i, d in enumerate(devs)])
     assert math.isnan(rep.summary().max_deviation)
-    assert "max_dev=nan" in rep.summary_line()
+    assert "max_dev=nan" in rep.summary_line(rep.summary())
     path = tmp_path / "report.csv"
     write_csv([rep], str(path))
     assert next(csv.DictReader(path.open()))["max_deviation"] == "nan"
