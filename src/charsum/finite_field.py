@@ -193,7 +193,7 @@ class PrimePowerField:
         self._neg = self._one_minus = self._trace_table = None  # see neg
         self._root_tables: dict[int, list[complex]] = {}  # see root_table
         self._gauss_sums: list[complex] | None = None
-        self._jacobi_memo: dict[tuple[int, int], complex] = {}
+        self._dft_table: list[list[complex]] | None = None  # see classical_sums.log_dft
         self._kernel_rows: dict[int, list[complex]] = {}
         self._hyp_rows: dict[int, list[complex]] = {}  # see hypergeometric
         self._char_tables: dict[int, list[complex]] = {}
@@ -521,6 +521,8 @@ class FieldTower:
         self._trace_line = None
         self._i_line = None
         self._fiber_rows: dict[tuple[str, int], list[complex]] = {}  # see classical_sums
+        self._eisenstein = None  # see classical_sums.eisenstein_sums
+        self._scanned_fibers = None  # see hypergeometric.norm_fiber
 
     def _smallest_modulus_root(self, base_modulus) -> int:
         """The roots lie in the subfield, so only its q elements are tried."""

@@ -17,13 +17,12 @@ from dataclasses import dataclass, field as dc_field, replace
 
 from .characters import char, trivial_char
 from .classical_sums import (
-    eisenstein_E,
-    eisenstein_E2,
     eisenstein_gauss_deviation,
     eisenstein_shift_deviation,
+    eisenstein_sums,
     gauss_sums,
     hasse_davenport_product_deviation,
-    jacobi,
+    jacobi_row,
     lifted_gauss_deviation,
     quartic_gauss_deviation,
 )
@@ -34,6 +33,7 @@ from .hypergeometric import (
     hyp2f1_row,
     norm_fiber,
     norm_jacobi_hyp_deviation,
+    norm_jacobi_row,
     norm_restricted_jacobi,
 )
 from .katz import (
@@ -268,7 +268,8 @@ def _all_chars(field):
 
 def suite_classical(tower, policy: TolerancePolicy) -> VerificationReport:
     """Gauss/Jacobi basics, the Hasse-Davenport product and lifting relations,
-    the quartic Gauss evaluation, and Frobenius conjugation of G2."""
+    the quartic Gauss evaluation, and Frobenius conjugation of G2.  The
+    Jacobi checks of each A read its row J(A, .), one transform per A."""
     q = tower.q
     base, top = tower.base, tower.top
     rep = VerificationReport("classical", q, None)
@@ -285,27 +286,26 @@ def suite_classical(tower, policy: TolerancePolicy) -> VerificationReport:
     for b in _all_chars(top)[1:]:
         conjugate_top(abs(g2[b.index] * g2[b.conj.index] - b(-1) * top.order), b.index)
 
-    eps = trivial_char(base)
-    rep.family("jacobi-trivial", "", tol)(abs(jacobi(eps, eps) - (q - 2)))
+    n = q - 1
+    jac_eps = jacobi_row(trivial_char(base))  # J(eps, chi_k)
+    rep.family("jacobi-trivial", "", tol)(abs(jac_eps[0] - (q - 2)))
     inverse = rep.family("jacobi-inverse", "A={}", tol)
     with_trivial = rep.family("jacobi-with-trivial", "A={}", tol)
-    for a in _all_chars(base)[1:]:
-        inverse(abs(jacobi(a, a.conj) + a(-1)), a.index)
-        with_trivial(abs(jacobi(eps, a) + 1), a.index)
-
     bridge = rep.family("gauss-jacobi-bridge", "A={},B={}", tol)
     reflection = rep.family("jacobi-reflection", "A={},C={}", tol)
     hd_product = rep.family("hd-product", "A={}", tol)
     for a in _all_chars(base):
-        for b in _all_chars(base):
-            if (a * b).is_trivial:
-                continue
-            dev = abs(jacobi(a, b) - g[a.index] * g[b.index] / g[(a * b).index])
-            bridge(dev, a.index, b.index)
-        for c in _all_chars(base)[1:]:
-            dev = abs(jacobi(a, c.conj) - a(-1) * jacobi(a, a.conj * c))
-            reflection(dev, a.index, c.index)
-        hd_product(hasse_davenport_product_deviation(a), a.index)
+        i, sign = a.index, a(-1)
+        jac = jacobi_row(a) if i else jac_eps  # J(A, chi_k)
+        if i:
+            inverse(abs(jac[-i % n] + sign), i)
+            with_trivial(abs(jac_eps[i] + 1), i)
+        for k in range(n):
+            if (i + k) % n:
+                bridge(abs(jac[k] - g[i] * g[k] / g[(i + k) % n]), i, k)
+        for k in range(1, n):  # J(A, conj C) against A(-1) J(A, conj(A) C)
+            reflection(abs(jac[-k % n] - sign * jac[(k - i) % n]), i, k)
+        hd_product(hasse_davenport_product_deviation(a), i)
 
     lifted = rep.family("lifted-gauss", "C={}", tol)
     quartic = rep.family("quartic-gauss", "C={}", tol)
@@ -320,16 +320,17 @@ def suite_classical(tower, policy: TolerancePolicy) -> VerificationReport:
 
 
 def suite_eisenstein(tower, policy: TolerancePolicy) -> VerificationReport:
-    """E(beta) = beta(2) E2(beta) and the Gauss-sum evaluation of E2."""
+    """E(beta) = beta(2) E2(beta) and the Gauss-sum evaluation of E2, all
+    read from the rows of eisenstein_sums."""
     q = tower.q
     top = tower.top
     rep = VerificationReport("eisenstein", q, None)
     tol = policy.abs_tol(q, 4 * top.order)
 
-    triv = trivial_char(top)
+    e2, e = eisenstein_sums(tower)
     rep.family("line-count", "", tol)(abs(len(tower.trace_line) - q))
-    rep.family("eisenstein-trivial", "", tol)(abs(eisenstein_E2(tower, triv) - q))
-    rep.family("eisenstein-line-trivial", "", tol)(abs(eisenstein_E(tower, triv) - q))
+    rep.family("eisenstein-trivial", "", tol)(abs(e2[0] - q))
+    rep.family("eisenstein-line-trivial", "", tol)(abs(e[0] - q))
     shift = rep.family("eisenstein-shift", "beta={}", tol)
     gauss_ratio = rep.family("eisenstein-gauss-ratio", "beta={}", tol)
     for b in _all_chars(top):
@@ -346,7 +347,8 @@ def suite_hypergeometric(ctx: KatzContext, policy: TolerancePolicy) -> Verificat
     magnitude bound |2F1| <= (q-1)/q, so it cannot see a wrong row: a row
     shifted by one argument, or the row of D*phi served for D, fails none of
     its records.  theorem-4.1 and theorem-5.x catch both.  hyp-zero-arg
-    reads the literal hyp2f1 at x = 0."""
+    reads the literal hyp2f1 at x = 0.  fiber-jacobi-even compares the
+    transform row R(D, j) with the literal walk over the scanned fiber at -j."""
     tower = ctx.tower
     q = tower.q
     base = tower.base
@@ -382,11 +384,9 @@ def suite_hypergeometric(ctx: KatzContext, policy: TolerancePolicy) -> Verificat
 
     even = rep.family("fiber-jacobi-even", "D={},j={}", tol)
     for d in chars:
+        row = norm_jacobi_row(ctx, d)
         for j in range(1, q):
-            je = base.element(j)
-            dev = abs(
-                norm_restricted_jacobi(ctx, d, je) - norm_restricted_jacobi(ctx, d, -je)
-            )
+            dev = abs(row[j] - norm_restricted_jacobi(ctx, d, base.neg[j], scan=True))
             even(dev, d.index, j)
     return rep
 

@@ -4,24 +4,27 @@ norm-restricted Jacobi sum together with its hypergeometric reduction.
 The norm fiber {z in F_{q^2} : N(z) = c} is enumerated in O(q) through the
 discrete log: z0 = g2^k with k = dlog_base(c) is one solution (the tower
 fixes g = N(g2)), and the kernel of the norm is the cyclic group generated
-by g2^(q-1), of size q+1; so the fiber is the logs k + (q-1)i, and R walks
-them.  A full O(q^2) scan that tests z^(q+1) = c is kept as the oracle; the
-hypergeometric suite's norm-fiber check runs it against the log route.
+by g2^(q-1), of size q+1; so the fiber is the logs k + (q-1)i.  The oracle
+instead tests z^(q+1) = c: one pass over F_{q^2} buckets every z by
+z^(q+1), memoized on the tower, and each scanned fiber is read from it.
 
-The closed forms of R(D, j) and of the kernel h(D, j) share one 2F1 per D,
-read at every j.  hyp2f1_row sums 2F1(A,B;C | .) once for every argument,
-and hyp2f1_of_j memoizes the row of (D, D^2 phi, D phi) on the field, keyed
-by the index of D: at most q-1 rows of q entries per field, which every task
-of one process reuses.  norm_jacobi_row memoizes R(D, .) on the KatzContext,
-keyed by the index of D, since R reads the context's octic M8.  Each entry
-of either row equals the per-point value exactly; hyp2f1 and
-norm_restricted_jacobi stay as the literal oracles.
+R(D, j) is computed for every D at once: on the fiber of j^4, N(1 - z) =
+g^l, so R(., j) is one transform of the histogram of M8(z) over l
+(norm_jacobi_table, memoized on the KatzContext, since R reads its octic
+M8); norm_jacobi_row reads R(D, .) from it.  hyp2f1_row is a cyclic
+correlation in log coordinates, one dot product per argument.  The closed
+forms of R(D, j) and of the kernel h(D, j) share one 2F1 per D, read at
+every j: hyp2f1_of_j memoizes the row of (D, D^2 phi, D phi) on the field,
+keyed by the index of D, at most q-1 rows of q entries per field, which
+every task of one process reuses.  Each row agrees with the per-point value
+up to rounding; hyp2f1 and norm_restricted_jacobi stay as the literal
+oracles.
 """
 
 import operator
 
 from .characters import MultChar, norm_compose, quadratic_char
-from .classical_sums import jacobi
+from .classical_sums import jacobi, log_dft
 from .finite_field import FieldError, FieldTower
 
 
@@ -47,26 +50,23 @@ def hyp2f1(a: MultChar, b: MultChar, c: MultChar, x) -> complex:
 def hyp2f1_row(a: MultChar, b: MultChar, c: MultChar) -> list[complex]:
     """2F1(A,B;C | x) for every code x, indexed by code; entry 0 is 0j.
 
-    The weights B(y) (conj(B)C)(y-1) are formed once, in code order of y.
-    conj(A)(1 - x*y) is read from the table by_log[l] = conj(A)(1 - g^l),
-    rotated by dlog x, at the logs of y.  Each entry keeps hyp2f1's product
-    order and summation order, so it equals hyp2f1's value exactly."""
+    In log coordinates y = g^s, x = g^t, it is a cyclic correlation:
+    q 2F1(g^t) = sum_s W[s] F[s + t] with the weights W[s] = B(y)
+    (conj(B)C)(y - 1) and the doubled table F[l] = conj(A)(1 - g^l), so
+    each entry is one dot product against a slice of F."""
     field = a.field
     if b.field is not field or c.field is not field:
         raise FieldError("2F1 needs all characters on one field")
     tb = b.value_table()
     tbc = (b.conj * c).value_table()
     tac = a.conj.value_table()
-    neg, om, dlog = field.neg, field.one_minus, field.dlog
-    ys = range(1, field.order)
-    weights = [tb[y] * tbc[neg[om[y]]] for y in ys]
-    lys = [dlog[y] for y in ys]
-    by_log = [tac[om[e]] for e in field.exp]
-    row = [0j]
-    for x in ys:
-        lx = dlog[x]
-        vals = map((by_log[lx:] + by_log[:lx]).__getitem__, lys)
-        row.append(sum(map(operator.mul, weights, vals), 0j) / field.order)
+    neg, om, exp = field.neg, field.one_minus, field.exp
+    n = field.order - 1
+    weights = [tb[y] * tbc[neg[om[y]]] for y in exp]
+    by_log = [tac[om[e]] for e in exp] * 2
+    row = [0j] * field.order
+    for t, x in enumerate(exp):
+        row[x] = sum(map(operator.mul, weights, by_log[t : t + n]), 0j) / field.order
     return row
 
 
@@ -86,17 +86,21 @@ def fiber_logs(tower: FieldTower, c_code: int) -> range:
 def norm_fiber(tower: FieldTower, c, scan: bool = False) -> list[int]:
     """Codes of {z in F_{q^2} : N(z) = c} for nonzero c; exactly q+1 of them.
 
-    The codes g2^m of fiber_logs, in log order; scan=True instead tests
-    z^(q+1) = c in the top field for every z, in code order, so it does not
-    rest on the tower's link g = N(g2)."""
+    The codes g2^m of fiber_logs, in log order; scan=True instead reads the
+    codes z with z^(q+1) = c in the top field, in code order, so it does not
+    rest on the tower's link g = N(g2).  The first scan of a tower buckets
+    every z by z^(q+1) in one pass and keeps the buckets on the tower."""
     c_code = tower.base.element(c).code
     if c_code == 0:
         raise ValueError("norm fiber of 0 is just {0}; a nonzero c is required")
     exp2 = tower.top.exp
     if scan:
-        n2, dlog2, e = tower.top.order - 1, tower.top.dlog, tower.q + 1
-        target = tower.embed_table[c_code]
-        return [z for z in range(1, n2 + 1) if exp2[dlog2[z] * e % n2] == target]
+        if tower._scanned_fibers is None:
+            n2, e, fibers = tower.top.order - 1, tower.q + 1, {}
+            for z, lz in enumerate(tower.top.dlog[1:], 1):
+                fibers.setdefault(exp2[lz * e % n2], []).append(z)
+            tower._scanned_fibers = fibers
+        return list(tower._scanned_fibers[tower.embed_table[c_code]])
     return list(map(exp2.__getitem__, fiber_logs(tower, c_code)))
 
 
@@ -130,24 +134,43 @@ def norm_restricted_jacobi(ctx, d: MultChar, j, scan: bool = False) -> complex:
     return total
 
 
+def norm_jacobi_table(ctx) -> dict[int, list[complex]]:
+    """R(D, j) for every D, keyed by the code of j^4: table[j^4][d] is
+    R(chi_d, j).  Memoized on the context.
+
+    The fiber N(z) = j^4 is walked by fiber_logs, and N(1 - g2^m) = g^l
+    with l = dlog(1 - g2^m) mod q-1, where 1 - g2^m = 1 + g2^(m + n/2) has
+    log zech[m + n/2] (-1 at z = 1), n = q^2 - 1.  So R(chi_d, j) =
+    sum_l H[l] w^(-d l) for the histogram H[l] of M8(z), and one log_dft
+    of H gives every D, at index -d."""
+    table = ctx._norm_jacobi_table
+    if table is None:
+        tower = ctx.tower
+        base, top, n = tower.base, tower.top, tower.q - 1
+        n2, zech = top.order - 1, top._zech
+        t8, u8, d8 = top.char_roots(ctx.M8.index)
+        table = ctx._norm_jacobi_table = {}
+        for j4 in dict.fromkeys(base.pow_code(j, 4) for j in range(1, tower.q)):
+            hist = [0j] * n
+            for m in fiber_logs(tower, j4):
+                lg = zech[(m + n2 // 2) % n2]
+                if lg >= 0:
+                    hist[lg % n] += t8[u8 * m % d8]
+            spec = log_dft(base, hist)
+            table[j4] = [spec[-d % n] for d in range(n)]
+    return table
+
+
 def norm_jacobi_row(ctx, d: MultChar) -> list[complex]:
     """R(D, j) for every code j, indexed by code; entry 0 is 0j, since R
-    needs j != 0.  Memoized on the context by the index of D.  j and -j
-    share the fiber of j^4, so each fiber is walked once, by
-    norm_restricted_jacobi."""
+    needs j != 0.  Read from norm_jacobi_table and memoized on the context
+    by the index of D."""
     if d.field is not ctx.tower.base:
         raise FieldError("norm-restricted Jacobi sum needs a base-field character")
     row = ctx._norm_jacobi_rows.get(d.index)
     if row is None:
-        base = ctx.tower.base
-        by_j4 = {}
-        row = [0j]
-        for j in range(1, base.order):
-            j4 = base.pow_code(j, 4)
-            r = by_j4.get(j4)
-            if r is None:
-                r = by_j4[j4] = norm_restricted_jacobi(ctx, d, j)
-            row.append(r)
+        base, table = ctx.tower.base, norm_jacobi_table(ctx)
+        row = [0j] + [table[base.pow_code(j, 4)][d.index] for j in range(1, base.order)]
         ctx._norm_jacobi_rows[d.index] = row
     return row
 
@@ -158,15 +181,15 @@ def hyp2f1_of_j(d: MultChar, j) -> complex | None:
     both take a Jacobi-sum form instead.  Read from the row of
     (D, D^2 phi, D phi), memoized on the field by the index of D."""
     field = d.field
-    j = field.element(j)
-    if j.code == 1 or j.code == field.neg[1]:
+    jc = field.element(j).code
+    jp, jm = field.add_codes(jc, 1), field.sub_codes(jc, 1)
+    if jp == 0 or jm == 0:
         return None
     row = field._hyp_rows.get(d.index)
     if row is None:
         phi = quadratic_char(field)
         row = field._hyp_rows[d.index] = hyp2f1_row(d, d**2 * phi, d * phi)
-    x = -(((j + 1) / (j - 1)) ** 2)
-    return row[x.code]
+    return row[field.neg[field.pow_code(field.mul_codes(jp, field.inv_code(jm)), 2)]]
 
 
 def norm_jacobi_hyp_deviation(ctx, d: MultChar, j) -> float:

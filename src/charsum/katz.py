@@ -125,7 +125,9 @@ class KatzContext:
         self._pm = None
         # inner[j] = sum_k chi2(k) P(j,k) for every code j, by chi2.index
         self._mixed_inner: dict[int, list[complex]] = {}
-        # R(D, .) for every code, by D.index (see hypergeometric)
+        # R(., j) for every D by the code of j^4, and R(D, .) for every code
+        # by D.index (see hypergeometric)
+        self._norm_jacobi_table: dict[int, list[complex]] | None = None
         self._norm_jacobi_rows: dict[int, list[complex]] = {}
 
     def a_index(self) -> int:
@@ -294,15 +296,14 @@ def double_mellin_product_deviation(ctx: KatzContext, chi1: MultChar, chi2: Mult
 def kernel_row(d: MultChar) -> list[complex]:
     """h(D, j) = sum_{x != 0} D(x) phi(1-x) (phi conj(D)^2)(x(j+1)^2 + (j-1)^2)
     for every code j, indexed by code; entry 0 is 0j, since h needs j != 0.
+    Memoized on the field by the index of D.
 
-    Memoized on the field by the index of D.  The weights D(x) phi(1-x) are
-    formed once per D; each entry keeps the product order and the summation
-    order of the per-x loop, so it equals that loop's value exactly.
-
-    The argument is found in log coordinates: with n = q-1 and
-    x(j+1)^2 = g^(lx + lp), x(j+1)^2 + (j-1)^2 = g^(lm + zech[lx + lp - lm]),
-    so each row reads a rotated Zech table at the logs lx, in code order, and
-    a table of the mixed character rotated by lm.
+    In log coordinates x = g^s, with the weights W[s] = D(x) phi(1 - x) and
+    mix = phi conj(D)^2: for j != +-1, x(j+1)^2 + (j-1)^2 = (j-1)^2 (1 +
+    g^(s + r)) with r = dlog((j+1)^2 / (j-1)^2), so h(D, j) = mix((j-1)^2)
+    sum_s W[s] U[s + r] for U[l] = mix(1 + g^l), one dot product against a
+    slice of U doubled, shared by the j of one r (j and 1/j).  At j = 1 the
+    argument is x(j+1)^2 = g^(s + dlog 4), and at j = -1 it is (j-1)^2.
     """
     field = d.field
     row = field._kernel_rows.get(d.index)
@@ -310,28 +311,26 @@ def kernel_row(d: MultChar) -> list[complex]:
         phi = quadratic_char(field)
         td, tphi = d.value_table(), phi.value_table()
         tmix = (phi * d.conj**2).value_table()
-        om, dlog, n = field.one_minus, field.dlog, field.order - 1
-        xs = range(1, field.order)
-        weights = [td[x] * tphi[om[x]] for x in xs]
-        lxs = [dlog[x] for x in xs]
-        mix_by_log = [tmix[e] for e in field.exp]
-        zech = [z if z >= 0 else n for z in field._zech]  # 1 + g^k = 0 reads index n
+        om, dlog, exp, n = field.one_minus, field.dlog, field.exp, field.order - 1
+        weights = [td[x] * tphi[om[x]] for x in exp]
+        mix_by_log = [tmix[e] for e in exp] * 2
+        shifted = [mix_by_log[z] if z >= 0 else 0j for z in field._zech] * 2  # U[l]
         mul, add, sub = field.mul_codes, field.add_codes, field.sub_codes
+        by_shift = {}
         row = [0j]
-        for j in xs:
+        for j in range(1, field.order):
             jp, jm = add(j, 1), sub(j, 1)
             jp, jm = mul(jp, jp), mul(jm, jm)
-            if jp == 0:  # j = -1: every argument is (j-1)^2
-                vals = [tmix[jm]] * n
-            elif jm == 0:  # j = 1: the argument is x(j+1)^2
+            if jp == 0:  # j = -1
+                row.append(tmix[jm] * sum(weights, 0j))
+            elif jm == 0:  # j = 1
                 lp = dlog[jp]
-                vals = map((mix_by_log[lp:] + mix_by_log[:lp]).__getitem__, lxs)
+                row.append(sum(map(operator.mul, weights, mix_by_log[lp : lp + n]), 0j))
             else:
-                lp, lm = dlog[jp], dlog[jm]
-                r = (lp - lm) % n
-                mix = mix_by_log[lm:] + mix_by_log[:lm] + [0j]
-                vals = map(mix.__getitem__, map((zech[r:] + zech[:r]).__getitem__, lxs))
-            row.append(sum(map(operator.mul, weights, vals), 0j))
+                r = (dlog[jp] - dlog[jm]) % n
+                if r not in by_shift:
+                    by_shift[r] = sum(map(operator.mul, weights, shifted[r : r + n]), 0j)
+                row.append(tmix[jm] * by_shift[r])
         field._kernel_rows[d.index] = row
     return row
 

@@ -2,6 +2,11 @@
 import ...`."""
 
 
+# the bound between a transform row and its literal oracle: the two sum the
+# same terms in different orders, about 1e-14 apart at q = 59
+ROUTE_TOL = 1e-12
+
+
 def records(rep) -> list[tuple[str, str, float, bool]]:
     """(check_id, inputs, deviation, passed) of every check of rep, family by
     family in first-use order and each in check order: the records that

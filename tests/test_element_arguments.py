@@ -8,6 +8,7 @@ from functools import lru_cache
 from pathlib import Path
 
 import pytest
+from conftest import ROUTE_TOL
 
 from charsum.characters import char, quadratic_char
 from charsum.finite_field import FieldError, build_tower, construct_field
@@ -78,7 +79,7 @@ def test_hyp2f1_reads_an_integer_as_a_code():
     for ia, ib, ic in [(1, 2, 3), (5, 10, 5 + n // 2), (0, 0, 0)]:
         a, b, c = char(field, ia), char(field, ib), char(field, ic)
         row = hyp2f1_row(a, b, c)
-        assert [hyp2f1(a, b, c, x) for x in range(field.order)] == row
+        assert max(abs(hyp2f1(a, b, c, x) - row[x]) for x in range(field.order)) <= ROUTE_TOL
     assert hyp2f1(char(field, 1), char(field, 2), char(field, 3), 3) != 0
 
 

@@ -1,15 +1,18 @@
+import collections
 import json
 import math
 import os
+import runpy
 import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from conftest import records
 
 from charsum import cli, harness
-from charsum.finite_field import build_tower
+from charsum.finite_field import build_tower, factor_prime_power
 from charsum.harness import (
     EXIT_CHECK_FAILED,
     EXIT_OK,
@@ -367,6 +370,21 @@ class TestSuites:
     def test_theorem5x_suite_exhaustive_small_q(self, p, t):
         rep = suite_theorem5x(KatzContext(build_tower(p, t), 1), DEFAULT_POLICY)
         assert rep.all_passed, [r for r in records(rep) if not r[3]][:3]
+
+    @pytest.mark.parametrize("q", [7, 11, 27])
+    def test_record_counts_match_the_benchmark_inventory(self, q):
+        # perfbench/workloads.py derives each suite's record count per
+        # check_id from its loop bounds, independently of the program; a
+        # dropped or extra record fails here before the benchmark runs.
+        # run_path reads the file and writes no bytecode next to it
+        workloads = runpy.run_path(str(Path(__file__).parents[1] / "perfbench" / "workloads.py"))
+        tower = build_tower(*factor_prime_power(q))
+        ctx = KatzContext(tower, 1)
+        for name in ("classical", "eisenstein", "hypergeometric", "theorem-4.1", "theorem-5.x"):
+            rep = SUITES[name].check(ctx if SUITES[name].octic else tower, DEFAULT_POLICY)
+            counts = collections.Counter(check_id for check_id, *_ in records(rep))
+            want = {check_id: n for check_id, n in workloads["suite_counts"](name, q).items() if n}
+            assert counts == want, name
 
     def test_remark_z_suite(self):
         for q in (5, 9):

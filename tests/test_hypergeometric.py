@@ -1,7 +1,10 @@
 import cmath
 import copy
+import operator
 
 import pytest
+
+from conftest import ROUTE_TOL
 
 from charsum.characters import char, norm_compose, quadratic_char, trivial_char
 from charsum.finite_field import FieldError, PrimePowerField, build_tower, construct_field
@@ -52,7 +55,7 @@ class TestHyp2F1:
 class TestHyp2F1Row:
     @pytest.mark.parametrize("p,t", [(7, 1), (11, 1), (3, 3), (59, 1)])
     def test_equals_per_point_values(self, p, t):
-        # same products in the same order: equal with ==, x = 0 included
+        # the same terms summed in another order, x = 0 included
         field = build_tower(p, t).base
         n = field.order - 1
         phi = quadratic_char(field)
@@ -62,7 +65,8 @@ class TestHyp2F1Row:
             a, b, c = (char(field, i % n) for i in (ia, ib, ic))
             row = hyp2f1_row(a, b, c)
             assert len(row) == field.order
-            assert row == [hyp2f1(a, b, c, field.element(x)) for x in range(field.order)]
+            literal = [hyp2f1(a, b, c, field.element(x)) for x in range(field.order)]
+            assert max(map(abs, map(operator.sub, row, literal))) <= ROUTE_TOL
         assert char(field, 2 + n // 2) == char(field, 1) ** 2 * phi
 
     def test_memoized_row_serves_hyp2f1_of_j(self, monkeypatch):
@@ -73,7 +77,7 @@ class TestHyp2F1Row:
             d = char(field, di)
             for j in range(2, 10):
                 x = -((j + 1) * pow(j - 1, -1, 11)) ** 2 % 11
-                assert hyp2f1_of_j(d, j) == hyp2f1(d, d**2 * phi, d * phi, x)
+                assert abs(hyp2f1_of_j(d, j) - hyp2f1(d, d**2 * phi, d * phi, x)) <= ROUTE_TOL
             assert field._hyp_rows[di] == hyp2f1_row(d, d**2 * phi, d * phi)
         assert sorted(field._hyp_rows) == list(range(10))
 
@@ -195,7 +199,7 @@ class TestNormRestrictedJacobi:
 class TestNormJacobiRow:
     @pytest.mark.parametrize("p,t", [(7, 1), (11, 1), (3, 3), (59, 1)])
     def test_equals_per_point_values(self, p, t):
-        # every D, every j and all four octic variants, compared with ==
+        # every D, every j and all four octic variants
         tower = build_tower(p, t)
         base = tower.base
         for variant in (1, 3, 5, 7):
@@ -204,7 +208,8 @@ class TestNormJacobiRow:
                 d = char(base, di)
                 row = norm_jacobi_row(ctx, d)
                 assert row[0] == 0j and len(row) == base.order
-                assert row[1:] == [norm_restricted_jacobi(ctx, d, j) for j in range(1, base.order)]
+                literal = [norm_restricted_jacobi(ctx, d, j) for j in range(1, base.order)]
+                assert max(map(abs, map(operator.sub, row[1:], literal))) <= ROUTE_TOL
 
     def test_memoized_on_the_context(self):
         tower = build_tower(7)
@@ -266,7 +271,8 @@ class TestHypergeometricReduction:
             assert hyp2f1_of_j(d, 1) is None and hyp2f1_of_j(d, 10) is None
             for j in range(2, 10):
                 x = -((j + 1) * pow(j - 1, -1, 11)) ** 2 % 11  # integer arithmetic mod 11
-                assert hyp2f1_of_j(d, j) == hyp2f1(d, d**2 * phi, d * phi, field.element(x))
+                want = hyp2f1(d, d**2 * phi, d * phi, field.element(x))
+                assert abs(hyp2f1_of_j(d, j) - want) <= ROUTE_TOL
 
     def test_trivial_character_included(self, ctx7):
         base = ctx7.tower.base
