@@ -3,7 +3,6 @@ import copy
 import operator
 
 import pytest
-
 from conftest import ROUTE_TOL
 
 from charsum.characters import char, norm_compose, quadratic_char, trivial_char
