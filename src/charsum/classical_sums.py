@@ -1,14 +1,13 @@
 """Gauss, Jacobi and Eisenstein sums, plus their classical closed-form deviations.
 
-Every sum that the suites read comes from a discrete Fourier transform in
-log coordinates, one per fixed argument.  Every Gauss sum of a field is one
-transform, G(chi_k) = sum_m psi(g^m) e^(2 pi i k m / N) with N = q* - 1,
-evaluated by Bluestein's chirp-z algorithm over a radix-2 FFT: `gauss_sums`
-returns the whole list and `gauss` reads one entry of it.  The row of Jacobi
-sums J(A, chi_k) = sum_m A(1 - g^m) e^(2 pi i k m / N) over every k is one
-transform per A (`jacobi_row`), and the Eisenstein sums E2 and E of every
-character of F_{q^2} are q+1 transforms of length q-1 per line
-(`eisenstein_sums`).  Every transform of length q-1 goes through `log_dft`.
+Every sum that the suites read is an entry of a discrete Fourier transform
+in log coordinates, one per fixed argument, and `_transform` runs each one:
+Bluestein's chirp-z algorithm over one radix-2 FFT, with a plan per length.
+All Gauss sums of a field, G(chi_k) = sum_m psi(g^m) e^(2 pi i k m / N) for
+N = q* - 1, are one transform (`gauss_sums`; `gauss` reads one entry); the
+Jacobi row J(A, chi_k) = sum_m A(1 - g^m) e^(2 pi i k m / N) is one per A
+(`jacobi_row`), and E2 and E of every character of F_{q^2} are q+1 of length
+q-1 per line (`eisenstein_sums`); `log_dft` runs those of length q-1.
 `gauss_literal`, `jacobi`, `eisenstein_E2` and `eisenstein_E` sum one value
 literally and are kept as the oracles of the tests (and `jacobi` for the
 few single values the closed forms need).  The closed forms (the
@@ -44,8 +43,7 @@ from .finite_field import FieldError, FieldTower
 
 def gauss_literal(a: MultChar) -> complex:
     """G(A) = sum_y A(y) psi(y), always by literal summation (no memo)."""
-    ta = a.value_table()
-    psi = a.field.psi_table
+    ta, psi = a.value_table(), a.field.psi_table
     return sum(ta[y] * psi[y] for y in range(1, a.field.order))
 
 
@@ -55,66 +53,70 @@ def gauss(a: MultChar) -> complex:
 
 
 def gauss_sums(field) -> list[complex]:
-    """G(chi_k) for every character index k of the field, memoized on it.
-
-    With N = q* - 1 and x_m = psi(g^m), G(chi_k) = sum_m x_m e^(2 pi i k m / N)
-    is one length-N DFT, computed on first use, never at field build.
-    """
-    sums = field._gauss_sums
-    if sums is None:
-        n = field.order - 1
-        psi = field.psi_table
-        sums = field._gauss_sums = _bluestein_dft([psi[c] for c in field.exp[:n]])
-    return sums
-
-
-def _bluestein_dft(x: list[complex]) -> list[complex]:
-    """X_k = sum_m x_m e^(2 pi i k m / n) for any length n, as a convolution.
-
-    km = (k^2 + m^2 - (k - m)^2) / 2, so X_k = c_k sum_m (x_m c_m) conj(c_(k-m))
-    with the chirp c_m = e^(pi i m^2 / n).  The angle is reduced as m^2 mod 2n
-    before scaling, so its rounding error does not grow with m.  The
-    convolution is cyclic of length L = 2^ceil(log2(2n - 1)), long enough
-    that k - m in (-n, n) never wraps onto another term.
-    """
-    n = len(x)
-    chirp = [cmath.exp(1j * math.pi * (m * m % (2 * n)) / n) for m in range(n)]
-    size = 1 << (2 * n - 2).bit_length()
-    a = [u * c for u, c in zip(x, chirp)] + [0j] * (size - n)
-    b = [c.conjugate() for c in chirp]
-    b += [0j] * (size - 2 * n + 1) + b[:0:-1]  # b[size - j] = conj(c_j)
-    twiddles = [cmath.exp(-2j * math.pi * j / size) for j in range(size // 2)]
-    spectrum = [u * v for u, v in zip(_fft(a, twiddles), _fft(b, twiddles))]
-    conv = _fft(spectrum, [w.conjugate() for w in twiddles])  # inverse, times size
-    return [c * v / size for c, v in zip(chirp, conv)]
-
-
-def _fft(x: list[complex], twiddles: list[complex]) -> list[complex]:
-    """Radix-2 DFT sum_m x_m w^(km) of a power-of-2 length, where twiddles
-    holds the first len(x)/2 powers of w, a primitive len(x)-th root of 1."""
-    if len(x) <= 2:
-        return x if len(x) == 1 else [x[0] + x[1], x[0] - x[1]]
-    half = twiddles[::2]
-    even = _fft(x[::2], half)
-    odd = [w * v for w, v in zip(twiddles, _fft(x[1::2], half))]
-    return [e + o for e, o in zip(even, odd)] + [e - o for e, o in zip(even, odd)]
+    """G(chi_k) for every character index k of the field, memoized on it: one
+    _transform of psi(g^m) on first use, whose plan is not kept."""
+    if field._gauss_sums is None:
+        n, psi = field.order - 1, field.psi_table
+        field._gauss_sums = _transform(_plan(n), [psi[c] for c in field.exp[:n]])
+    return field._gauss_sums
 
 
 def log_dft(field, x: list[complex]) -> list[complex]:
-    """X_k = sum_m x_m w^(km) for every k, w = e^(2 pi i / n), n = order - 1.
+    """X_k = sum_m x_m w^(km) for every k, w = e^(2 pi i / n), n = order - 1,
+    by _transform with a plan of length n kept on the field."""
+    if field._dft_plan is None:
+        field._dft_plan = _plan(field.order - 1)
+    return _transform(field._dft_plan, x)
 
-    One dot product per k against row k of a table of references into the
-    field's roots, table[k][m] = w^(km mod n), built on the first call and
-    kept on the field: n^2 entries of 8 B.  It beats _bluestein_dft at
-    n = 58 (0.3 against 1.0 ms) and n = 262 (6.6 against 9.0 ms), and loses
-    at n = 502 (25 against 9.6 ms; Xeon VM, Python 3.11), so a faster
-    kernel for large q replaces this one function.
-    """
-    table = field._dft_table
-    if table is None:
-        n, roots = field.order - 1, field.unity_roots
-        table = field._dft_table = [[roots[k * m % n] for m in range(n)] for k in range(n)]
-    return [sum(map(operator.mul, x, row), 0j) for row in table]
+
+def _plan(n: int) -> tuple[list[complex], list[complex], list[complex]]:
+    """(chirp c, twiddles, spectrum) for Bluestein transforms of length n.
+
+    km = (k^2 + m^2 - (k - m)^2) / 2, so X_k = c_k sum_m (x_m c_m) conj(c_(k-m))
+    for c_m = e^(pi i m^2 / n), its angle exact mod 2 pi (m^2 mod 2n): a cyclic
+    convolution of length L = 2^ceil(log2(2n - 1)), where k - m never wraps.
+    twiddles[t] = e^(-2 pi i t / L), t < L/2; spectrum is the FFT of conj(c) / L."""
+    chirp = [cmath.exp(1j * math.pi * (m * m % (2 * n)) / n) for m in range(n)]
+    size = 1 << (2 * n - 2).bit_length()
+    twiddles = [cmath.exp(-2j * math.pi * t / size) for t in range(size // 2)]
+    b = [c.conjugate() / size for c in chirp]
+    b += [0j] * (size - 2 * n + 1) + b[:0:-1]  # b[size - j] = conj(c_j) / size
+    return chirp, twiddles, _fft(b, twiddles)
+
+
+def _transform(plan, x: list[complex]) -> list[complex]:
+    """X_k = sum_m x_m e^(2 pi i k m / n) for the plan's length n, by two FFTs;
+    the second runs forward too, so the convolution at j is read at -j mod L.
+    X_0 is the plain sum, exact where the x_m are integers."""
+    chirp, twiddles, spectrum = plan
+    n, size = len(chirp), len(spectrum)
+    a = list(map(operator.mul, x, chirp)) + [0j] * (size - n)
+    conv = _fft(list(map(operator.mul, _fft(a, twiddles), spectrum)), twiddles)
+    return [sum(x, 0j), *map(operator.mul, chirp[1:], conv[: size - n : -1])]
+
+
+def _fft(x: list[complex], twiddles: list[complex]) -> list[complex]:
+    """sum_m x_m w^(km) for every k, of a power-of-2 length L, where twiddles[t]
+    = w^t for t < L/2.  Stockham passes, natural order: before each, x[2jh + r]
+    holds entry j of the length-s transform of the inputs r (mod 2h), sh = L/2;
+    the pass joins r and r + h by twiddles[::h], looping over j or r, the fewer."""
+    n, s, h = len(x), 1, len(x) // 2
+    while h:
+        w, y = twiddles[::h], [0j] * n
+        if s <= h:
+            for j in range(s):
+                e = x[2 * j * h : (2 * j + 1) * h]
+                t = list(map(w[j].__mul__, x[(2 * j + 1) * h : (2 * j + 2) * h]))
+                y[j * h : (j + 1) * h] = map(operator.add, e, t)
+                y[(j + s) * h : (j + s + 1) * h] = map(operator.sub, e, t)
+        else:
+            for r in range(h):
+                e = x[r :: 2 * h]
+                t = list(map(operator.mul, w, x[r + h :: 2 * h]))
+                y[r : s * h : h] = map(operator.add, e, t)
+                y[s * h + r :: h] = map(operator.sub, e, t)
+        x, s, h = y, 2 * s, h // 2
+    return x
 
 
 def jacobi(a: MultChar, b: MultChar) -> complex:
@@ -221,9 +223,8 @@ def eisenstein_E(tower: FieldTower, beta: MultChar) -> complex:
 def _char_sum(beta: MultChar, codes: list[int]) -> complex:
     """The sum of beta over the given element codes, in order, read through
     dlog (beta(0) = 0), so that no q*-entry value table is built for q points."""
-    field = beta.field
-    n, k = field.order - 1, beta.index
-    roots, dlog = field.unity_roots, field.dlog
+    field, k = beta.field, beta.index
+    n, roots, dlog = field.order - 1, field.unity_roots, field.dlog
     return sum((roots[k * dlog[z] % n] for z in codes if z), 0j)
 
 
@@ -244,8 +245,7 @@ def _line_sums(tower: FieldTower, codes) -> list[complex]:
     m mod q-1, weighted by w2^(k2 m), and one log_dft gives every k1.
     """
     top, q = tower.top, tower.q
-    n2, roots2 = top.order - 1, top.unity_roots
-    logs = [top.dlog[z] for z in codes if z]
+    n2, roots2, logs = top.order - 1, top.unity_roots, [top.dlog[z] for z in codes if z]
     out = [0j] * n2
     for k2 in range(q + 1):
         hist = [0j] * (q - 1)

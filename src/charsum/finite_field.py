@@ -193,7 +193,7 @@ class PrimePowerField:
         self._neg = self._one_minus = self._trace_table = None  # see neg
         self._root_tables: dict[int, list[complex]] = {}  # see root_table
         self._gauss_sums: list[complex] | None = None
-        self._dft_table: list[list[complex]] | None = None  # see classical_sums.log_dft
+        self._dft_plan: tuple | None = None  # see classical_sums.log_dft
         self._kernel_rows: dict[int, list[complex]] = {}
         self._hyp_rows: dict[int, list[complex]] = {}  # see hypergeometric
         self._char_tables: dict[int, list[complex]] = {}

@@ -154,7 +154,7 @@ def _valid_a_policy(policy: str) -> bool:
         return True
     if policy.startswith("sample-"):
         tail = policy[len("sample-"):]
-        return tail.isdigit() and int(tail) >= 1
+        return tail.isdecimal() and int(tail) >= 1
     return False
 
 

@@ -188,6 +188,19 @@ class TestConfig:
         assert not list(tmp_path.glob("r.*"))
         assert cli.main([*argv, *once]) == 0
 
+    @pytest.mark.parametrize("tail", ["\u00b2", "\u2460"])  # superscript two, circled one
+    def test_non_decimal_sample_flag_is_a_config_error(self, capsys, tail):
+        # str.isdigit accepts these, int() does not
+        assert cli.main(["run", "--suite", "master", "--q", "7", "--a", f"sample-{tail}"]) == 2
+        assert "bad a-policy" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tail", ["\u00b2", "\u2460"])
+    def test_non_decimal_sample_config_key_is_a_config_error(self, tmp_path, capsys, tail):
+        path = tmp_path / "run.cfg"
+        path.write_text(f"q = 7\nsuites = master\na_policy = sample-{tail}\n", encoding="utf-8")
+        assert cli.main(["run", "--config", str(path)]) == 2
+        assert "bad a-policy" in capsys.readouterr().err
+
     def test_workers_capped_by_tasks_and_cpus(self, monkeypatch):
         monkeypatch.delenv("CHARSUM_PARALLELISM", raising=False)
         cpus = os.cpu_count() or 1

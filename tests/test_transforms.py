@@ -6,6 +6,8 @@ agree to ROUTE_TOL, not bit for bit."""
 
 import cmath
 import math
+import subprocess
+import sys
 
 import pytest
 from conftest import ROUTE_TOL, records
@@ -36,13 +38,34 @@ def failed_ids(rep) -> set[str]:
     return {check_id for check_id, _, _, passed in records(rep) if not passed}
 
 
-@pytest.mark.parametrize("q", QS)
+@pytest.mark.parametrize("q", [3, *QS, 17, 263])  # n = 2, a power of 2, and 262
 def test_log_dft_equals_the_defining_sum(q):
     base = tower_of(q).base
     n = base.order - 1
     x = [complex(math.sin(m), m % 3) for m in range(n)]
-    want = [sum(x[m] * cmath.exp(2j * math.pi * k * m / n) for m in range(n)) for k in range(n)]
+    # the angle reduced as km mod n: unreduced, its own error reaches 1e-11 at n = 262
+    want = [sum(x[m] * cmath.exp(2j * math.pi * (k * m % n) / n) for m in range(n))
+            for k in range(n)]
     assert max(abs(u - v) for u, v in zip(log_dft(base, x), want)) <= ROUTE_TOL
+
+
+def test_log_dft_keeps_under_128_kb_at_q263():
+    # a fresh interpreter; the plan kept on F_263 (chirp, 512 twiddles and a
+    # spectrum of length 1024) takes about 71 KB, the 262 x 262 table of
+    # references that it replaced 561 KB
+    code = (
+        "import tracemalloc\n"
+        "from charsum.classical_sums import log_dft\n"
+        "from charsum.finite_field import build_tower\n"
+        "base = build_tower(263).base\n"
+        "x = [complex(m % 5, 1) for m in range(262)]\n"
+        "tracemalloc.start()\n"
+        "log_dft(base, x)\n"
+        "print(tracemalloc.get_traced_memory()[0])\n"
+    )
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert int(res.stdout) < 128 * 1024
 
 
 @pytest.mark.parametrize("q", QS)
