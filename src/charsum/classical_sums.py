@@ -1,4 +1,4 @@
-"""Gauss, Jacobi and Eisenstein sums, plus their classical closed-form deviations.
+"""Gauss, Jacobi and Eisenstein sums, plus classical closed-form deviations.
 
 Every sum that the suites read is an entry of a discrete Fourier transform
 in log coordinates, one per fixed argument, and `_transform` runs each one:
@@ -10,12 +10,13 @@ Jacobi row J(A, chi_k) = sum_m A(1 - g^m) e^(2 pi i k m / N) is one per A
 q-1 per line (`eisenstein_sums`); `log_dft` runs those of length q-1.
 `gauss_literal`, `jacobi`, `eisenstein_E2` and `eisenstein_E` sum one value
 literally and are kept as the oracles of the tests (and `jacobi` for the
-few single values the closed forms need).  The closed forms (the
-Hasse-Davenport product and lifting relations, the quartic Gauss-sum
-evaluation, the Eisenstein/Gauss ratio) appear only inside deviation
-functions, so each compares two independently computed values: Jacobi rows
-from A(1 - g^m) or Eisenstein rows from the points of a line, against Gauss
-sums from psi(g^m), or transform values at different indices.
+few single values the closed forms need).  The Hasse-Davenport product and
+lifting relations and the quartic Gauss-sum evaluation are deviation
+functions here; the Jacobi/Gauss and Eisenstein/Gauss evaluations are read
+row against row in the classical and eisenstein suites.  Each compares two
+independently computed values: Jacobi rows from A(1 - g^m) or Eisenstein
+rows from the points of a line, against Gauss sums from psi(g^m), or
+transform values at different indices.
 
 A sum over F_{q^2} whose character is a lifted base character C N, times a
 fixed top-field character B, splits over the norm fibers {N z = g^k}:
@@ -26,18 +27,17 @@ Jacobi Sums*, 1998).
 
 Sums that do not depend on the parameter a are memoized, and every a-task
 of one process reuses them: `gauss_sums` one list of q*-1 values per field,
-`eisenstein_sums` two lists of q^2-1 values per tower, and the fiber rows
-Phi, q-1 values each, keyed on the tower by ("jacobi", index of A) or
-("gauss", index of B); katz asks for Gauss rows only at B = 1, M8 and M8^5,
-at most five over the four octic variants.  Jacobi rows are not memoized:
-the classical suite reads each once.
+and the fiber rows Phi, q-1 values each, keyed on the tower by ("jacobi",
+index of A) or ("gauss", index of B); katz asks for Gauss rows only at
+B = 1, M8 and M8^5, at most five over the four octic variants.  Jacobi rows
+and the Eisenstein rows are not memoized: their suites read each once.
 """
 
 import cmath
 import math
 import operator
 
-from .characters import MultChar, norm_compose, octic_M8, quadratic_char, restrict_to_base
+from .characters import MultChar, norm_compose, octic_M8, quadratic_char
 from .finite_field import FieldError, FieldTower
 
 
@@ -229,11 +229,9 @@ def _char_sum(beta: MultChar, codes: list[int]) -> complex:
 
 
 def eisenstein_sums(tower: FieldTower) -> tuple[list[complex], list[complex]]:
-    """(E2, E): E2(chi_k) and E(chi_k) for every index k of F_{q^2}, memoized
-    on the tower; each is _line_sums of its line."""
-    if tower._eisenstein is None:
-        tower._eisenstein = (_line_sums(tower, tower.trace_line), _line_sums(tower, tower.i_line))
-    return tower._eisenstein
+    """(E2, E): E2(chi_k) and E(chi_k) for every index k of F_{q^2}, each
+    _line_sums of its line; not memoized, the eisenstein suite reads them once."""
+    return _line_sums(tower, tower.trace_line), _line_sums(tower, tower.i_line)
 
 
 def _line_sums(tower: FieldTower, codes) -> list[complex]:
@@ -294,26 +292,3 @@ def quartic_gauss_deviation(tower: FieldTower, c: MultChar) -> float:
     lhs2 = g2[(cn * m4.conj).index]
     rhs = -(c.conj**2 * phi)(2) * g[(c**2 * phi).index] * g[phi.index]
     return max(abs(lhs1 - rhs), abs(lhs2 - rhs))
-
-
-def eisenstein_shift_deviation(tower: FieldTower, beta: MultChar) -> float:
-    """|E(beta) - beta(2) E2(beta)|, read from eisenstein_sums."""
-    e2, e = eisenstein_sums(tower)
-    return abs(e[beta.index] - beta(2) * e2[beta.index])
-
-
-def eisenstein_gauss_deviation(tower: FieldTower, beta: MultChar) -> float:
-    """E2, read from eisenstein_sums, against its Gauss-sum evaluation, for
-    nontrivial beta:
-    G2(beta)/G(beta*) if the restriction beta* is nontrivial, else -G2(beta)/q.
-    """
-    if beta.is_trivial:
-        raise ValueError("the Gauss evaluation of E2 needs nontrivial beta")
-    star = restrict_to_base(tower, beta)
-    lhs = eisenstein_sums(tower)[0][beta.index]
-    g2 = gauss_sums(tower.top)[beta.index]
-    if star.is_trivial:
-        rhs = -g2 / tower.q
-    else:
-        rhs = g2 / gauss_sums(tower.base)[star.index]
-    return abs(lhs - rhs)

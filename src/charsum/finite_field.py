@@ -521,7 +521,6 @@ class FieldTower:
         self._trace_line = None
         self._i_line = None
         self._fiber_rows: dict[tuple[str, int], list[complex]] = {}  # see classical_sums
-        self._eisenstein = None  # see classical_sums.eisenstein_sums
         self._scanned_fibers = None  # see hypergeometric.norm_fiber
 
     def _smallest_modulus_root(self, base_modulus) -> int:

@@ -15,13 +15,12 @@ import time
 from collections.abc import Callable
 from dataclasses import dataclass, field as dc_field, replace
 
-from .characters import char, trivial_char
+from .characters import char, quadratic_char, trivial_char
 from .classical_sums import (
-    eisenstein_gauss_deviation,
-    eisenstein_shift_deviation,
     eisenstein_sums,
     gauss_sums,
     hasse_davenport_product_deviation,
+    jacobi,
     jacobi_row,
     lifted_gauss_deviation,
     quartic_gauss_deviation,
@@ -32,9 +31,9 @@ from .hypergeometric import (
     hyp2f1,
     hyp2f1_row,
     norm_fiber,
-    norm_jacobi_hyp_deviation,
     norm_jacobi_row,
     norm_restricted_jacobi,
+    reduction_row,
 )
 from .katz import (
     KatzContext,
@@ -42,10 +41,10 @@ from .katz import (
     double_mellin_product,
     double_mellin_product_deviation,
     fiber_jacobi_transform_deviation,
-    kernel_closed_form_deviation,
     kernel_double_sum,
     kernel_double_sum_anchor,
     kernel_double_sum_deviation,
+    kernel_row,
     kernel_transform_deviation,
     mellin_single_deviation,
     mellin_transform,
@@ -320,23 +319,28 @@ def suite_classical(tower, policy: TolerancePolicy) -> VerificationReport:
 
 
 def suite_eisenstein(tower, policy: TolerancePolicy) -> VerificationReport:
-    """E(beta) = beta(2) E2(beta) and the Gauss-sum evaluation of E2, all
-    read from the rows of eisenstein_sums."""
+    """E(beta) = beta(2) E2(beta), and E2(beta) = G2(beta)/G(beta*) for
+    nontrivial beta, or -G2(beta)/q where its restriction beta* to F_q is
+    trivial.  The rows E2 and E of eisenstein_sums, read once, are checked
+    entry by entry against each other and against the Gauss sums."""
     q = tower.q
     top = tower.top
     rep = VerificationReport("eisenstein", q, None)
     tol = policy.abs_tol(q, 4 * top.order)
 
     e2, e = eisenstein_sums(tower)
+    g, g2 = gauss_sums(tower.base), gauss_sums(top)
+    n, roots, log2 = top.order - 1, top.unity_roots, top.dlog[2 % tower.p]
     rep.family("line-count", "", tol)(abs(len(tower.trace_line) - q))
     rep.family("eisenstein-trivial", "", tol)(abs(e2[0] - q))
     rep.family("eisenstein-line-trivial", "", tol)(abs(e[0] - q))
     shift = rep.family("eisenstein-shift", "beta={}", tol)
     gauss_ratio = rep.family("eisenstein-gauss-ratio", "beta={}", tol)
-    for b in _all_chars(top):
-        shift(eisenstein_shift_deviation(tower, b), b.index)
-        if not b.is_trivial:
-            gauss_ratio(eisenstein_gauss_deviation(tower, b), b.index)
+    for k in range(n):
+        shift(abs(e[k] - roots[k * log2 % n] * e2[k]), k)  # chi_k(2) from the root table
+        if k:
+            star = k % (q - 1)
+            gauss_ratio(abs(e2[k] - (g2[k] / g[star] if star else -g2[k] / q)), k)
     return rep
 
 
@@ -392,16 +396,32 @@ def suite_hypergeometric(ctx: KatzContext, policy: TolerancePolicy) -> Verificat
 
 
 def suite_theorem41(ctx: KatzContext, policy: TolerancePolicy) -> VerificationReport:
-    """R(D, j) against its hypergeometric reduction, all (D, j)."""
+    """R(D, j) against its hypergeometric reduction, all (D, j).  For each D
+    the row R(D, .) of the fibers against its closed form:
+
+    j = +-1:  -conj(D)(4) J(phi D^2, phi), one literal Jacobi sum per D
+    else:     -phi(j) q conj(D)^4(j-1) 2F1(D, D^2 phi; D phi | -((j+1)/(j-1))^2)
+
+    with the 2F1 read from reduction_row and each character value from the
+    root table by log."""
     q = ctx.tower.q
     base = ctx.tower.base
     rep = VerificationReport("theorem-4.1", q, None)
     tol = policy.abs_tol(q, 4 * q * q)
     fiber_hyp = rep.family("fiber-jacobi-hyp", "D={},j={}", tol)
-    for d_idx in range(q - 1):
+    n, roots, dlog, sub = q - 1, base.unity_roots, base.dlog, base.sub_codes
+    phi, half, ends = quadratic_char(base), (q - 1) // 2, (1, base.neg[1])
+    for d_idx in range(n):
         d = char(base, d_idx)
+        left, hyp = norm_jacobi_row(ctx, d), reduction_row(d)
+        c4 = -4 * d_idx % n  # the index of conj(D)^4
+        at_ends = -roots[-d_idx % n * dlog[4 % base.p] % n] * jacobi(phi * d**2, phi)
         for j in range(1, q):
-            fiber_hyp(norm_jacobi_hyp_deviation(ctx, d, base.element(j)), d_idx, j)
+            if j in ends:
+                right = at_ends
+            else:
+                right = -roots[half * dlog[j] % n] * q * roots[c4 * dlog[sub(j, 1)] % n] * hyp[j]
+            fiber_hyp(abs(left[j] - right), d_idx, j)
     return rep
 
 
@@ -445,7 +465,14 @@ def suite_mellin(ctx: KatzContext, policy: TolerancePolicy) -> VerificationRepor
 
 def suite_theorem5x(ctx: KatzContext, policy: TolerancePolicy) -> VerificationReport:
     """Kernel closed forms, the weighted transforms W and Y, the double-sum
-    evaluation with its integer anchor, and the Gauss-ratio bridge."""
+    evaluation with its integer anchor, and the Gauss-ratio bridge.  For each
+    D the kernel row h(D, .) is checked against its closed form:
+
+    j = +-1:            -phi(j) conj(D)(16) J(D, phi), one literal Jacobi sum per D
+    j != +-1, D = eps:  0
+    j != +-1, D != eps: (G(phi)G(D)^2/G(phi D^2)) conj(D)^4(j-1) 2F1(...)
+
+    with the 2F1 read from reduction_row, as in theorem-4.1."""
     tower = ctx.tower
     q = tower.q
     base = tower.base
@@ -454,10 +481,22 @@ def suite_theorem5x(ctx: KatzContext, policy: TolerancePolicy) -> VerificationRe
 
     all_idx = list(range(q - 1))
     closed_form = rep.family("kernel-closed-form", "D={},j={}", tol)
+    n, roots, dlog, sub = q - 1, base.unity_roots, base.dlog, base.sub_codes
+    phi, half, ends, g = quadratic_char(base), (q - 1) // 2, (1, base.neg[1]), gauss_sums(base)
     for d_idx in all_idx:
         d = char(base, d_idx)
+        left, hyp = kernel_row(d), reduction_row(d)
+        c4, c16 = -4 * d_idx % n, roots[-d_idx % n * dlog[16 % base.p] % n]
+        jac = jacobi(d, phi)
+        ratio = g[half] * g[d_idx] ** 2 / g[(half + 2 * d_idx) % n]
         for j in range(1, q):
-            closed_form(kernel_closed_form_deviation(d, base.element(j)), d_idx, j)
+            if j in ends:
+                right = -roots[half * dlog[j] % n] * c16 * jac
+            elif d_idx:
+                right = ratio * roots[c4 * dlog[sub(j, 1)] % n] * hyp[j]
+            else:
+                right = 0j
+            closed_form(abs(left[j] - right), d_idx, j)
 
     idx = all_idx if q <= 11 else spaced_sample(all_idx, 6)
     transform = rep.family("kernel-transform", "D={},nu={}", tol)

@@ -14,11 +14,12 @@ g^l, so R(., j) is one transform of the histogram of M8(z) over l
 M8); norm_jacobi_row reads R(D, .) from it.  hyp2f1_row is a cyclic
 correlation in log coordinates, one dot product per argument.  The closed
 forms of R(D, j) and of the kernel h(D, j) share one 2F1 per D, read at
-every j: hyp2f1_of_j memoizes the row of (D, D^2 phi, D phi) on the field,
-keyed by the index of D, at most q-1 rows of q entries per field, which
-every task of one process reuses.  Each row agrees with the per-point value
-up to rounding; hyp2f1 and norm_restricted_jacobi stay as the literal
-oracles.
+every j: reduction_row memoizes it on the field, indexed by j and keyed by
+the index of D, at most q-1 rows of q entries per field, which every task
+of one process reuses.  The theorem-4.1 and theorem-5.x suites compare
+these rows with the rows of R and h, one D at a time.  Each row agrees with
+the per-point value up to rounding; hyp2f1 and norm_restricted_jacobi stay
+as the literal oracles.
 """
 
 import operator
@@ -163,50 +164,29 @@ def norm_jacobi_table(ctx) -> dict[int, list[complex]]:
 
 def norm_jacobi_row(ctx, d: MultChar) -> list[complex]:
     """R(D, j) for every code j, indexed by code; entry 0 is 0j, since R
-    needs j != 0.  Read from norm_jacobi_table and memoized on the context
-    by the index of D."""
+    needs j != 0.  Read from norm_jacobi_table, O(q), and not memoized."""
     if d.field is not ctx.tower.base:
         raise FieldError("norm-restricted Jacobi sum needs a base-field character")
-    row = ctx._norm_jacobi_rows.get(d.index)
-    if row is None:
-        base, table = ctx.tower.base, norm_jacobi_table(ctx)
-        row = [0j] + [table[base.pow_code(j, 4)][d.index] for j in range(1, base.order)]
-        ctx._norm_jacobi_rows[d.index] = row
-    return row
+    base, table = ctx.tower.base, norm_jacobi_table(ctx)
+    return [0j] + [table[base.pow_code(j, 4)][d.index] for j in range(1, base.order)]
 
 
-def hyp2f1_of_j(d: MultChar, j) -> complex | None:
-    """2F1(D, D^2 phi; D phi | -((j+1)/(j-1))^2), the factor that the closed
-    forms of R(D, j) and of the kernel h(D, j) share; None at j = +-1, where
-    both take a Jacobi-sum form instead.  Read from the row of
-    (D, D^2 phi, D phi), memoized on the field by the index of D."""
+def reduction_row(d: MultChar) -> list[complex]:
+    """2F1(D, D^2 phi; D phi | -((j+1)/(j-1))^2) for every code j, the factor
+    that the closed forms of R(D, j) and of the kernel h(D, j) share; 0j at
+    j = 0 and j = +-1, where both take a Jacobi-sum form instead.  One
+    hyp2f1_row of (D, D^2 phi, D phi), read at each j and memoized on the
+    field by the index of D."""
     field = d.field
-    jc = field.element(j).code
-    jp, jm = field.add_codes(jc, 1), field.sub_codes(jc, 1)
-    if jp == 0 or jm == 0:
-        return None
     row = field._hyp_rows.get(d.index)
     if row is None:
         phi = quadratic_char(field)
-        row = field._hyp_rows[d.index] = hyp2f1_row(d, d**2 * phi, d * phi)
-    return row[field.neg[field.pow_code(field.mul_codes(jp, field.inv_code(jm)), 2)]]
-
-
-def norm_jacobi_hyp_deviation(ctx, d: MultChar, j) -> float:
-    """Deviation of R(D, j) from its closed form:
-
-    j = +-1:  -conj(D)(4) J(phi D^2, phi)
-    else:     -phi(j) q conj(D)^4(j-1) 2F1(D, D^2 phi; D phi | -((j+1)/(j-1))^2)
-    """
-    base = ctx.tower.base
-    j = base.element(j)
-    if j.code == 0:
-        raise ValueError("norm-restricted Jacobi sum requires j != 0")
-    phi = quadratic_char(base)
-    lhs = norm_jacobi_row(ctx, d)[j.code]
-    hyp = hyp2f1_of_j(d, j)
-    if hyp is None:
-        rhs = -d.conj(4) * jacobi(phi * d**2, phi)
-    else:
-        rhs = -phi(j) * base.order * (d.conj**4)(j - 1) * hyp
-    return abs(lhs - rhs)
+        by_x = hyp2f1_row(d, d**2 * phi, d * phi)
+        neg, add, sub, mul = field.neg, field.add_codes, field.sub_codes, field.mul_codes
+        row = [0j] * field.order
+        for j in range(1, field.order):
+            jp, jm = add(j, 1), sub(j, 1)
+            if jp and jm:
+                row[j] = by_x[neg[field.pow_code(mul(jp, field.inv_code(jm)), 2)]]
+        field._hyp_rows[d.index] = row
+    return row

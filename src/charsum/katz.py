@@ -12,8 +12,10 @@ and the norm-restricted Gauss sums
 for a fixed nonzero a in F_q, q = 3 (mod 4).  This module evaluates both
 sides literally, their single and double Mellin transforms, the kernel sums
 h(D, j) that the mixed-side transform reduces to, and the weighted transforms
-W and Y that bridge the two sides.  Every identity has a deviation function
-computing |lhs - rhs| with the two sides obtained by independent routes.
+W and Y that bridge the two sides.  Each identity but the kernel closed form
+has a deviation function computing |lhs - rhs| with the two sides obtained
+by independent routes; the kernel closed form is checked row by row in the
+theorem-5.x suite.
 
 P has one route at every q, which shares nothing with V's.  The trace is
 F_p-linear, so psi(x s + (a/x) d) = zeta_p^(Tr(x s) + Tr((a/x) d)): the sum
@@ -29,18 +31,19 @@ sums sum_k chi2(k) P(j,k) from a cache on the context, one vector per chi2.
 The kernel sums h(D, j) do not depend on a.  kernel_row memoizes the whole
 row h(D, .) on the field, keyed by the index of D: at most q-1 rows of q
 entries per field, which every a-task of one process reuses (a KatzContext
-is built per task, so the memo cannot live on it).  The kernel closed form
-reads its 2F1 from the row that hyp2f1_of_j memoizes on the same field.
-Y(D) reads R(D, .) from norm_jacobi_row, which is memoized on the context,
-since R reads the context's octic M8 (see hypergeometric).  Every Jacobi or
-Gauss sum over F_{q^2} has a lifted character C N, times M8^e in the Mellin
-evaluation, and is summed over the q-1 norm fibers by lifted_jacobi and
-lifted_gauss, whose fiber rows are memoized on the tower; the Gauss sums over
-F_q are read from the field's one transform (see classical_sums).  No
-top-field value table or transform is built: the few top-field points read
-are looked up through dlog, and each top-field character, of order dividing
-4(q-1), reads the root table of its own order, never the full table of
-q^2 - 1 roots (see finite_field.root_table).
+is built per task, so the memo cannot live on it).  The theorem-5.x suite
+checks each kernel row against its closed-form row, whose 2F1 factor is the
+row that hypergeometric.reduction_row memoizes on the same field.  Y(D)
+reads R(D, .) from norm_jacobi_row, built from the table memoized on the
+context, since R reads the context's octic M8 (see hypergeometric).  Every
+Jacobi or Gauss sum over F_{q^2} has a lifted character C N, times M8^e in
+the Mellin evaluation, and is summed over the q-1 norm fibers by
+lifted_jacobi and lifted_gauss, whose fiber rows are memoized on the tower;
+the Gauss sums over F_q are read from the field's one transform (see
+classical_sums).  No top-field value table or transform is built: the few
+top-field points read are looked up through dlog, and each top-field
+character, of order dividing 4(q-1), reads the root table of its own order,
+never the full table of q^2 - 1 roots (see finite_field.root_table).
 """
 
 import cmath
@@ -56,9 +59,9 @@ from .characters import (
     octic_M8,
     quadratic_char,
 )
-from .classical_sums import gauss, jacobi, lifted_gauss, lifted_jacobi
+from .classical_sums import gauss, lifted_gauss, lifted_jacobi
 from .finite_field import FieldError, FieldTower, build_tower, construct_field, factor_prime_power
-from .hypergeometric import fiber_logs, hyp2f1_of_j, norm_fiber, norm_jacobi_row
+from .hypergeometric import fiber_logs, norm_fiber, norm_jacobi_row
 from .report import VerificationReport
 from .tolerance import DEFAULT_POLICY, TolerancePolicy
 
@@ -125,10 +128,8 @@ class KatzContext:
         self._pm = None
         # inner[j] = sum_k chi2(k) P(j,k) for every code j, by chi2.index
         self._mixed_inner: dict[int, list[complex]] = {}
-        # R(., j) for every D by the code of j^4, and R(D, .) for every code
-        # by D.index (see hypergeometric)
+        # R(., j) for every D by the code of j^4 (see hypergeometric)
         self._norm_jacobi_table: dict[int, list[complex]] | None = None
-        self._norm_jacobi_rows: dict[int, list[complex]] = {}
 
     def a_index(self) -> int:
         """dlog of a with respect to the tower's base generator."""
@@ -341,27 +342,6 @@ def kernel_sum(d: MultChar, j) -> complex:
     if j.code == 0:
         raise ValueError("kernel sum requires j != 0")
     return kernel_row(d)[j.code]
-
-
-def kernel_closed_form_deviation(d: MultChar, j) -> float:
-    """h(D, j) against its closed forms:
-
-    j = +-1:            -phi(j) conj(D)(16) J(D, phi)
-    j != +-1, D = eps:  0
-    j != +-1, D != eps: (G(phi)G(D)^2/G(phi D^2)) conj(D)^4(j-1) 2F1(...)
-    """
-    field = d.field
-    j = field.element(j)
-    lhs = kernel_sum(d, j)
-    phi = quadratic_char(field)
-    hyp = hyp2f1_of_j(d, j)
-    if hyp is None:
-        rhs = -phi(j) * d.conj(16) * jacobi(d, phi)
-    elif d.is_trivial:
-        rhs = 0j
-    else:
-        rhs = gauss(phi) * gauss(d) ** 2 / gauss(phi * d**2) * (d.conj**4)(j - 1) * hyp
-    return abs(lhs - rhs)
 
 
 def double_mellin_mixed(ctx: KatzContext, chi1: MultChar, chi2: MultChar) -> complex:
@@ -603,7 +583,7 @@ def select_char_pairs(field) -> list[tuple[int, int]]:
 
 
 def verify_master_identity(
-    ctx: KatzContext, policy: TolerancePolicy | None = None, include_mellin: bool = True
+    ctx: KatzContext, policy: TolerancePolicy | None = None
 ) -> VerificationReport:
     """Check P(j,k) = V(j)V(k) for all j, k (zeros included), the agreement of
     the two double-Mellin transforms over a pair sweep, and the Gauss-ratio
@@ -625,21 +605,20 @@ def verify_master_identity(
         for k in range(q):
             point(abs(row[k] - vj * v[k]), j, k)
 
-    if include_mellin:
-        match = rep.family("mellin-match", "chi1={},chi2={}", policy.abs_tol(q, q**3))
-        bridge_args = set()
-        for i1, i2 in select_char_pairs(base):
-            chi1, chi2 = char(base, i1), char(base, i2)
-            s_val = double_mellin_product(ctx, chi1, chi2)
-            t_val = double_mellin_mixed(ctx, chi1, chi2)
-            match(abs(s_val - t_val), i1, i2)
-            if chi1.is_odd() and chi2.is_odd():
-                nu1 = decompose_odd(chi1)
-                mu = nu1 * decompose_odd(chi2)
-                for i in (0, 1):
-                    bridge_args.add((nu1.index, (mu * ctx.phi**i).index))
-        bridge = rep.family("gauss-ratio-bridge", "nu1={},D={}", policy.abs_tol(q, 4 * q * q))
-        for nu1_idx, d_idx in sorted(bridge_args):
-            dev = ratio_bracket_deviation(ctx, char(base, nu1_idx), char(base, d_idx))
-            bridge(dev, nu1_idx, d_idx)
+    match = rep.family("mellin-match", "chi1={},chi2={}", policy.abs_tol(q, q**3))
+    bridge_args = set()
+    for i1, i2 in select_char_pairs(base):
+        chi1, chi2 = char(base, i1), char(base, i2)
+        s_val = double_mellin_product(ctx, chi1, chi2)
+        t_val = double_mellin_mixed(ctx, chi1, chi2)
+        match(abs(s_val - t_val), i1, i2)
+        if chi1.is_odd() and chi2.is_odd():
+            nu1 = decompose_odd(chi1)
+            mu = nu1 * decompose_odd(chi2)
+            for i in (0, 1):
+                bridge_args.add((nu1.index, (mu * ctx.phi**i).index))
+    bridge = rep.family("gauss-ratio-bridge", "nu1={},D={}", policy.abs_tol(q, 4 * q * q))
+    for nu1_idx, d_idx in sorted(bridge_args):
+        dev = ratio_bracket_deviation(ctx, char(base, nu1_idx), char(base, d_idx))
+        bridge(dev, nu1_idx, d_idx)
     return rep

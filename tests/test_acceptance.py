@@ -53,9 +53,10 @@ def test_criterion_1_master_identity_all_q_all_a():
     n = 0
     for q, tower in towers(MASTER_Q):
         for a in range(1, q):
-            rep = verify_master_identity(KatzContext(tower, a), include_mellin=False)
-            worst = max(worst, rep.summary().max_deviation)
-            n += rep.summary().n_checks
+            rep = verify_master_identity(KatzContext(tower, a))
+            point = rep.families["point-identity"].summary()
+            worst = max(worst, point.max_deviation)
+            n += point.n_checks
             if not rep.all_passed:
                 report("1 (master identity)", False, f"q={q}, a={a} failed")
     tol = DEFAULT_POLICY.abs_tol(max(MASTER_Q), 4 * max(MASTER_Q))
@@ -209,9 +210,10 @@ def test_criterion_8_octic_variants():
     for variant in (1, 3, 5, 7):
         for a in range(1, 7):
             ctx = KatzContext(tower, a, m8_variant=variant)
-            rep = verify_master_identity(ctx, include_mellin=False)
-            worst = max(worst, rep.summary().max_deviation)
-            n += rep.summary().n_checks
+            rep = verify_master_identity(ctx)
+            point = rep.families["point-identity"].summary()
+            worst = max(worst, point.max_deviation)
+            n += point.n_checks
             if not rep.all_passed:
                 report("8 (octic variants)", False, f"variant={variant}, a={a} failed")
     tol = DEFAULT_POLICY.abs_tol(7, 4 * 7)

@@ -17,8 +17,6 @@ from charsum.characters import (
 from charsum.classical_sums import (
     eisenstein_E,
     eisenstein_E2,
-    eisenstein_gauss_deviation,
-    eisenstein_shift_deviation,
     eisenstein_sums,
     gauss,
     gauss_literal,
@@ -291,18 +289,26 @@ class TestEisenstein:
         assert abs(eisenstein_E(tower, triv) - 7) < TOL
 
     def test_shift_relation_all_characters(self):
+        # E(beta) = beta(2) E2(beta), both sides summed literally
         tower = build_tower(7)
         for k in range(48):
-            assert eisenstein_shift_deviation(tower, char(tower.top, k)) < TOL
+            beta = char(tower.top, k)
+            assert abs(eisenstein_E(tower, beta) - beta(2) * eisenstein_E2(tower, beta)) < TOL
 
     def test_gauss_ratio_all_nontrivial(self):
+        # E2(beta) = G2(beta)/G(beta*), or -G2(beta)/q where beta* is trivial,
+        # every sum literal
         tower = build_tower(7)
         trivial_restriction = 0
         for k in range(1, 48):
             beta = char(tower.top, k)
-            if restrict_to_base(tower, beta).is_trivial:
+            star = restrict_to_base(tower, beta)
+            if star.is_trivial:
                 trivial_restriction += 1
-            assert eisenstein_gauss_deviation(tower, beta) < TOL
+                rhs = -gauss_literal(beta) / 7
+            else:
+                rhs = gauss_literal(beta) / gauss_literal(star)
+            assert abs(eisenstein_E2(tower, beta) - rhs) < TOL
         assert trivial_restriction > 0  # both branches of the evaluation exercised
 
     def test_octic_case_both_routes(self):

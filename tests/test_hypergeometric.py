@@ -6,20 +6,35 @@ import pytest
 from conftest import ROUTE_TOL
 
 from charsum.characters import char, norm_compose, quadratic_char, trivial_char
+from charsum.classical_sums import jacobi
 from charsum.finite_field import FieldError, PrimePowerField, build_tower, construct_field
 from charsum.hypergeometric import (
     binom,
     hyp2f1,
-    hyp2f1_of_j,
     hyp2f1_row,
     norm_fiber,
-    norm_jacobi_hyp_deviation,
     norm_jacobi_row,
     norm_restricted_jacobi,
+    reduction_row,
 )
 from charsum.katz import KatzContext
 
 TOL = 1e-10
+
+
+def reduction_literal(d, j):
+    """The closed form of R(D, j) from the literal sums:
+
+    j = +-1:  -conj(D)(4) J(phi D^2, phi)
+    else:     -phi(j) q conj(D)^4(j-1) 2F1(D, D^2 phi; D phi | -((j+1)/(j-1))^2)
+    """
+    field = d.field
+    phi = quadratic_char(field)
+    j = field.element(j)
+    if not (j + 1) or not (j - 1):
+        return -d.conj(4) * jacobi(phi * d**2, phi)
+    x = -(((j + 1) / (j - 1)) ** 2)
+    return -phi(j) * field.order * (d.conj**4)(j - 1) * hyp2f1(d, d**2 * phi, d * phi, x)
 
 
 @pytest.fixture(scope="module")
@@ -30,6 +45,11 @@ def ctx7():
 @pytest.fixture(scope="module")
 def ctx11():
     return KatzContext(build_tower(11), 1)
+
+
+@pytest.fixture(scope="module")
+def ctx27():
+    return KatzContext(build_tower(3, 3), 1)
 
 
 class TestHyp2F1:
@@ -68,16 +88,13 @@ class TestHyp2F1Row:
             assert max(map(abs, map(operator.sub, row, literal))) <= ROUTE_TOL
         assert char(field, 2 + n // 2) == char(field, 1) ** 2 * phi
 
-    def test_memoized_row_serves_hyp2f1_of_j(self, monkeypatch):
+    def test_reduction_row_is_memoized_by_d(self, monkeypatch):
         field = build_tower(11).base
         monkeypatch.setattr(field, "_hyp_rows", {})
-        phi = quadratic_char(field)
         for di in range(10):
-            d = char(field, di)
-            for j in range(2, 10):
-                x = -((j + 1) * pow(j - 1, -1, 11)) ** 2 % 11
-                assert abs(hyp2f1_of_j(d, j) - hyp2f1(d, d**2 * phi, d * phi, x)) <= ROUTE_TOL
-            assert field._hyp_rows[di] == hyp2f1_row(d, d**2 * phi, d * phi)
+            row = reduction_row(char(field, di))
+            assert len(row) == 11 and field._hyp_rows[di] is row
+            assert reduction_row(char(field, di)) is row
         assert sorted(field._hyp_rows) == list(range(10))
 
     def test_characters_on_mixed_fields_rejected(self):
@@ -155,8 +172,9 @@ class TestNormFiber:
 
 class TestNormRestrictedJacobi:
     def test_zero_j_rejected(self, ctx7):
-        with pytest.raises(ValueError):
-            norm_restricted_jacobi(ctx7, char(ctx7.tower.base, 1), 0)
+        for scan in (False, True):
+            with pytest.raises(ValueError):
+                norm_restricted_jacobi(ctx7, char(ctx7.tower.base, 1), 0, scan=scan)
 
     def test_even_in_j(self, ctx7):
         base = ctx7.tower.base
@@ -210,26 +228,14 @@ class TestNormJacobiRow:
                 literal = [norm_restricted_jacobi(ctx, d, j) for j in range(1, base.order)]
                 assert max(map(abs, map(operator.sub, row[1:], literal))) <= ROUTE_TOL
 
-    def test_memoized_on_the_context(self):
-        tower = build_tower(7)
-        ctx = KatzContext(tower, 1)
-        row = norm_jacobi_row(ctx, char(tower.base, 2))
-        assert ctx._norm_jacobi_rows == {2: row}
-        assert norm_jacobi_row(ctx, char(tower.base, 2)) is row
-        assert KatzContext(tower, 1)._norm_jacobi_rows == {}
-
     def test_characters_on_other_fields_rejected(self):
-        # including a field whose character index is already memoized
+        # the index of a character the context has already read, on another field
         tower = build_tower(7)
         ctx = KatzContext(tower, 1)
         norm_jacobi_row(ctx, char(tower.base, 1))
         for field in (construct_field(7), tower.top):
             with pytest.raises(FieldError):
                 norm_jacobi_row(ctx, char(field, 1))
-
-    def test_zero_j_rejected_by_the_deviation(self, ctx7):
-        with pytest.raises(ValueError):
-            norm_jacobi_hyp_deviation(ctx7, char(ctx7.tower.base, 1), 0)
 
 
 class TestHypergeometricReduction:
@@ -246,34 +252,40 @@ class TestHypergeometricReduction:
             # j = -1 gives the same value
             assert abs(norm_restricted_jacobi(ctx7, d, -base.element(1)) - want) < TOL
 
-    @pytest.mark.parametrize("fixture", ["ctx7", "ctx11"])
+    @pytest.mark.parametrize("fixture", ["ctx7", "ctx11", "ctx27"])
     def test_all_pairs(self, fixture, request):
+        # the scanned fiber walk against the closed form of literal sums;
+        # at q = 27 the constant 4 is the element 1
         ctx = request.getfixturevalue(fixture)
         base = ctx.tower.base
         q = ctx.tower.q
         for di in range(q - 1):
             d = char(base, di)
             for j in range(1, q):
-                assert norm_jacobi_hyp_deviation(ctx, d, base.element(j)) < TOL
+                got = norm_restricted_jacobi(ctx, d, j, scan=True)
+                assert abs(got - reduction_literal(d, j)) < TOL
 
     def test_spot_q7_both_routes(self, ctx7):
-        # D = char(1), j = 3: the deviation compares the fiber sum to the 2F1 value
-        dev = norm_jacobi_hyp_deviation(ctx7, char(ctx7.tower.base, 1), ctx7.tower.base.element(3))
-        assert dev < TOL
+        # D = char(1), j = 3: the fiber sum against the 2F1 value
+        d, j = char(ctx7.tower.base, 1), ctx7.tower.base.element(3)
+        assert abs(norm_restricted_jacobi(ctx7, d, j, scan=True) - reduction_literal(d, j)) < TOL
 
     def test_shared_2f1_factor(self):
-        # the 2F1 of both closed forms, at x = -((j+1)/(j-1))^2; none at j = +-1
+        # the 2F1 of both closed forms, at x = -((j+1)/(j-1))^2; 0 at j = +-1
         field = construct_field(11)
         phi = quadratic_char(field)
         for di in range(10):
             d = char(field, di)
-            assert hyp2f1_of_j(d, 1) is None and hyp2f1_of_j(d, 10) is None
+            row = reduction_row(d)
+            assert row[0] == row[1] == row[10] == 0j
             for j in range(2, 10):
                 x = -((j + 1) * pow(j - 1, -1, 11)) ** 2 % 11  # integer arithmetic mod 11
                 want = hyp2f1(d, d**2 * phi, d * phi, field.element(x))
-                assert abs(hyp2f1_of_j(d, j) - want) <= ROUTE_TOL
+                assert abs(row[j] - want) <= ROUTE_TOL
 
     def test_trivial_character_included(self, ctx7):
         base = ctx7.tower.base
+        eps = trivial_char(base)
         for j in range(1, 7):
-            assert norm_jacobi_hyp_deviation(ctx7, trivial_char(base), base.element(j)) < TOL
+            got = norm_restricted_jacobi(ctx7, eps, j, scan=True)
+            assert abs(got - reduction_literal(eps, j)) < TOL

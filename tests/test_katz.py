@@ -10,6 +10,7 @@ from conftest import ROUTE_TOL, records
 
 from charsum import classical_sums, harness, hypergeometric, katz
 from charsum.characters import char, norm_compose, quadratic_char, trivial_char
+from charsum.classical_sums import gauss_literal, jacobi
 from charsum.finite_field import (
     FieldError,
     FieldTower,
@@ -18,7 +19,7 @@ from charsum.finite_field import (
     factor_prime_power,
 )
 from charsum.harness import suite_hypergeometric, suite_mellin, suite_theorem41, suite_theorem5x
-from charsum.hypergeometric import norm_fiber
+from charsum.hypergeometric import hyp2f1, norm_fiber
 from charsum.katz import (
     KatzContext,
     decompose_q,
@@ -28,7 +29,6 @@ from charsum.katz import (
     double_mellin_product,
     double_mellin_product_deviation,
     fiber_jacobi_transform_deviation,
-    kernel_closed_form_deviation,
     kernel_double_sum,
     kernel_double_sum_anchor,
     kernel_double_sum_deviation,
@@ -127,6 +127,33 @@ def kernel_literal(d, j):
     for x in range(1, field.order):
         total += td[x] * tphi[om[x]] * tmix[add(mul(x, jp), jm)]
     return total
+
+
+def kernel_closed_form(d, j):
+    """The closed form of h(D, j) from the literal sums:
+
+    j = +-1:            -phi(j) conj(D)(16) J(D, phi)
+    j != +-1, D = eps:  0
+    j != +-1, D != eps: (G(phi)G(D)^2/G(phi D^2)) conj(D)^4(j-1) 2F1(D, D^2 phi; D phi | x)
+
+    for x = -((j+1)/(j-1))^2."""
+    field = d.field
+    phi = quadratic_char(field)
+    j = field.element(j)
+    if not (j + 1) or not (j - 1):
+        return -phi(j) * d.conj(16) * jacobi(d, phi)
+    if d.is_trivial:
+        return 0j
+    x = -(((j + 1) / (j - 1)) ** 2)
+    g = gauss_literal(phi) * gauss_literal(d) ** 2 / gauss_literal(phi * d**2)
+    return g * (d.conj**4)(j - 1) * hyp2f1(d, d**2 * phi, d * phi, x)
+
+
+def point_records(rep) -> list[tuple[str, float, bool]]:
+    """(inputs, deviation, passed) of the point-identity checks of a master
+    report, in check order."""
+    return [(inputs, dev, passed) for check_id, inputs, dev, passed in records(rep)
+            if check_id == "point-identity"]
 
 
 class TestContext:
@@ -247,9 +274,9 @@ class TestXPairing:
         ctx = KatzContext(tower, tower.base.g)
         re = [2 * r.real for r in tower.base.p_roots] * 2
         ctx._roots = [-1j * v for v in re + [-v for v in re]]
-        rep = verify_master_identity(ctx, include_mellin=False)
-        assert rep.summary().n_checks == tower.q**2
-        assert not any(passed for *_, passed in records(rep))
+        points = point_records(verify_master_identity(ctx))
+        assert len(points) == tower.q**2
+        assert not any(passed for *_, passed in points)
 
     @pytest.mark.parametrize("q", [7, 11])
     @pytest.mark.parametrize("entry", ["off-diagonal", "diagonal"])
@@ -267,11 +294,11 @@ class TestXPairing:
 
         monkeypatch.setattr(KatzContext, "_p_value", wrong)
         for a in (1, base.g):
-            rep = verify_master_identity(KatzContext(tower, a), include_mellin=False)
+            points = point_records(verify_master_identity(KatzContext(tower, a)))
             reading = {f"j={j},k={k}" for j in range(q) for k in range(q)
                        if (sq[base.add_codes(j, k)], sq[base.sub_codes(j, k)]) == (s0, d0)}
             assert len(reading) == (4 if d0 else 2)
-            assert {inputs for _, inputs, _, passed in records(rep) if not passed} == reading
+            assert {inputs for inputs, _, passed in points if not passed} == reading
 
 
 class TestNormRestrictedGauss:
@@ -379,15 +406,17 @@ class TestClosedFormRows:
 
     @pytest.mark.parametrize("q", [7, 11, 27])
     def test_wrong_norm_jacobi_rows_fail_the_checks(self, monkeypatch, q):
-        # the row of D*phi served as the row of D (a copy, memos untouched)
+        # the row of D*phi served as the row of D, under the names that the
+        # suites and Y(D) read
         real = hypergeometric.norm_jacobi_row
 
         def row(ctx, d):
-            return list(real(ctx, d * quadratic_char(d.field)))
+            return real(ctx, d * quadratic_char(d.field))
 
-        monkeypatch.setattr(hypergeometric, "norm_jacobi_row", row)
+        monkeypatch.setattr(harness, "norm_jacobi_row", row)
         monkeypatch.setattr(katz, "norm_jacobi_row", row)
         assert self.failures(q, monkeypatch) == {
+            "hypergeometric": {"fiber-jacobi-even"},
             "theorem-4.1": {"fiber-jacobi-hyp"}, "theorem-5.x": {"fiber-transform"},
         }
 
@@ -395,7 +424,8 @@ class TestClosedFormRows:
         q = 19
         tower = build_tower(q)
         monkeypatch.setattr(tower.base, "_hyp_rows", {})  # the rows are built here
-        calls = {"hyp2f1": 0, "norm_restricted_jacobi": 0}
+        names = ("hyp2f1", "norm_restricted_jacobi", "hyp2f1_row", "jacobi", "eisenstein_sums")
+        calls = dict.fromkeys(names, 0)
 
         def counting(name, real):
             def wrapper(*args, **kwargs):
@@ -408,20 +438,31 @@ class TestClosedFormRows:
             monkeypatch.setattr(module, "hyp2f1", hyp2f1)
         monkeypatch.setattr(hypergeometric, "norm_restricted_jacobi", counting(
             "norm_restricted_jacobi", hypergeometric.norm_restricted_jacobi))
+        monkeypatch.setattr(hypergeometric, "hyp2f1_row", counting(  # read by reduction_row
+            "hyp2f1_row", hypergeometric.hyp2f1_row))
+        monkeypatch.setattr(harness, "jacobi", counting("jacobi", harness.jacobi))
+        monkeypatch.setattr(harness, "eisenstein_sums", counting(
+            "eisenstein_sums", harness.eisenstein_sums))
 
-        def count(suite):
+        def count(suite, arg):
             for name in calls:
                 calls[name] = 0
-            assert suite(KatzContext(tower, tower.base.g), DEFAULT_POLICY).all_passed
+            assert suite(arg, DEFAULT_POLICY).all_passed
             return dict(calls)
 
-        assert count(suite_theorem41)["hyp2f1"] == 0
-        assert count(suite_theorem41)["norm_restricted_jacobi"] <= (q - 1) ** 2 // 2
-        assert count(suite_theorem5x)["hyp2f1"] == 0
+        ctx = KatzContext(tower, tower.base.g)
+        t41, t5x = count(suite_theorem41, ctx), count(suite_theorem5x, ctx)
+        assert t41["hyp2f1"] == t5x["hyp2f1"] == 0
+        assert t41["norm_restricted_jacobi"] <= (q - 1) ** 2 // 2
+        # one 2F1 row per D, shared by the two suites
+        assert t41["hyp2f1_row"] + t5x["hyp2f1_row"] <= q - 1
+        # one literal Jacobi sum per D in each, for j = +-1
+        assert t41["jacobi"] <= q - 1 and t5x["jacobi"] <= q - 1
+        assert count(harness.suite_eisenstein, tower)["eisenstein_sums"] == 1
         k = 6  # characters per axis above q = 11: one hyp-zero-arg record per (A, B)
-        rep = suite_hypergeometric(KatzContext(tower, tower.base.g), DEFAULT_POLICY)
+        rep = suite_hypergeometric(ctx, DEFAULT_POLICY)
         assert sum(check_id == "hyp-zero-arg" for check_id, *_ in records(rep)) == k * k
-        assert count(suite_hypergeometric)["hyp2f1"] == k * k
+        assert count(suite_hypergeometric, ctx)["hyp2f1"] == k * k
 
 
 class TestMellinSingle:
@@ -611,11 +652,15 @@ class TestKernel:
     @pytest.mark.parametrize("q", [7, 11])
     def test_wrong_kernel_rows_fail_the_checks(self, monkeypatch, q):
         # every check reading h through kernel_row must catch a wrong kernel:
-        # the row of D*phi served as the row of D (a copy, memos untouched)
+        # the row of D*phi served as the row of D (a copy, memos untouched),
+        # under the names that katz and the theorem-5.x closed form read
         real_row = katz.kernel_row
-        monkeypatch.setattr(
-            katz, "kernel_row", lambda d: list(real_row(d * quadratic_char(d.field)))
-        )
+
+        def wrong_row(d):
+            return list(real_row(d * quadratic_char(d.field)))
+
+        for module in (katz, harness):
+            monkeypatch.setattr(module, "kernel_row", wrong_row)
         # a non-square a: at a = 1 the mellin check weighs the rows of D and
         # D*phi alike, so it cannot tell them apart
         tower = build_tower(q)
@@ -694,13 +739,15 @@ class TestKernel:
         with pytest.raises(ValueError):
             kernel_sum(char(construct_field(7), 1), 0)
 
-    @pytest.mark.parametrize("q", [7, 11])
+    @pytest.mark.parametrize("q", [7, 11, 27])
     def test_closed_forms_exhaustive(self, q):
-        field = build_tower(q).base
+        # the per-x loop against the closed form of literal sums; at q = 27
+        # the constant 16 is the element 1
+        field = build_tower(*factor_prime_power(q)).base
         for di in range(q - 1):
             d = char(field, di)
             for j in range(1, q):
-                assert kernel_closed_form_deviation(d, field.element(j)) < TOL
+                assert abs(kernel_literal(d, j) - kernel_closed_form(d, j)) < TOL
 
     def test_trivial_kernel_vanishes_off_center(self, ctx7):
         base = ctx7.tower.base
@@ -816,16 +863,17 @@ class TestMasterIdentity:
 
     def test_q27_includes_characteristic_three(self):
         tower = build_tower(3, 3)
-        rep = verify_master_identity(KatzContext(tower, tower.base.g), include_mellin=False)
+        rep = verify_master_identity(KatzContext(tower, tower.base.g))
         assert rep.all_passed
-        assert rep.summary().n_checks == 27 * 27
+        assert len(rep.families["point-identity"]) == 27 * 27
 
     def test_json_objects(self, ctx7, tmp_path):
-        rep = verify_master_identity(ctx7, include_mellin=False)
+        rep = verify_master_identity(ctx7)
         path = tmp_path / "report.json"
         write_json([rep], str(path))
         objs = json.loads(path.read_text())
-        assert len(objs) == 49
+        assert sum(o["check_id"] == "point-identity" for o in objs) == 49
+        assert len(objs) == rep.summary().n_checks
         assert set(objs[0]) == {"suite", "q", "a_index", "check_id", "inputs", "deviation", "pass"}
 
 
