@@ -86,6 +86,21 @@ def test_write_json_keeps_check_order(tmp_path):
     assert got == [(check_id, inputs) for check_id, inputs, *_ in records(rep)]
 
 
+@pytest.mark.parametrize("devs", [[1e-15, math.nan], [math.nan, 1e-15]], ids=["nan-last", "nan-first"])
+def test_a_nan_deviation_is_the_maximum_in_either_order(tmp_path, monkeypatch, capsys, devs):
+    rep = report("master", 7, 1, [("point-identity", "j={},k=0", d, i) for i, d in enumerate(devs)])
+    assert math.isnan(rep.summary().max_deviation)
+    assert "max_dev=nan" in rep.summary_line(rep.summary())
+    path = tmp_path / "report.csv"
+    write_csv([rep], str(path))
+    assert next(csv.DictReader(path.open()))["max_deviation"] == "nan"
+    # the total line over reports: the NaN report comes after a finite one
+    finite = report("master", 7, 0, [("point-identity", "j={},k=0", 1e-15, 0)])
+    monkeypatch.setattr(cli, "run", lambda cfg: (1, [finite, rep]))
+    assert cli.main(["run", "--q", "7"]) == 1
+    assert "max deviation nan -> FAIL" in capsys.readouterr().out
+
+
 def test_max_deviation_without_nan():
     assert report("master", 7, 1, []).summary().max_deviation == 0.0
     rows = [("p", "{}", 2e-15, 1), ("p", "{}", math.inf, 2), ("p", "{}", 0.0, 3)]
