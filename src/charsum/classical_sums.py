@@ -27,10 +27,10 @@ Jacobi Sums*, 1998).
 
 Sums that do not depend on the parameter a are memoized, and every a-task
 of one process reuses them: `gauss_sums` one list of q*-1 values per field,
-and the fiber rows Phi, q-1 values each, keyed on the tower by ("jacobi",
-index of A) or ("gauss", index of B); katz asks for Gauss rows only at
-B = 1, M8 and M8^5, at most five over the four octic variants.  Jacobi rows
-and the Eisenstein rows are not memoized: their suites read each once.
+and the fiber rows Phi, q-1 values each, keyed on the tower by (kind, index
+of A or B), with each of their transforms by (kind, index, index of C);
+katz asks for Gauss rows only at B = 1, M8 and M8^5, at most five over the
+four octic variants.  Jacobi and Eisenstein rows are not memoized.
 """
 
 import cmath
@@ -147,7 +147,7 @@ def lifted_jacobi(tower: FieldTower, a: MultChar, c: MultChar) -> complex:
     and C on the base, as sum_k C(g^k) Phi_A[k] over the norm fibers."""
     if a.field is not tower.top:
         raise FieldError("the lifted Jacobi sum needs A on the tower's top field")
-    return _fiber_transform(tower, c, _fiber_row(tower, "jacobi", a.index))
+    return _fiber_transform(tower, c, "jacobi", a.index)
 
 
 def lifted_gauss(tower: FieldTower, c: MultChar, b: MultChar | None = None) -> complex:
@@ -156,7 +156,7 @@ def lifted_gauss(tower: FieldTower, c: MultChar, b: MultChar | None = None) -> c
     as sum_k C(g^k) Phi_B[k] over the norm fibers."""
     if b is not None and b.field is not tower.top:
         raise FieldError("the twist of a lifted Gauss sum must be on the tower's top field")
-    return _fiber_transform(tower, c, _fiber_row(tower, "gauss", 0 if b is None else b.index))
+    return _fiber_transform(tower, c, "gauss", 0 if b is None else b.index)
 
 
 def _fiber_row(tower: FieldTower, kind: str, index: int) -> list[complex]:
@@ -197,12 +197,18 @@ def _fiber_row(tower: FieldTower, kind: str, index: int) -> list[complex]:
     return row
 
 
-def _fiber_transform(tower: FieldTower, c: MultChar, row: list[complex]) -> complex:
-    """sum_k C(g^k) row[k] for a base-field character C."""
+def _fiber_transform(tower: FieldTower, c: MultChar, kind: str, index: int) -> complex:
+    """sum_k C(g^k) Phi[k] for a base-field character C and the fiber row Phi
+    of (kind, index); memoized on the tower by (kind, index, index of C)."""
     if c.field is not tower.base:
         raise FieldError("a lifted sum needs C on the tower's base field")
-    n, roots = tower.q - 1, tower.base.unity_roots
-    return sum(map(operator.mul, [roots[c.index * k % n] for k in range(n)], row), 0j)
+    key = (kind, index, c.index)
+    val = tower._lifted_sums.get(key)
+    if val is None:
+        n, roots, row = tower.q - 1, tower.base.unity_roots, _fiber_row(tower, kind, index)
+        terms = map(operator.mul, [roots[c.index * k % n] for k in range(n)], row)
+        val = tower._lifted_sums[key] = sum(terms, 0j)
+    return val
 
 
 def eisenstein_E2(tower: FieldTower, beta: MultChar) -> complex:

@@ -195,6 +195,7 @@ class PrimePowerField:
         self._gauss_sums: list[complex] | None = None
         self._dft_plan: tuple | None = None  # see classical_sums.log_dft
         self._kernel_rows: dict[int, list[complex]] = {}
+        self._kernel_sums: dict[tuple[int, int], complex] = {}  # see katz.kernel_mellin
         self._hyp_rows: dict[int, list[complex]] = {}  # see hypergeometric
         self._char_tables: dict[int, list[complex]] = {}
 
@@ -521,6 +522,7 @@ class FieldTower:
         self._trace_line = None
         self._i_line = None
         self._fiber_rows: dict[tuple[str, int], list[complex]] = {}  # see classical_sums
+        self._lifted_sums: dict[tuple[str, int, int], complex] = {}  # and their transforms
         self._scanned_fibers = None  # see hypergeometric.norm_fiber
 
     def _smallest_modulus_root(self, base_modulus) -> int:

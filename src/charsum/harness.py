@@ -14,6 +14,7 @@ import os
 import time
 from collections.abc import Callable
 from dataclasses import dataclass, field as dc_field, replace
+from itertools import repeat
 
 from .characters import char, quadratic_char, trivial_char
 from .classical_sums import (
@@ -370,14 +371,14 @@ def suite_hypergeometric(ctx: KatzContext, policy: TolerancePolicy) -> Verificat
     idx = list(range(q - 1)) if q <= 11 else spaced_sample(list(range(q - 1)), 6)
     chars = [char(base, i) for i in idx]
     zero_arg = rep.family("hyp-zero-arg", "A={},B={}", tol)
-    bound = rep.family("hyp-bound", "A={},B={},C={},x={}", tol)
+    rep.family("hyp-bound", "A={},B={},C={},x={}", tol)
+    bound, lim, n = rep.families["hyp-bound"].extend, (q - 1) / q, q - 1
     for a in chars:
         for b in chars:
             zero_arg(abs(hyp2f1(a, b, a, 0)), a.index, b.index)
             for c in chars:
-                row = hyp2f1_row(a, b, c)
-                for x in range(1, q):
-                    bound(max(0.0, abs(row[x]) - (q - 1) / q), a.index, b.index, c.index, x)
+                devs = [max(0.0, abs(r) - lim) for r in hyp2f1_row(a, b, c)[1:]]
+                bound(devs, repeat(a.index, n), repeat(b.index, n), repeat(c.index, n), range(1, q))
 
     reflection = rep.family("binom-reflection", "D={},chi={}", tol)
     for d in chars:
@@ -563,8 +564,9 @@ SUITES = {
 
 def _run_task(task) -> list[VerificationReport]:
     """Run one (p, t, a, variant, floor, scale) task's suites in registry order,
-    those that read M8 on one KatzContext.  mellin, the first to read V and P,
-    builds P after its single-Mellin rows, so P is not held during those."""
+    those that read M8 on one KatzContext; each report's summary is stored as
+    its totals.  mellin, the first to read V and P, builds P after its
+    single-Mellin rows, so P is not held during those."""
     (p, t, a_code, variant, floor, scale), suites = task
     ctx, reports = None, []
     for suite in sorted(suites, key=list(SUITES).index):
@@ -578,6 +580,7 @@ def _run_task(task) -> list[VerificationReport]:
         rep.wall_time = time.perf_counter() - t0
         if variant != 1:
             rep.suite = f"{rep.suite}@m8={variant}"
+        rep.totals = rep.summary()
         reports.append(rep)
     return reports
 

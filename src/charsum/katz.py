@@ -25,30 +25,33 @@ x, so each pair {x, -x} adds phi(a/x - x) 2i Im psi(x s + (a/x) d) and the
 sum runs over one member of each pair.  P depends on (j, k) only through the
 squares s = (j+k)^2 and d = (j-k)^2, so the full matrix sums F(s, d) once
 for each of the ((q+1)/2)^2 pairs of squares: about q^3/8 real terms, with
-no field-size limit.  The double transform T(chi1, chi2) reads the inner
-sums sum_k chi2(k) P(j,k) from a cache on the context, one vector per chi2.
+no field-size limit.  The context memoizes S(chi) and T(chi1, chi2) by
+character indices, and the inner sums sum_k chi2(k) P(j,k) by chi2.
 
 The kernel sums h(D, j) do not depend on a.  kernel_row memoizes the whole
 row h(D, .) on the field, keyed by the index of D: at most q-1 rows of q
 entries per field, which every a-task of one process reuses (a KatzContext
-is built per task, so the memo cannot live on it).  The theorem-5.x suite
-checks each kernel row against its closed-form row, whose 2F1 factor is the
-row that hypergeometric.reduction_row memoizes on the same field.  Y(D)
-reads R(D, .) from norm_jacobi_row, built from the table memoized on the
-context, since R reads the context's octic M8 (see hypergeometric).  Every
-Jacobi or Gauss sum over F_{q^2} has a lifted character C N, times M8^e in
-the Mellin evaluation, and is summed over the q-1 norm fibers by
-lifted_jacobi and lifted_gauss, whose fiber rows are memoized on the tower;
-the Gauss sums over F_q are read from the field's one transform (see
-classical_sums).  No top-field value table or transform is built: the few
-top-field points read are looked up through dlog, and each top-field
-character, of order dividing 4(q-1), reads the root table of its own order,
-never the full table of q^2 - 1 roots (see finite_field.root_table).
+is built per task, so the memo cannot live on it), and kernel_mellin each
+sum_j chi(j) h(D, j) there, which W(D) and T's evaluation read.  The
+theorem-5.x suite checks each kernel row against its closed-form row, whose
+2F1 factor is the row that hypergeometric.reduction_row memoizes on the same
+field.  Y(D) reads R(D, .) from norm_jacobi_row, built from the table
+memoized on the context, since R reads the context's octic M8 (see
+hypergeometric).  Every Jacobi or Gauss sum over F_{q^2} has a lifted
+character C N, times M8^e in the Mellin evaluation, and is summed over the
+q-1 norm fibers by lifted_jacobi and lifted_gauss, whose fiber rows and
+values are memoized on the tower; the Gauss sums over F_q are read from the
+field's one transform (see classical_sums).  No top-field value table or
+transform is built: the few top-field points read are looked up through
+dlog, and each top-field character, of order dividing 4(q-1), reads the
+root table of its own order, never the full table of q^2 - 1 roots (see
+finite_field.root_table).
 """
 
 import cmath
 import math
 import operator
+from itertools import repeat
 
 from .characters import (
     MultChar,
@@ -128,6 +131,7 @@ class KatzContext:
         self._pm = None
         # inner[j] = sum_k chi2(k) P(j,k) for every code j, by chi2.index
         self._mixed_inner: dict[int, list[complex]] = {}
+        self._mellin, self._mixed = {}, {}  # S by chi.index, T by (chi1, chi2) indices
         # R(., j) for every D by the code of j^4 (see hypergeometric)
         self._norm_jacobi_table: dict[int, list[complex]] | None = None
 
@@ -222,12 +226,14 @@ def norm_restricted_gauss(ctx: KatzContext, j, scan: bool = False) -> complex:
 
 
 def mellin_transform(ctx: KatzContext, chi: MultChar) -> complex:
-    """S(chi) = sum_{j != 0} chi(j) V(j)."""
+    """S(chi) = sum_{j != 0} chi(j) V(j), memoized on the context."""
     if chi.field is not ctx.tower.base:
         raise FieldError("the Mellin transform needs a base-field character")
-    v = ctx.v_vector()
-    t = chi.value_table()
-    return sum(t[j] * v[j] for j in range(1, ctx.tower.q))
+    s = ctx._mellin.get(chi.index)
+    if s is None:
+        v, t = ctx.v_vector(), chi.value_table()
+        s = ctx._mellin[chi.index] = sum(t[j] * v[j] for j in range(1, ctx.tower.q))
+    return s
 
 
 def mellin_single_deviation(ctx: KatzContext, chi: MultChar) -> float:
@@ -346,10 +352,13 @@ def kernel_sum(d: MultChar, j) -> complex:
 
 def double_mellin_mixed(ctx: KatzContext, chi1: MultChar, chi2: MultChar) -> complex:
     """T(chi1, chi2) = sum_{j,k != 0} chi1(j) chi2(k) P(j,k), as a literal
-    double sum over the context's cached matrix of P values.  The inner sums
-    over k are cached on the context, one vector per chi2."""
+    double sum over the context's cached matrix of P values, memoized on the
+    context.  The inner sums over k are cached there, one vector per chi2."""
     if chi1.field is not ctx.tower.base or chi2.field is not ctx.tower.base:
         raise FieldError("the double Mellin transform needs base-field characters")
+    key = (chi1.index, chi2.index)
+    if key in ctx._mixed:
+        return ctx._mixed[key]
     inner = ctx._mixed_inner.get(chi2.index)
     if inner is None:
         t2 = chi2.value_table()
@@ -361,6 +370,7 @@ def double_mellin_mixed(ctx: KatzContext, chi1: MultChar, chi2: MultChar) -> com
     total = 0j
     for j in range(1, ctx.tower.q):
         total += t1[j] * inner[j]
+    ctx._mixed[key] = total
     return total
 
 
@@ -381,12 +391,10 @@ def double_mellin_mixed_deviation(ctx: KatzContext, chi1: MultChar, chi2: MultCh
     nu2 = decompose_odd(chi2)
     mu = nu1 * nu2
     g_ratio = gauss(ctx.phi * mu**2) / gauss(ctx.phi)
-    t1 = chi1.value_table()
     rhs = 0j
     for i in (0, 1):
         dch = mu * ctx.phi**i
-        h = kernel_row(dch)
-        hsum = sum(t1[j] * h[j] for j in range(1, q))
+        hsum = kernel_mellin(dch, chi1)
         rhs += (mu.conj * ctx.phi**i)(ctx.a) * g_ratio * (hsum + 2 * (q - 1) * delta(dch))
     return abs(t - rhs)
 
@@ -395,12 +403,19 @@ def double_mellin_mixed_deviation(ctx: KatzContext, chi1: MultChar, chi2: MultCh
 # weighted transforms bridging the two sides
 
 
+def kernel_mellin(d: MultChar, chi: MultChar) -> complex:
+    """sum_{j != 0} chi(j) h(D, j), memoized on the field by (D, chi) indices."""
+    field, key = d.field, (d.index, chi.index)
+    val = field._kernel_sums.get(key)
+    if val is None:
+        t, h = chi.value_table(), kernel_row(d)
+        val = field._kernel_sums[key] = sum(t[j] * h[j] for j in range(1, field.order))
+    return val
+
+
 def kernel_transform(d: MultChar, nu: MultChar) -> complex:
     """W(D) = sum_{j != 0} (phi nu^4)(j) h(D, j)."""
-    field = d.field
-    w = (quadratic_char(field) * nu**4).value_table()
-    h = kernel_row(d)
-    return sum(w[j] * h[j] for j in range(1, field.order))
+    return kernel_mellin(d, quadratic_char(d.field) * nu**4)
 
 
 def kernel_transform_deviation(ctx: KatzContext, d: MultChar, nu: MultChar) -> float:
@@ -527,12 +542,8 @@ def decompose_q(q: int, p: int) -> tuple[int, int]:
 
 def quadratic_kernel_mellin(q: int) -> complex:
     """Z = sum_{j != 0} phi(j) h(phi, j), by literal summation."""
-    p, t = factor_prime_power(q)
-    field = construct_field(p, t)
-    phi = quadratic_char(field)
-    tphi = phi.value_table()
-    h = kernel_row(phi)
-    return sum(tphi[j] * h[j] for j in range(1, q))
+    phi = quadratic_char(construct_field(*factor_prime_power(q)))
+    return kernel_mellin(phi, phi)
 
 
 def quadratic_kernel_expected(q: int) -> int:
@@ -598,12 +609,11 @@ def verify_master_identity(
 
     v = ctx.v_vector()
     pm = ctx.mixed_sum_matrix()
-    point = rep.family("point-identity", "j={},k={}", policy.abs_tol(q, 4 * q))
+    rep.family("point-identity", "j={},k={}", policy.abs_tol(q, 4 * q))
+    point = rep.families["point-identity"].extend
     for j in range(q):
-        row = pm[j]
         vj = v[j]
-        for k in range(q):
-            point(abs(row[k] - vj * v[k]), j, k)
+        point([abs(pjk - vj * vk) for pjk, vk in zip(pm[j], v)], repeat(j, q), range(q))
 
     match = rep.family("mellin-match", "chi1={},chi2={}", policy.abs_tol(q, q**3))
     bridge_args = set()

@@ -9,7 +9,8 @@ check and the writer: write_json formats each inputs string as it writes
 that record.
 
 Every aggregate a run prints or writes (the exit code, the summary line, the
-CSV row and the CLI's total) reads one Summary, folded from the families'.
+CSV row and the CLI's total) reads the report's totals: one Summary, folded
+from the families' when its task ends (harness._run_task).
 
 Records come out in check order everywhere: a report's families in
 first-use order, the checks of each in the order they were added.  One task
@@ -98,6 +99,18 @@ class CheckFamily:
 
         return add
 
+    def extend(self, deviations, *columns):
+        """add for many checks at once: check i has deviations[i] and its
+        c-th argument columns[c][i].  What add rejects, or columns of unequal
+        lengths (ValueError), raises and leaves the family unchanged."""
+        if len(columns) != len(self.columns):
+            raise TypeError(f"{self.template!r} takes {len(self.columns)} columns")
+        new = [array("d", deviations), *(array("q", col) for col in columns)]
+        if len({len(values) for values in new}) != 1:
+            raise ValueError(f"{self.template!r}: columns of unequal lengths")
+        for old, values in zip([self.deviations, *self.columns], new):
+            old.extend(values)
+
     def formatted(self):
         """The inputs string of each check in check order, each formatted
         when it is read."""
@@ -121,6 +134,7 @@ class VerificationReport:
     wall_time: float = 0.0
     # check_id -> its family, in first-use order
     families: dict[str, CheckFamily] = field(default_factory=dict)
+    totals: Summary | None = None  # the summary, stored when the report is done
 
     def family(self, check_id: str, template: str, tol: float):
         """The adder add(deviation, *args) of the check_id family; asking
@@ -137,7 +151,8 @@ class VerificationReport:
         return fam.adder()
 
     def summary(self) -> Summary:
-        return Summary.fold(fam.summary() for fam in self.families.values())
+        """The stored totals if set, else folded from the families now."""
+        return self.totals or Summary.fold(fam.summary() for fam in self.families.values())
 
     @property
     def all_passed(self) -> bool:
@@ -167,8 +182,12 @@ _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 def _deviation_text(deviation: float) -> str:
     """The deviation rounded to 3 significant digits (reports are not
-    bit-exact), as json.dumps writes the rounded float."""
-    text = float.__repr__(float(f"{deviation:.3g}"))
+    bit-exact), as json.dumps writes the rounded float.  For a normal float,
+    a rounded text with a negative exponent is already that float's repr."""
+    text = "%.3g" % deviation
+    if "e-" in text and deviation >= 2.0**-1022:  # sys.float_info.min
+        return text
+    text = float.__repr__(float(text))
     return _JSON_NONFINITE.get(text, text)
 
 

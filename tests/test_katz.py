@@ -9,7 +9,7 @@ import pytest
 from conftest import ROUTE_TOL, records
 
 from charsum import classical_sums, harness, hypergeometric, katz
-from charsum.characters import char, norm_compose, quadratic_char, trivial_char
+from charsum.characters import char, decompose_odd, norm_compose, quadratic_char, trivial_char
 from charsum.classical_sums import gauss_literal, jacobi
 from charsum.finite_field import (
     FieldError,
@@ -584,10 +584,24 @@ class TestDoubleMellin:
 
     @pytest.mark.parametrize("q", [7, 11, 19])
     def test_cache_keyed_on_chi1_fails_mellin_match(self, monkeypatch, q):
+        # the inner-vector cache and the T memo both keyed on chi1
         src = inspect.getsource(katz.double_mellin_mixed)
-        assert src.count("chi2.index") == 2
+        assert src.count("chi2.index") == 3
         namespace = dict(vars(katz))
         exec(src.replace("chi2.index", "chi1.index"), namespace)
+        monkeypatch.setattr(katz, "double_mellin_mixed", namespace["double_mellin_mixed"])
+        tower = build_tower(q)
+        rep = verify_master_identity(KatzContext(tower, tower.base.g), DEFAULT_POLICY)
+        assert set(failed_ids(rep)) == {"mellin-match"}
+
+    @pytest.mark.parametrize("q", [7, 11, 19])
+    def test_value_memo_keyed_on_chi1_fails_mellin_match(self, monkeypatch, q):
+        # only the T memo keyed on chi1: T(chi1, chi2) is served for every chi2
+        src = inspect.getsource(katz.double_mellin_mixed)
+        key = "key = (chi1.index, chi2.index)"
+        assert src.count(key) == 1
+        namespace = dict(vars(katz))
+        exec(src.replace(key, "key = (chi1.index, chi1.index)"), namespace)
         monkeypatch.setattr(katz, "double_mellin_mixed", namespace["double_mellin_mixed"])
         tower = build_tower(q)
         rep = verify_master_identity(KatzContext(tower, tower.base.g), DEFAULT_POLICY)
@@ -628,16 +642,44 @@ class TestKernel:
         # a tower of its own, so its base field and fiber memos start empty
         tower = FieldTower(11, 1)
         base = tower.base
+        memos = (base._kernel_rows, tower._fiber_rows, base._kernel_sums, tower._lifted_sums)
         sizes = []
         for a in range(1, 11):
             ctx = KatzContext(tower, a)
             suite_mellin(ctx, DEFAULT_POLICY)
             verify_master_identity(ctx, DEFAULT_POLICY)
-            sizes.append((len(base._kernel_rows), len(tower._fiber_rows)))
-        # the first a fills both memos; the other nine only read them
-        assert sizes[0][0] > 0 and sizes[0][1] > 0
+            sizes.append(tuple(map(len, memos)))
+            # S and T are summed once per context, for each argument read
+            assert set(ctx._mellin) == set(range(10))
+            assert set(ctx._mixed) == set(select_char_pairs(base))
+        # the first a fills every memo; the other nine only read them
+        assert all(sizes[0])
         assert set(sizes) == {sizes[0]}
         assert len(base._kernel_rows) <= 10
+        # one value per distinct argument of the sweep: the kernel sums at
+        # (D, chi1) for D = mu phi^i, mu = nu1 nu2 (W(D) at nu1 reads the same
+        # (D, phi nu1^4)); the lifted sums at C = conj(D), of the Jacobi rows
+        # of nu1 N M8^e, the plain Gauss row, and the twisted rows of
+        # mellin-single at each odd chi's nu
+        phi, m8 = quadratic_char(base), ctx.M8
+        kernel_args, lifted_args = set(), set()
+        for i1, i2 in select_char_pairs(base):
+            if i1 % 2 and i2 % 2:
+                nu1 = decompose_odd(char(base, i1))
+                mu = nu1 * decompose_odd(char(base, i2))
+                for i in (0, 1):
+                    d = mu * phi**i
+                    kernel_args.add((d.index, i1))
+                    lifted_args.add(("gauss", 0, d.conj.index))
+                    for e in (1, 5):
+                        a = norm_compose(tower, nu1) * m8**e
+                        lifted_args.add(("jacobi", a.index, d.conj.index))
+        for i in range(1, 10, 2):
+            nu = decompose_odd(char(base, i))
+            lifted_args |= {("gauss", (m8**e).index, nu.index) for e in (1, 5)}
+        assert set(base._kernel_sums) == kernel_args
+        assert len(kernel_args) <= 2 * 10**2
+        assert set(tower._lifted_sums) == lifted_args
         # one Jacobi row per distinct A = nu N M8^e (e = 1, 5), and one
         # Gauss row per twist B = 1, M8, M8^5
         lifted_a = {
@@ -648,6 +690,46 @@ class TestKernel:
         twists = {("gauss", 0), ("gauss", ctx.M8.index), ("gauss", (ctx.M8**5).index)}
         assert twists <= set(tower._fiber_rows) <= lifted_a | twists
         assert all(len(row) == 10 for row in tower._fiber_rows.values())
+
+    def test_each_value_summed_once_over_a_sweep(self, monkeypatch):
+        # a memo miss reads its row once: count the row reads over ten a's
+        reads = {"fiber": 0, "kernel": 0}
+
+        def count(module, attr, name):
+            real = getattr(module, attr)
+
+            def read(*args):
+                reads[name] += 1
+                return real(*args)
+            monkeypatch.setattr(module, attr, read)
+
+        count(classical_sums, "_fiber_row", "fiber")
+        count(katz, "kernel_row", "kernel")
+        tower = FieldTower(11, 1)
+        for a in range(1, 11):
+            ctx = KatzContext(tower, a)
+            suite_mellin(ctx, DEFAULT_POLICY)
+            verify_master_identity(ctx, DEFAULT_POLICY)
+        assert reads == {"fiber": len(tower._lifted_sums), "kernel": len(tower.base._kernel_sums)}
+        assert reads["fiber"] and reads["kernel"]
+
+    @pytest.mark.parametrize("q", [7, 11])
+    def test_kernel_sum_memo_keyed_on_d_alone_fails_the_checks(self, monkeypatch, q):
+        # sum_j chi(j) h(D, j) of the first chi read is served for every chi
+        src = inspect.getsource(katz.kernel_mellin)
+        assert src.count("(d.index, chi.index)") == 1
+        namespace = dict(vars(katz))
+        exec(src.replace("(d.index, chi.index)", "d.index"), namespace)
+        monkeypatch.setattr(katz, "kernel_mellin", namespace["kernel_mellin"])
+        tower = FieldTower(q, 1)  # its own tower: the memo starts empty
+        ctx = KatzContext(tower, tower.base.g)
+        expected = {
+            suite_mellin: {"double-mellin-mixed"},
+            suite_theorem5x: {"kernel-transform", "gauss-ratio-bridge"},
+            verify_master_identity: {"gauss-ratio-bridge"},
+        }
+        for suite, check_ids in expected.items():
+            assert set(failed_ids(suite(ctx, DEFAULT_POLICY))) == check_ids
 
     @pytest.mark.parametrize("q", [7, 11])
     def test_wrong_kernel_rows_fail_the_checks(self, monkeypatch, q):
@@ -662,8 +744,9 @@ class TestKernel:
         for module in (katz, harness):
             monkeypatch.setattr(module, "kernel_row", wrong_row)
         # a non-square a: at a = 1 the mellin check weighs the rows of D and
-        # D*phi alike, so it cannot tell them apart
-        tower = build_tower(q)
+        # D*phi alike, so it cannot tell them apart.  A tower of its own, so
+        # that no kernel sum memoized earlier hides the wrong rows
+        tower = FieldTower(q, 1)
         ctx = KatzContext(tower, tower.base.g)
         expected = {
             suite_theorem5x: {"kernel-closed-form", "kernel-transform", "gauss-ratio-bridge"},
@@ -682,7 +765,7 @@ class TestKernel:
         monkeypatch.setattr(
             katz, "kernel_row", lambda d: list(real_row(d * quadratic_char(d.field)))
         )
-        ctx = KatzContext(build_tower(q), 1)
+        ctx = KatzContext(FieldTower(q, 1), 1)  # its own tower: no memoized kernel sum
         assert suite_mellin(ctx, DEFAULT_POLICY).all_passed
         rep = verify_master_identity(ctx, DEFAULT_POLICY)
         assert set(failed_ids(rep)) == {"gauss-ratio-bridge"}
@@ -707,7 +790,7 @@ class TestKernel:
             return row
 
         monkeypatch.setattr(classical_sums, "_fiber_row", wrong_row)
-        tower = build_tower(q)
+        tower = FieldTower(q, 1)  # its own tower: no memoized lifted sum
         ctx = KatzContext(tower, tower.base.g)
         failed = {
             suite: set(failed_ids(suite(ctx, DEFAULT_POLICY)))
@@ -730,7 +813,7 @@ class TestKernel:
             return row[1:] + row[:1] if kind == "gauss" and index else row
 
         monkeypatch.setattr(classical_sums, "_fiber_row", wrong_row)
-        tower = build_tower(q)
+        tower = FieldTower(q, 1)  # its own tower: no memoized lifted sum
         ctx = KatzContext(tower, 1 if a == "one" else tower.base.g)
         failed = failed_ids(suite_mellin(ctx, DEFAULT_POLICY))
         assert failed and set(failed) == {"mellin-single"}

@@ -8,12 +8,19 @@ import math
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from conftest import records
 
 from charsum import cli, harness
-from charsum.report import VerificationReport, write_csv, write_json
+from charsum.report import (
+    CheckFamily,
+    Summary,
+    VerificationReport,
+    _deviation_text,
+    write_csv,
+    write_json,
+)
 
 
 def json_dump_reference(reports) -> str:
@@ -161,6 +168,95 @@ def test_a_bad_argument_raises_and_leaves_the_family_unchanged(args, error):
     fam = rep.families["p"]
     assert all(len(col) == len(fam) == 2 for col in fam.columns)
     assert [inputs for _, inputs, *_ in records(rep)] == ["a=1,b=2,c=3,d=4", "a=5,b=6,c=7,d=1"]
+
+
+@pytest.mark.parametrize("deviations,columns,error", [
+    ([0.0], ([1], [2], [3]), TypeError),
+    ([0.0], ([1], [2], [3], [4], [5]), TypeError),
+    ([0.0, 0.0], ([1, 2], [2, 3], [3], [4, 5]), ValueError),
+    ([0.0], ([1], [2], [3], [4, 5]), ValueError),
+    ([0.0, 0.0], ([1, 2], [2, "x"], [3, 4], [4, 5]), TypeError),
+    ([0.0, 0.0], ([1, 2], [2, 3], [3, 4], [4, 1.5]), TypeError),
+    ([0.0, 0.0], ([1, 2], [2, 3], [3, 2**63], [4, 5]), OverflowError),
+    ([0.0, 0.0], ([1, 2], [2, 3], [3, 4], [-(2**63) - 1, 5]), OverflowError),
+    ([0.0, "not a deviation"], ([1, 2], [2, 3], [3, 4], [4, 5]), TypeError),
+], ids=["too-few", "too-many", "short-column", "long-column", "str", "float", "past-int64",
+        "below-int64", "deviation"])
+def test_a_bad_column_raises_and_leaves_the_family_unchanged(deviations, columns, error):
+    rep = VerificationReport("master", 7, 1)
+    rep.family("p", "a={},b={},c={},d={}", 1e-6)(0.0, 1, 2, 3, 4)
+    fam = rep.families["p"]
+    with pytest.raises(error):
+        fam.extend(deviations, *columns)
+    fam.extend([1e-9, 2e-9], [5, 9], (6, 10), range(7, 9), [True, 0])  # a bool is an int
+    assert all(len(col) == len(fam) == 3 for col in fam.columns)
+    assert [inputs for _, inputs, *_ in records(rep)] == [
+        "a=1,b=2,c=3,d=4", "a=5,b=6,c=7,d=1", "a=9,b=10,c=8,d=0"
+    ]
+
+
+def test_one_extend_writes_the_bytes_of_its_adds(tmp_path):
+    # point-identity-like rows and a family without placeholders
+    rows = [(j, k, math.ldexp(7 * j + k, -50) if k else math.nan)
+            for j in range(5) for k in range(4)]
+    by_add, by_extend = VerificationReport("master", 7, 1), VerificationReport("master", 7, 1)
+    add, bare = by_add.family("p", "j={},k={}", 1e-14), by_add.family("z", "", 1e-14)
+    for j, k, dev in rows:
+        add(dev, j, k)
+        bare(dev)
+    by_extend.family("p", "j={},k={}", 1e-14)
+    by_extend.family("z", "", 1e-14)
+    j, k, devs = zip(*rows)
+    by_extend.families["p"].extend(devs, j, k)
+    by_extend.families["z"].extend(devs)
+    paths = [tmp_path / "add.json", tmp_path / "extend.json"]
+    for rep, path in zip((by_add, by_extend), paths):
+        write_json([rep], str(path))
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+def test_one_summary_per_family_over_a_run(tmp_path, monkeypatch, capsys):
+    # the exit code, the CSV and the CLI's lines all read the summary that
+    # the task stored, so each family is summarized once
+    calls, runs = [], []
+    summary, run = CheckFamily.summary, cli.run
+    monkeypatch.setattr(CheckFamily, "summary", lambda fam: calls.append(fam) or summary(fam))
+    monkeypatch.setattr(cli, "run", lambda cfg: runs.append(run(cfg)) or runs[-1])
+    monkeypatch.delenv(harness.ENV_PARALLELISM, raising=False)
+    code = cli.main(["run", "--q", "7", "--q", "5", "--a", "sample-2", "--out",
+                     str(tmp_path / "r.json"), "--csv", str(tmp_path / "r.csv")])
+    assert code == 0 and capsys.readouterr().out.endswith("-> PASS\n")
+    (_, reports), = runs
+    families = [fam for rep in reports for fam in rep.families.values()]
+    assert len(families) > 20
+    assert sorted(map(id, calls)) == sorted(map(id, families))
+
+
+def test_stored_totals_survive_the_pool():
+    cfg = harness.RunConfig(fields=[(3, 1), (7, 1)], suites=["master", "classical"],
+                            a_policy="sample-2", parallelism=2)
+    _, reports = harness.run(cfg)
+    assert len(reports) == 6
+    for rep in reports:
+        assert rep.totals == Summary.fold(fam.summary() for fam in rep.families.values())
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(st.floats(), st.floats(min_value=0.0, max_value=1e-300)))
+@example(0.0)
+@example(5e-324)
+@example(7.41e-323)  # a subnormal: its 3-digit text 7.41e-323 reads as 7.4e-323
+@example(1e-310)
+@example(2.2250738585072014e-308)  # sys.float_info.min
+@example(9.995e-5)  # rounds up to 0.0001, without an exponent
+@example(1e-4)
+@example(1e3)
+@example(1e16)
+@example(math.nan)
+@example(math.inf)
+@example(-math.inf)
+def test_deviation_text_is_json_of_the_rounded_float(deviation):
+    assert _deviation_text(deviation) == json.dumps(float(f"{deviation:.3g}"))
 
 
 def test_min_margin_in_the_csv(tmp_path):
