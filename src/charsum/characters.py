@@ -150,16 +150,15 @@ def delta(chi: MultChar) -> int:
 def decompose_odd(chi: MultChar) -> MultChar:
     """For odd chi on F_q (q = 3 mod 4), the smallest nu with phi*nu^4 = chi.
 
-    The congruence 4n = chi.index - (q-1)/2 (mod q-1) has two solutions;
-    the smaller one is returned, which also makes nu^2 even.
+    The congruence 4n = chi.index - (q-1)/2 (mod q-1) has two solutions,
+    n0 and n0 + h for h = (q-1)/2; the smaller one is returned, which also
+    makes nu^2 even.  With h odd, t = chi.index - h is even, and n0 is
+    (t/2) times the inverse (h+1)/2 of 2 mod h, reduced mod h.
     """
     if not chi.is_odd():
         raise ValueError("decompose_odd is only defined for odd characters")
-    n = chi.field.order - 1
-    if (n // 2) % 2 != 1:
+    h = (chi.field.order - 1) // 2
+    if h % 2 != 1:
         raise ValueError("decompose_odd requires q = 3 (mod 4)")
-    target = (chi.index - n // 2) % n
-    for cand in range(n):
-        if (4 * cand) % n == target:
-            return MultChar(chi.field, cand)
-    raise ValueError("no decomposition found")  # unreachable for odd chi
+    t = (chi.index - h) % (2 * h)
+    return MultChar(chi.field, t // 2 * ((h + 1) // 2) % h)

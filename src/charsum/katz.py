@@ -609,26 +609,27 @@ def verify_master_identity(
 
     v = ctx.v_vector()
     pm = ctx.mixed_sum_matrix()
-    rep.family("point-identity", "j={},k={}", policy.abs_tol(q, 4 * q))
-    point = rep.families["point-identity"].extend
+    point = rep.family("point-identity", "j={},k={}", policy.abs_tol(q, 4 * q))
     for j in range(q):
         vj = v[j]
-        point([abs(pjk - vj * vk) for pjk, vk in zip(pm[j], v)], repeat(j, q), range(q))
+        point.extend([abs(pjk - vj * vk) for pjk, vk in zip(pm[j], v)], repeat(j, q), range(q))
 
-    match = rep.family("mellin-match", "chi1={},chi2={}", policy.abs_tol(q, q**3))
+    pairs = select_char_pairs(base)
+    chars = [(char(base, i1), char(base, i2)) for i1, i2 in pairs]
+    rep.family("mellin-match", "chi1={},chi2={}", policy.abs_tol(q, q**3)).extend(
+        (abs(double_mellin_product(ctx, *c) - double_mellin_mixed(ctx, *c)) for c in chars),
+        *zip(*pairs),
+    )
     bridge_args = set()
-    for i1, i2 in select_char_pairs(base):
-        chi1, chi2 = char(base, i1), char(base, i2)
-        s_val = double_mellin_product(ctx, chi1, chi2)
-        t_val = double_mellin_mixed(ctx, chi1, chi2)
-        match(abs(s_val - t_val), i1, i2)
+    for chi1, chi2 in chars:
         if chi1.is_odd() and chi2.is_odd():
             nu1 = decompose_odd(chi1)
             mu = nu1 * decompose_odd(chi2)
             for i in (0, 1):
                 bridge_args.add((nu1.index, (mu * ctx.phi**i).index))
-    bridge = rep.family("gauss-ratio-bridge", "nu1={},D={}", policy.abs_tol(q, 4 * q * q))
-    for nu1_idx, d_idx in sorted(bridge_args):
-        dev = ratio_bracket_deviation(ctx, char(base, nu1_idx), char(base, d_idx))
-        bridge(dev, nu1_idx, d_idx)
+    bridge_args = sorted(bridge_args)
+    rep.family("gauss-ratio-bridge", "nu1={},D={}", policy.abs_tol(q, 4 * q * q)).extend(
+        (ratio_bracket_deviation(ctx, char(base, nu1), char(base, d)) for nu1, d in bridge_args),
+        *zip(*bridge_args),
+    )
     return rep

@@ -6,14 +6,16 @@ tolerance, an array('d') of deviations and an array('q') column per
 placeholder.  A check passes when deviation <= tol, evaluated when read, so a
 NaN deviation fails.  No record tuple and no inputs string exist between a
 check and the writer: write_json formats each inputs string as it writes
-that record.
+that record.  A suite appends its checks to a family a row at a time,
+rep.family(check_id, template, tol).extend(deviations, *columns), which is
+the one way a check is recorded.
 
 Every aggregate a run prints or writes (the exit code, the summary line, the
 CSV row and the CLI's total) reads the report's totals: one Summary, folded
 from the families' when its task ends (harness._run_task).
 
 Records come out in check order everywhere: a report's families in
-first-use order, the checks of each in the order they were added.  One task
+first-use order, the checks of each in the order they were appended.  One task
 builds each report in a fixed loop order, so the same configuration writes
 the same bytes, in serial and parallel runs alike.
 """
@@ -77,32 +79,13 @@ class CheckFamily:
     def __len__(self) -> int:
         return len(self.deviations)
 
-    def adder(self):
-        """add(deviation, *args): one check whose inputs are the template
-        filled with args, each an int of 64 bits.  A wrong argument count, a
-        non-int or out-of-range argument or a deviation that is not a number
-        raises TypeError or OverflowError and leaves the family unchanged."""
-        cols, devs, k = self.columns, self.deviations, len(self.columns)
-
-        def add(deviation, *args):
-            if len(args) != k:
-                raise TypeError(f"{self.template!r} takes {k} arguments, got {len(args)}")
-            try:
-                for col, value in zip(cols, args):
-                    col.append(value)
-                devs.append(deviation)
-            except (TypeError, OverflowError):
-                n = len(devs)
-                for col in cols:
-                    del col[n:]  # the appends before the one that failed
-                raise
-
-        return add
-
     def extend(self, deviations, *columns):
-        """add for many checks at once: check i has deviations[i] and its
-        c-th argument columns[c][i].  What add rejects, or columns of unequal
-        lengths (ValueError), raises and leaves the family unchanged."""
+        """Append checks: check i has deviation deviations[i] and inputs the
+        template filled with columns[c][i] for each placeholder c, each an int
+        of 64 bits; any iterables will do.  A wrong column count, a non-int or
+        out-of-range argument or a deviation that is not a number raises
+        TypeError or OverflowError, and columns of unequal lengths
+        ValueError, before anything is appended."""
         if len(columns) != len(self.columns):
             raise TypeError(f"{self.template!r} takes {len(self.columns)} columns")
         new = [array("d", deviations), *(array("q", col) for col in columns)]
@@ -136,10 +119,9 @@ class VerificationReport:
     families: dict[str, CheckFamily] = field(default_factory=dict)
     totals: Summary | None = None  # the summary, stored when the report is done
 
-    def family(self, check_id: str, template: str, tol: float):
-        """The adder add(deviation, *args) of the check_id family; asking
-        again gives the same family, and ValueError for another template or
-        tol."""
+    def family(self, check_id: str, template: str, tol: float) -> CheckFamily:
+        """The check_id family, registered on first use; asking again gives
+        the same family, and ValueError for another template or tol."""
         fam = self.families.get(check_id)
         if fam is None:
             fam = self.families[check_id] = CheckFamily(template, tol)
@@ -148,7 +130,7 @@ class VerificationReport:
                 f"check {check_id!r} is {fam.template!r} at tol {fam.tol!r}, "
                 f"not {template!r} at tol {tol!r}"
             )
-        return fam.adder()
+        return fam
 
     def summary(self) -> Summary:
         """The stored totals if set, else folded from the families now."""

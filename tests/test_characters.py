@@ -221,10 +221,23 @@ class TestDecomposeOdd:
             assert (phi * nu**4).index == chi.index
             assert (nu**2).index % 2 == 0  # lambda = nu^2 is even
 
+    @pytest.mark.parametrize("p,m", [(3, 1), (7, 1), (11, 1), (19, 1), (23, 1), (3, 3), (43, 1),
+                                     (59, 1), (3, 5), (263, 1)])
+    def test_closed_form_is_the_smallest_solution_found_by_search(self, p, m):
+        field = construct_field(p, m)
+        n = field.order - 1
+        for k in range(1, n, 2):
+            want = min(c for c in range(n) if 4 * c % n == (k - n // 2) % n)
+            assert decompose_odd(char(field, k)).index == want, k
+
     def test_even_character_rejected(self):
         field = construct_field(7)
         with pytest.raises(ValueError):
             decompose_odd(char(field, 2))
+
+    def test_q_1_mod_4_rejected(self):
+        with pytest.raises(ValueError, match=r"q = 3 \(mod 4\)"):
+            decompose_odd(char(construct_field(5), 1))
 
 
 class TestAddChar:

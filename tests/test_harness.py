@@ -12,6 +12,7 @@ import pytest
 from conftest import records
 
 from charsum import cli, harness
+from charsum.characters import MultChar
 from charsum.finite_field import build_tower, factor_prime_power
 from charsum.harness import (
     EXIT_CHECK_FAILED,
@@ -384,20 +385,43 @@ class TestSuites:
         rep = suite_theorem5x(KatzContext(build_tower(p, t), 1), DEFAULT_POLICY)
         assert rep.all_passed, [r for r in records(rep) if not r[3]][:3]
 
-    @pytest.mark.parametrize("q", [7, 11, 27])
+    @pytest.mark.parametrize("q", [5, 7, 9, 11, 27])
     def test_record_counts_match_the_benchmark_inventory(self, q):
         # perfbench/workloads.py derives each suite's record count per
         # check_id from its loop bounds, independently of the program; a
         # dropped or extra record fails here before the benchmark runs.
+        # The a-sweep suites run at a square a = 1 and a non-square a = g.
         # run_path reads the file and writes no bytecode next to it
         workloads = runpy.run_path(str(Path(__file__).parents[1] / "perfbench" / "workloads.py"))
-        tower = build_tower(*factor_prime_power(q))
-        ctx = KatzContext(tower, 1)
-        for name in ("classical", "eisenstein", "hypergeometric", "theorem-4.1", "theorem-5.x"):
-            rep = SUITES[name].check(ctx if SUITES[name].octic else tower, DEFAULT_POLICY)
+        checks = [("remark-Z", q)]
+        if q % 4 == 3:
+            tower = build_tower(*factor_prime_power(q))
+            ctxs = [KatzContext(tower, a) for a in (1, tower.base.exp[1])]
+            checks = [
+                (name, ctx if entry.octic else tower)
+                for name, entry in SUITES.items() if entry.mod4 == 3
+                for ctx in (ctxs if entry.a_sweep else ctxs[:1])
+            ]
+        a_indices = collections.defaultdict(set)
+        for name, arg in checks:
+            rep = SUITES[name].check(arg, DEFAULT_POLICY)
+            a_indices[name].add(rep.a_index)
             counts = collections.Counter(check_id for check_id, *_ in records(rep))
             want = {check_id: n for check_id, n in workloads["suite_counts"](name, q).items() if n}
-            assert counts == want, name
+            assert counts == want, (name, rep.a_index)
+        assert set(a_indices) == {name for name, e in SUITES.items() if q % 4 == e.mod4}
+        if q % 4 == 3:
+            assert a_indices["mellin"] == a_indices["master"] == {0, 1}
+
+    def test_classical_builds_no_character_per_top_field_check(self, monkeypatch):
+        # the sweeps over the q^2 - 1 characters of F_{q^2} read indices: the
+        # constructions grow as q (about 20q), where one per character and
+        # per conjugate or power took about 4q^2
+        built, init = [], MultChar.__init__
+        monkeypatch.setattr(MultChar, "__init__", lambda c, *args: built.append(1) or init(c, *args))
+        q = 59
+        assert suite_classical(build_tower(q), DEFAULT_POLICY).all_passed
+        assert len(built) <= 25 * q
 
     def test_remark_z_suite(self):
         for q in (5, 9):

@@ -60,7 +60,7 @@ def test_report_sorted_gives_records_in_write_order(tmp_path):
     assert callable(getattr(VerificationReport, "sorted", None))
     rep = VerificationReport("master", 7, 1, wall_time=0.5)
     for check_id, j, deviation in [("b", 2, 1e-9), ("a", 9, 2e-9), ("b", 10, 3e-9)]:
-        rep.family(check_id, "j={}", 1e-6)(deviation, j)
+        rep.family(check_id, "j={}", 1e-6).extend([deviation], [j])
     got = rep.sorted()
     assert (got.suite, got.q, got.a_index, got.wall_time) == ("master", 7, 1, 0.5)
     keys = [(check_id, inputs) for check_id, inputs, *_ in records(got)]
