@@ -48,10 +48,8 @@ from .katz import (
     decompose_q_squared,
     double_mellin_mixed,
     double_mellin_product,
-    fiber_jacobi_transform,
     kernel_double_sum,
     kernel_sum,
-    kernel_transform,
     mellin_transform,
     mixed_sum,
     norm_restricted_gauss,

@@ -14,15 +14,16 @@ import os
 import time
 from collections.abc import Callable
 from dataclasses import dataclass, field as dc_field, replace
-from itertools import repeat
+from itertools import repeat, starmap
 
-from .characters import char, quadratic_char, trivial_char
+from .characters import char, decompose_odd, delta, quadratic_char, trivial_char
 from .classical_sums import (
     eisenstein_sums,
     gauss_sums,
     hasse_davenport_product_deviation,
     jacobi,
     jacobi_row,
+    lifted_gauss,
     lifted_gauss_deviation,
     quartic_gauss_deviation,
 )
@@ -38,16 +39,13 @@ from .hypergeometric import (
 )
 from .katz import (
     KatzContext,
-    double_mellin_mixed_deviation,
+    _jacobi_bracket,
+    double_mellin_mixed,
     double_mellin_product,
-    double_mellin_product_deviation,
-    fiber_jacobi_transform_deviation,
     kernel_double_sum,
     kernel_double_sum_anchor,
-    kernel_double_sum_deviation,
+    kernel_mellin,
     kernel_row,
-    kernel_transform_deviation,
-    mellin_single_deviation,
     mellin_transform,
     quadratic_kernel_expected,
     quadratic_kernel_mellin,
@@ -420,32 +418,79 @@ def suite_theorem41(ctx: KatzContext, policy: TolerancePolicy) -> VerificationRe
 
 def suite_mellin(ctx: KatzContext, policy: TolerancePolicy) -> VerificationReport:
     """Single and double Mellin evaluations, Mellin inversion, and the
-    literal-vs-product oracle for the double transform."""
+    literal-vs-product oracle for the double transform.  A character is read
+    by its index k in chars: chi_k(a) is roots[k dlog(a)], phi is (q-1)/2,
+    conj is -k and products add.  An odd chi_k is phi nu^4 for nu = nus[k]
+    (decompose_odd), mu = nu1 nu2, and the evaluations of S read the Jacobi
+    bracket J2(nu N M8, C N) + J2(nu N M8^5, C N) of katz._jacobi_bracket."""
     tower = ctx.tower
     q = tower.q
     base = tower.base
     rep = VerificationReport("mellin", q, ctx.a_index())
     tol = policy.abs_tol(q, 4 * q * q)
     tol_pairs = policy.abs_tol(q, q**3)
+    n, half, g, roots, la = q - 1, (q - 1) // 2, gauss_sums(base), base.unity_roots, ctx.a_index()
+    chars, m8, m8_5 = [char(base, i) for i in range(q - 1)], ctx.M8, ctx.M8**5
+    nus = [decompose_odd(c).index if c.is_odd() else None for c in chars]
 
-    single = rep.family("mellin-single", "chi={}", tol)
-    single.extend((mellin_single_deviation(ctx, char(base, i)) for i in range(q - 1)), range(q - 1))
+    def single(k):
+        s = mellin_transform(ctx, chars[k])
+        if k % 2 == 0:
+            return abs(s)
+        nu = nus[k]
+        rhs = (
+            roots[-nu % n * la % n] / ctx.tau * lifted_gauss(tower, chars[nu], m8)
+            + roots[(half - nu) % n * la % n] / ctx.tau * lifted_gauss(tower, chars[nu], m8_5)
+        )
+        return abs(s - rhs)
 
+    def product(k1, k2):
+        s = double_mellin_product(ctx, chars[k1], chars[k2])
+        if not (k1 % 2 and k2 % 2):
+            return abs(s)
+        nu1, mu = nus[k1], (nus[k1] + nus[k2]) % n
+        rhs = 0j
+        for i in (0, 1):
+            ch = (half * i - mu) % n
+            bracket = _jacobi_bracket(tower, m8, nu1, chars[ch])
+            rhs += roots[ch * la % n] * q / lifted_gauss(tower, chars[ch]) * bracket
+        return abs(s - rhs)
+
+    def mixed(k1, k2):
+        # the weights (conj(mu) phi^i)(a) of the rows of D = mu and mu phi are
+        # equal at a square a, where this check sees only the sum of the two
+        # rows and passes the row of D*phi served for D; a non-square a fails
+        # it, and the gauss-ratio-bridge, which does not read a, catches it
+        t = double_mellin_mixed(ctx, chars[k1], chars[k2])
+        if not (k1 % 2 and k2 % 2):
+            return abs(t)
+        mu = (nus[k1] + nus[k2]) % n
+        g_ratio = g[(half + 2 * mu) % n] / g[half]
+        rhs = 0j
+        for i in (0, 1):
+            d = (mu + half * i) % n
+            hsum = kernel_mellin(chars[d], chars[k1])
+            weight = roots[(half * i - mu) % n * la % n]
+            rhs += weight * g_ratio * (hsum + 2 * (q - 1) * delta(chars[d]))
+        return abs(t - rhs)
+
+    rep.family("mellin-single", "chi={}", tol).extend(map(single, range(n)), range(n))
     pairs = select_char_pairs(base)
-    chars, columns = [(char(base, i1), char(base, i2)) for i1, i2 in pairs], list(zip(*pairs))
-    product = rep.family("double-mellin-product", "chi1={},chi2={}", tol_pairs)
-    product.extend((double_mellin_product_deviation(ctx, *c) for c in chars), *columns)
-    mixed = rep.family("double-mellin-mixed", "chi1={},chi2={}", tol_pairs)
-    mixed.extend((double_mellin_mixed_deviation(ctx, *c) for c in chars), *columns)
+    columns = list(zip(*pairs))
+    product_fam = rep.family("double-mellin-product", "chi1={},chi2={}", tol_pairs)
+    product_fam.extend(starmap(product, pairs), *columns)
+    mixed_fam = rep.family("double-mellin-mixed", "chi1={},chi2={}", tol_pairs)
+    mixed_fam.extend(starmap(mixed, pairs), *columns)
     if q <= 11:
         literal = rep.family("double-mellin-literal", "chi1={},chi2={}", tol_pairs)
-        lits = (double_mellin_product(ctx, *c, literal=True) for c in chars)
-        rows = (double_mellin_product(ctx, *c) for c in chars)
+        pair_chars = [(chars[k1], chars[k2]) for k1, k2 in pairs]
+        lits = (double_mellin_product(ctx, *c, literal=True) for c in pair_chars)
+        rows = (double_mellin_product(ctx, *c) for c in pair_chars)
         literal.extend((abs(x - y) for x, y in zip(lits, rows)), *columns)
 
     v = ctx.v_vector()
-    s_all = [mellin_transform(ctx, char(base, i)) for i in range(q - 1)]
-    tables = [char(base, i).value_table() for i in range(q - 1)]
+    s_all = [mellin_transform(ctx, c) for c in chars]
+    tables = [c.value_table() for c in chars]
     inversion, js = rep.family("mellin-inversion", "j={}", tol_pairs), range(1, q)
     recon = (sum(s * t[j].conjugate() for s, t in zip(s_all, tables)) / (q - 1) for j in js)
     inversion.extend((abs(r - v[j]) for j, r in zip(js, recon)), js)
@@ -461,7 +506,9 @@ def suite_theorem5x(ctx: KatzContext, policy: TolerancePolicy) -> VerificationRe
     j != +-1, D = eps:  0
     j != +-1, D != eps: (G(phi)G(D)^2/G(phi D^2)) conj(D)^4(j-1) 2F1(...)
 
-    with the 2F1 read from reduction_row, as in theorem-4.1."""
+    with the 2F1 read from reduction_row, as in theorem-4.1.  W(D) (2 at D =
+    eps), Y(D) and the double sum are checked against the Jacobi bracket,
+    with characters read by index as in suite_mellin."""
     tower = ctx.tower
     q = tower.q
     base = tower.base
@@ -471,9 +518,11 @@ def suite_theorem5x(ctx: KatzContext, policy: TolerancePolicy) -> VerificationRe
     all_idx = list(range(q - 1))
     closed_form = rep.family("kernel-closed-form", "D={},j={}", tol)
     n, roots, dlog, sub, js = q - 1, base.unity_roots, base.dlog, base.sub_codes, range(1, q)
-    phi, half, ends, g = quadratic_char(base), (q - 1) // 2, (1, base.neg[1]), gauss_sums(base)
+    half, ends, g = (q - 1) // 2, (1, base.neg[1]), gauss_sums(base)
+    chars, m8 = [char(base, i) for i in all_idx], ctx.M8
+    phi = chars[half]
     for d_idx in all_idx:
-        d = char(base, d_idx)
+        d = chars[d_idx]
         left, hyp = kernel_row(d), reduction_row(d)
         c4, c16 = -4 * d_idx % n, roots[-d_idx % n * dlog[16 % base.p] % n]
         jac = jacobi(d, phi)
@@ -486,26 +535,38 @@ def suite_theorem5x(ctx: KatzContext, policy: TolerancePolicy) -> VerificationRe
         )
         closed_form.extend((abs(left[j] - r) for j, r in zip(js, right)), repeat(d_idx, n), js)
 
+    def transform(d, nu):
+        lhs = kernel_mellin(chars[d], chars[(half + 4 * nu) % n])
+        if d == 0:
+            return abs(lhs - 2)
+        bracket = _jacobi_bracket(tower, m8, nu, chars[-d % n])
+        rhs = -g[half] * g[d] ** 2 / (q * g[(half + 2 * d) % n]) * bracket
+        return abs(lhs - rhs)
+
+    def fiber(d, nu):
+        w, r = chars[4 * nu % n].value_table(), norm_jacobi_row(ctx, chars[d])
+        lhs = sum(w[j] * r[j] for j in range(1, q))
+        return abs(lhs - _jacobi_bracket(tower, m8, nu, chars[-d % n]))
+
     idx = all_idx if q <= 11 else spaced_sample(all_idx, 6)
-    nus = [char(base, n_idx) for n_idx in idx]
-    transform = rep.family("kernel-transform", "D={},nu={}", tol)
-    fiber = rep.family("fiber-transform", "D={},nu={}", tol)
+    transform_fam = rep.family("kernel-transform", "D={},nu={}", tol)
+    fiber_fam = rep.family("fiber-transform", "D={},nu={}", tol)
     bridge = rep.family("gauss-ratio-bridge", "D={},nu={}", tol)
-    for d_idx, d in zip(idx, nus):
-        ds = [d_idx] * len(idx)
-        transform.extend((kernel_transform_deviation(ctx, d, nu) for nu in nus), ds, idx)
-        fiber.extend((fiber_jacobi_transform_deviation(ctx, d, nu) for nu in nus), ds, idx)
-        bridge.extend((ratio_bracket_deviation(ctx, nu, d) for nu in nus), ds, idx)
+    for d in idx:
+        ds = [d] * len(idx)
+        transform_fam.extend((transform(d, nu) for nu in idx), ds, idx)
+        fiber_fam.extend((fiber(d, nu) for nu in idx), ds, idx)
+        bridge.extend((ratio_bracket_deviation(ctx, chars, nu, d) for nu in idx), ds, idx)
 
     rep.family("kernel-double-sum", "nu={}", tol).extend(
-        (kernel_double_sum_deviation(q, n_idx, ctx.m8_variant) for n_idx in idx), idx
+        (abs(kernel_double_sum(q, nu) - _jacobi_bracket(tower, m8, nu, phi)) for nu in idx), idx
     )
     anchor = kernel_double_sum_anchor(q)
     rep.family("kernel-double-anchor", "nu=0", tol).extend([abs(kernel_double_sum(q) - anchor)])
 
-    mus = [char(base, m_idx) for m_idx in all_idx]
+    # mu^4 and mu^2 are trivial iff 4 mu and 2 mu are 0 mod q-1
     rep.family("delta-square-fourth", "mu={}", tol).extend(
-        (float(abs(int((mu**4).is_trivial) - int((mu**2).is_trivial))) for mu in mus), all_idx
+        (float(abs(int(4 * mu % n == 0) - int(2 * mu % n == 0))) for mu in all_idx), all_idx
     )
     return rep
 

@@ -10,12 +10,13 @@ and the norm-restricted Gauss sums
     V(j) = tau^-1 phi(j) sum_{N(z) = a} M8(z) psi2(j^2 z),
 
 for a fixed nonzero a in F_q, q = 3 (mod 4).  This module evaluates both
-sides literally, their single and double Mellin transforms, the kernel sums
-h(D, j) that the mixed-side transform reduces to, and the weighted transforms
-W and Y that bridge the two sides.  Each identity but the kernel closed form
-has a deviation function computing |lhs - rhs| with the two sides obtained
-by independent routes; the kernel closed form is checked row by row in the
-theorem-5.x suite.
+sides literally, their single and double Mellin transforms, and the kernel
+sums h(D, j) that the mixed-side transform reduces to.  The suites (see
+harness) check each evaluation against the other side's route, reading every
+character by its index; this module keeps the one copy of the Jacobi bracket
+J2(nu N M8, C N) + J2(nu N M8^5, C N) that five of those checks read, and
+of the Gauss-ratio bridge between the two Mellin evaluations, which
+theorem-5.x and the master sweep both check.
 
 P has one route at every q, which shares nothing with V's.  The trace is
 F_p-linear, so psi(x s + (a/x) d) = zeta_p^(Tr(x s) + Tr((a/x) d)): the sum
@@ -39,13 +40,13 @@ field.  Y(D) reads R(D, .) from norm_jacobi_row, built from the table
 memoized on the context, since R reads the context's octic M8 (see
 hypergeometric).  Every Jacobi or Gauss sum over F_{q^2} has a lifted
 character C N, times M8^e in the Mellin evaluation, and is summed over the
-q-1 norm fibers by lifted_jacobi and lifted_gauss, whose fiber rows and
-values are memoized on the tower; the Gauss sums over F_q are read from the
-field's one transform (see classical_sums).  No top-field value table or
-transform is built: the few top-field points read are looked up through
-dlog, and each top-field character, of order dividing 4(q-1), reads the
-root table of its own order, never the full table of q^2 - 1 roots (see
-finite_field.root_table).
+q-1 norm fibers by the fiber transforms of classical_sums (the Jacobi ones
+by top-field index), whose fiber rows and values are memoized on the tower;
+the Gauss sums over F_q are read from the field's one transform (see
+classical_sums).  No top-field value table or transform is built: the few
+top-field points read are looked up through dlog, and each top-field
+character, of order dividing 4(q-1), reads the root table of its own order,
+never the full table of q^2 - 1 roots (see finite_field.root_table).
 """
 
 import cmath
@@ -53,18 +54,10 @@ import math
 import operator
 from itertools import repeat
 
-from .characters import (
-    MultChar,
-    char,
-    decompose_odd,
-    delta,
-    norm_compose,
-    octic_M8,
-    quadratic_char,
-)
-from .classical_sums import gauss, lifted_gauss, lifted_jacobi
+from .characters import MultChar, char, decompose_odd, delta, octic_M8, quadratic_char
+from .classical_sums import _fiber_transform, gauss, gauss_sums, lifted_gauss
 from .finite_field import FieldError, FieldTower, build_tower, construct_field, factor_prime_power
-from .hypergeometric import fiber_logs, norm_fiber, norm_jacobi_row
+from .hypergeometric import fiber_logs, norm_fiber
 from .report import VerificationReport
 from .tolerance import DEFAULT_POLICY, TolerancePolicy
 
@@ -236,23 +229,6 @@ def mellin_transform(ctx: KatzContext, chi: MultChar) -> complex:
     return s
 
 
-def mellin_single_deviation(ctx: KatzContext, chi: MultChar) -> float:
-    """S(chi) against its Gauss-sum evaluation: 0 for even chi, and for odd
-    chi = phi*nu^4 the two-term bracket in G2(nu N M8) and G2(nu N M8^5),
-    each summed over the norm fibers by lifted_gauss with the twist M8^e."""
-    s = mellin_transform(ctx, chi)
-    if not chi.is_odd():
-        return abs(s)
-    tower = ctx.tower
-    nu = decompose_odd(chi)
-    a = ctx.a
-    rhs = (
-        nu.conj(a) / ctx.tau * lifted_gauss(tower, nu, ctx.M8)
-        + (ctx.phi * nu.conj)(a) / ctx.tau * lifted_gauss(tower, nu, ctx.M8**5)
-    )
-    return abs(s - rhs)
-
-
 def double_mellin_product(ctx: KatzContext, chi1: MultChar, chi2: MultChar,
                           literal: bool = False) -> complex:
     """S(chi1, chi2) = sum_{j,k != 0} chi1(j) chi2(k) V(j) V(k).
@@ -260,6 +236,8 @@ def double_mellin_product(ctx: KatzContext, chi1: MultChar, chi2: MultChar,
     Computed as the product S(chi1) S(chi2); literal=True runs the O(q^2)
     double sum instead (the debug oracle).
     """
+    if chi1.field is not ctx.tower.base or chi2.field is not ctx.tower.base:
+        raise FieldError("the double Mellin transform needs base-field characters")
     if not literal:
         return mellin_transform(ctx, chi1) * mellin_transform(ctx, chi2)
     v = ctx.v_vector()
@@ -270,30 +248,6 @@ def double_mellin_product(ctx: KatzContext, chi1: MultChar, chi2: MultChar,
         for k in range(1, q):
             total += t1[j] * t2[k] * v[j] * v[k]
     return total
-
-
-def _jacobi_bracket(tower: FieldTower, m8: MultChar, nu: MultChar, c: MultChar) -> complex:
-    """J2(nu N M8, C N) + J2(nu N M8^5, C N), summed over the norm fibers."""
-    nu_n = norm_compose(tower, nu)
-    return lifted_jacobi(tower, nu_n * m8, c) + lifted_jacobi(tower, nu_n * m8**5, c)
-
-
-def double_mellin_product_deviation(ctx: KatzContext, chi1: MultChar, chi2: MultChar) -> float:
-    """S(chi1, chi2) against its Gauss/Jacobi evaluation (zero if either is even)."""
-    s = double_mellin_product(ctx, chi1, chi2)
-    if not (chi1.is_odd() and chi2.is_odd()):
-        return abs(s)
-    tower = ctx.tower
-    q = tower.q
-    nu1 = decompose_odd(chi1)
-    nu2 = decompose_odd(chi2)
-    mu = nu1 * nu2
-    rhs = 0j
-    for i in (0, 1):
-        ch = ctx.phi**i * mu.conj
-        bracket = _jacobi_bracket(tower, ctx.M8, nu1, ch)
-        rhs += ch(ctx.a) * q / lifted_gauss(tower, ch) * bracket
-    return abs(s - rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -374,37 +328,15 @@ def double_mellin_mixed(ctx: KatzContext, chi1: MultChar, chi2: MultChar) -> com
     return total
 
 
-def double_mellin_mixed_deviation(ctx: KatzContext, chi1: MultChar, chi2: MultChar) -> float:
-    """T(chi1, chi2) against its kernel-sum evaluation (zero if either is even).
-
-    The evaluation weighs the kernel rows of D = mu and D = mu*phi by
-    (mu-bar phi^i)(a).  At a square a the two weights are equal, so this check
-    sees only the sum of the two rows and cannot tell them apart: serving the
-    row of D*phi for D passes here.  The gauss-ratio-bridge of
-    verify_master_identity catches that at every a.
-    """
-    t = double_mellin_mixed(ctx, chi1, chi2)
-    if not (chi1.is_odd() and chi2.is_odd()):
-        return abs(t)
-    q = ctx.tower.q
-    nu1 = decompose_odd(chi1)
-    nu2 = decompose_odd(chi2)
-    mu = nu1 * nu2
-    g_ratio = gauss(ctx.phi * mu**2) / gauss(ctx.phi)
-    rhs = 0j
-    for i in (0, 1):
-        dch = mu * ctx.phi**i
-        hsum = kernel_mellin(dch, chi1)
-        rhs += (mu.conj * ctx.phi**i)(ctx.a) * g_ratio * (hsum + 2 * (q - 1) * delta(dch))
-    return abs(t - rhs)
-
-
 # ---------------------------------------------------------------------------
 # weighted transforms bridging the two sides
 
 
 def kernel_mellin(d: MultChar, chi: MultChar) -> complex:
-    """sum_{j != 0} chi(j) h(D, j), memoized on the field by (D, chi) indices."""
+    """sum_{j != 0} chi(j) h(D, j), memoized on the field by (D, chi) indices;
+    W(D) is its value at chi = phi nu^4."""
+    if chi.field is not d.field:
+        raise FieldError("the kernel transform needs D and chi on one field")
     field, key = d.field, (d.index, chi.index)
     val = field._kernel_sums.get(key)
     if val is None:
@@ -413,47 +345,29 @@ def kernel_mellin(d: MultChar, chi: MultChar) -> complex:
     return val
 
 
-def kernel_transform(d: MultChar, nu: MultChar) -> complex:
-    """W(D) = sum_{j != 0} (phi nu^4)(j) h(D, j)."""
-    return kernel_mellin(d, quadratic_char(d.field) * nu**4)
+def _jacobi_bracket(tower: FieldTower, m8: MultChar, nu: int, c: MultChar) -> complex:
+    """J2(nu N M8, C N) + J2(nu N M8^5, C N), summed over the norm fibers,
+    for the base character of index nu: nu N M8^e has the top-field index
+    nu (q+1) + e index(M8), and no top-field character is built."""
+    n2, nu_n = tower.top.order - 1, nu * (tower.q + 1)
+    return (_fiber_transform(tower, c, "jacobi", (nu_n + m8.index) % n2)
+            + _fiber_transform(tower, c, "jacobi", (nu_n + 5 * m8.index) % n2))
 
 
-def kernel_transform_deviation(ctx: KatzContext, d: MultChar, nu: MultChar) -> float:
-    """W(D) against 2 (trivial D) or its two-term Jacobi bracket over F_{q^2}."""
-    lhs = kernel_transform(d, nu)
-    if d.is_trivial:
-        return abs(lhs - 2)
-    tower = ctx.tower
-    bracket = _jacobi_bracket(tower, ctx.M8, nu, d.conj)
-    rhs = -gauss(ctx.phi) * gauss(d) ** 2 / (tower.q * gauss(ctx.phi * d**2)) * bracket
-    return abs(lhs - rhs)
-
-
-def fiber_jacobi_transform(ctx: KatzContext, d: MultChar, nu: MultChar) -> complex:
-    """Y(D) = sum_{j != 0} nu^4(j) R(D, j), read from norm_jacobi_row(D)."""
-    w = (nu**4).value_table()
-    r = norm_jacobi_row(ctx, d)
-    return sum(w[j] * r[j] for j in range(1, d.field.order))
-
-
-def fiber_jacobi_transform_deviation(ctx: KatzContext, d: MultChar, nu: MultChar) -> float:
-    """Y(D) against J2(nu N M8, conj(D)N) + J2(nu N M8^5, conj(D)N)."""
-    lhs = fiber_jacobi_transform(ctx, d, nu)
-    return abs(lhs - _jacobi_bracket(ctx.tower, ctx.M8, nu, d.conj))
-
-
-def ratio_bracket_deviation(ctx: KatzContext, nu1: MultChar, d: MultChar) -> float:
+def ratio_bracket_deviation(ctx: KatzContext, chars: list[MultChar], nu1: int, d: int) -> float:
     """The master bridge between the two Mellin evaluations, for D = mu*phi^i:
 
     q/G2(conj(D)N) * {J2(nu1 N M8, conj(D)N) + J2(nu1 N M8^5, conj(D)N)}
-        = G(phi D^2)/G(phi) * (W(D) + 2(q-1) delta(D)).
-    """
+        = G(phi D^2)/G(phi) * (W(D) + 2(q-1) delta(D)),
+
+    with nu1 and D character indices and chars the base characters by index."""
     tower = ctx.tower
     q = tower.q
-    bracket = _jacobi_bracket(tower, ctx.M8, nu1, d.conj)
-    lhs = q / lifted_gauss(tower, d.conj) * bracket
-    rhs = gauss(ctx.phi * d**2) / gauss(ctx.phi) * (
-        kernel_transform(d, nu1) + 2 * (q - 1) * delta(d)
+    n, half, g = q - 1, (q - 1) // 2, gauss_sums(tower.base)
+    bracket = _jacobi_bracket(tower, ctx.M8, nu1, chars[-d % n])
+    lhs = q / lifted_gauss(tower, chars[-d % n]) * bracket
+    rhs = g[(half + 2 * d) % n] / g[half] * (
+        kernel_mellin(chars[d], chars[(half + 4 * nu1) % n]) + 2 * (q - 1) * delta(chars[d])
     )
     return abs(lhs - rhs)
 
@@ -484,15 +398,6 @@ def kernel_double_sum(q: int, nu_index: int = 0) -> complex:
             inner += tphi[x] * tphi[om[x]] * tphi[add(mul(x, jp), jm)]
         total += tw[j] * inner
     return total
-
-
-def kernel_double_sum_deviation(q: int, nu_index: int = 0, m8_variant: int = 1) -> float:
-    """The double sum against J2(nu N M8, phi N) + J2(nu N M8^5, phi N)."""
-    p, t = factor_prime_power(q)
-    tower = build_tower(p, t)
-    nu = char(tower.base, nu_index)
-    rhs = _jacobi_bracket(tower, octic_M8(tower, m8_variant), nu, quadratic_char(tower.base))
-    return abs(kernel_double_sum(q, nu_index) - rhs)
 
 
 def decompose_q_squared(q: int, p: int) -> tuple[int, int]:
@@ -563,14 +468,6 @@ def quadratic_kernel_expected(q: int) -> int:
 # the master verification sweep
 
 
-def odd_char_indices(field) -> list[int]:
-    return [i for i in range(1, field.order - 1) if i % 2 == 1]
-
-
-def even_char_indices(field) -> list[int]:
-    return [i for i in range(0, field.order - 1) if i % 2 == 0]
-
-
 def spaced_sample(items: list[int], k: int) -> list[int]:
     """Deterministic evenly spaced sample of at most k items."""
     if len(items) <= k:
@@ -583,13 +480,9 @@ def select_char_pairs(field) -> list[tuple[int, int]]:
     """Character-index pairs for the double-Mellin sweep: every pair for
     q <= 11, and a deterministic spread (4 odd + 2 even indices per axis)
     above that."""
-    q = field.order
-    if q <= 11:
-        idx = list(range(q - 1))
-    else:
-        idx = spaced_sample(odd_char_indices(field), 4) + spaced_sample(
-            even_char_indices(field), 2
-        )
+    idx = list(range(field.order - 1))
+    if field.order > 11:
+        idx = spaced_sample(idx[1::2], 4) + spaced_sample(idx[::2], 2)
     return [(i1, i2) for i1 in idx for i2 in idx]
 
 
@@ -615,21 +508,20 @@ def verify_master_identity(
         point.extend([abs(pjk - vj * vk) for pjk, vk in zip(pm[j], v)], repeat(j, q), range(q))
 
     pairs = select_char_pairs(base)
-    chars = [(char(base, i1), char(base, i2)) for i1, i2 in pairs]
+    n, chars = q - 1, [char(base, i) for i in range(q - 1)]
+    pair_chars = ((chars[i1], chars[i2]) for i1, i2 in pairs)
     rep.family("mellin-match", "chi1={},chi2={}", policy.abs_tol(q, q**3)).extend(
-        (abs(double_mellin_product(ctx, *c) - double_mellin_mixed(ctx, *c)) for c in chars),
+        (abs(double_mellin_product(ctx, *c) - double_mellin_mixed(ctx, *c)) for c in pair_chars),
         *zip(*pairs),
     )
-    bridge_args = set()
-    for chi1, chi2 in chars:
-        if chi1.is_odd() and chi2.is_odd():
-            nu1 = decompose_odd(chi1)
-            mu = nu1 * decompose_odd(chi2)
-            for i in (0, 1):
-                bridge_args.add((nu1.index, (mu * ctx.phi**i).index))
-    bridge_args = sorted(bridge_args)
+    # (nu1, D = mu phi^i) for odd chi_k = phi nu_k^4 and mu = nu1 nu2, by index
+    nus = [decompose_odd(c).index if c.is_odd() else None for c in chars]
+    bridge_args = sorted({
+        (nus[i1], (nus[i1] + nus[i2] + n // 2 * i) % n)
+        for i1, i2 in pairs if i1 % 2 and i2 % 2 for i in (0, 1)
+    })
     rep.family("gauss-ratio-bridge", "nu1={},D={}", policy.abs_tol(q, 4 * q * q)).extend(
-        (ratio_bracket_deviation(ctx, char(base, nu1), char(base, d)) for nu1, d in bridge_args),
+        (ratio_bracket_deviation(ctx, chars, nu1, d) for nu1, d in bridge_args),
         *zip(*bridge_args),
     )
     return rep

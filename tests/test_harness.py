@@ -13,7 +13,7 @@ from conftest import records
 
 from charsum import cli, harness
 from charsum.characters import MultChar
-from charsum.finite_field import build_tower, factor_prime_power
+from charsum.finite_field import FieldTower, build_tower, factor_prime_power
 from charsum.harness import (
     EXIT_CHECK_FAILED,
     EXIT_OK,
@@ -31,7 +31,7 @@ from charsum.harness import (
     suite_remark_z,
     suite_theorem5x,
 )
-from charsum.katz import KatzContext
+from charsum.katz import KatzContext, verify_master_identity
 from charsum.tolerance import DEFAULT_POLICY, TolerancePolicy
 
 
@@ -422,6 +422,17 @@ class TestSuites:
         q = 59
         assert suite_classical(build_tower(q), DEFAULT_POLICY).all_passed
         assert len(built) <= 25 * q
+        # the Mellin-side suites read base characters by index from one list
+        # per suite and build no top-field character: about 5q at q = 11 and
+        # 2q to 12q at q = 59 on a tower of their own, where conjugates,
+        # powers and products per check took over 90q at q = 11
+        for q in (11, 59):
+            ctx = KatzContext(FieldTower(q, 1), 1)  # its memos start empty
+            for suite, bound in ((suite_mellin, 10 * q), (verify_master_identity, 10 * q),
+                                 (suite_theorem5x, 20 * q)):
+                built.clear()
+                assert suite(ctx, DEFAULT_POLICY).all_passed
+                assert len(built) <= bound, (q, suite.__name__, len(built))
 
     def test_remark_z_suite(self):
         for q in (5, 9):

@@ -1,4 +1,5 @@
 import cmath
+import functools
 import inspect
 import json
 import operator
@@ -25,18 +26,12 @@ from charsum.katz import (
     decompose_q,
     decompose_q_squared,
     double_mellin_mixed,
-    double_mellin_mixed_deviation,
     double_mellin_product,
-    double_mellin_product_deviation,
-    fiber_jacobi_transform_deviation,
     kernel_double_sum,
     kernel_double_sum_anchor,
-    kernel_double_sum_deviation,
+    kernel_mellin,
     kernel_row,
     kernel_sum,
-    kernel_transform,
-    kernel_transform_deviation,
-    mellin_single_deviation,
     mellin_transform,
     mixed_sum,
     norm_restricted_gauss,
@@ -406,15 +401,14 @@ class TestClosedFormRows:
 
     @pytest.mark.parametrize("q", [7, 11, 27])
     def test_wrong_norm_jacobi_rows_fail_the_checks(self, monkeypatch, q):
-        # the row of D*phi served as the row of D, under the names that the
-        # suites and Y(D) read
+        # the row of D*phi served as the row of D, under the name that the
+        # suites, Y(D) among them, read
         real = hypergeometric.norm_jacobi_row
 
         def row(ctx, d):
             return real(ctx, d * quadratic_char(d.field))
 
         monkeypatch.setattr(harness, "norm_jacobi_row", row)
-        monkeypatch.setattr(katz, "norm_jacobi_row", row)
         assert self.failures(q, monkeypatch) == {
             "hypergeometric": {"fiber-jacobi-even"},
             "theorem-4.1": {"fiber-jacobi-hyp"}, "theorem-5.x": {"fiber-transform"},
@@ -465,28 +459,42 @@ class TestClosedFormRows:
         assert count(suite_hypergeometric, ctx)["hyp2f1"] == k * k
 
 
+# the Mellin-side families pass at every a for q <= 11, and at a square and a
+# non-square a above that
+A_SWEEP = [(3, 1), (7, 1), (11, 1), (19, 1), (3, 3)]
+
+
+@functools.lru_cache(maxsize=None)
+def sweep_reports(p, t) -> list[dict]:
+    """The mellin, theorem-5.x and master reports over the a-sweep of q = p^t,
+    one dict per a, keyed by suite name."""
+    tower = build_tower(p, t)
+    a_codes = range(1, tower.q) if tower.q <= 11 else (1, tower.base.g)
+    suites = {"mellin": suite_mellin, "theorem-5.x": suite_theorem5x,
+              "master": verify_master_identity}
+    return [{name: suite(KatzContext(tower, a), DEFAULT_POLICY) for name, suite in suites.items()}
+            for a in a_codes]
+
+
+def assert_family_passes(p, t, suite, check_id):
+    # far inside the suite's tolerance: TOL up to q = 11, 1e-9 above
+    bound = TOL if p**t <= 11 else 1e-9
+    for reports in sweep_reports(p, t):
+        deviations = reports[suite].families[check_id].deviations
+        assert len(deviations) and all(dev <= bound for dev in deviations), (
+            p**t, reports[suite].a_index)
+
+
 class TestMellinSingle:
-    @pytest.mark.parametrize("p,t", [(3, 1), (7, 1), (11, 1)])
-    def test_all_characters_all_a(self, p, t):
-        tower = build_tower(p, t)
-        q = tower.q
-        for a in range(1, q):
-            ctx = KatzContext(tower, a)
-            for i in range(q - 1):
-                assert mellin_single_deviation(ctx, char(tower.base, i)) < TOL
+    @pytest.mark.parametrize("p,t", A_SWEEP)
+    def test_every_character_over_the_a_sweep(self, p, t):
+        assert_family_passes(p, t, "mellin", "mellin-single")
+        assert len(sweep_reports(p, t)[0]["mellin"].families["mellin-single"]) == p**t - 1
 
     def test_even_characters_vanish(self, ctx7):
         base = ctx7.tower.base
         for i in range(0, 6, 2):
             assert abs(mellin_transform(ctx7, char(base, i))) < TOL
-
-    @pytest.mark.parametrize("p,t", [(19, 1), (3, 3)])
-    def test_all_characters_sampled_a_larger_q(self, p, t):
-        tower = build_tower(p, t)
-        for a in (1, tower.base.g):
-            ctx = KatzContext(tower, a)
-            for i in range(tower.q - 1):
-                assert mellin_single_deviation(ctx, char(tower.base, i)) < 1e-9
 
     def test_inversion(self):
         # (1/(q-1)) sum_chi S(chi) conj(chi)(j) recovers V(j)
@@ -514,17 +522,13 @@ class TestDoubleMellin:
                     - double_mellin_product(ctx7, c1, c2)
                 ) < TOL
 
-    @pytest.mark.parametrize("p", [3, 7, 11])
-    def test_product_side_evaluation(self, p):
-        tower = build_tower(p)
-        for a in (1, tower.base.g):
-            ctx = KatzContext(tower, a)
-            for i1 in range(p - 1):
-                for i2 in range(p - 1):
-                    dev = double_mellin_product_deviation(
-                        ctx, char(tower.base, i1), char(tower.base, i2)
-                    )
-                    assert dev < TOL
+    @pytest.mark.parametrize("p,t", A_SWEEP)
+    def test_product_side_evaluation(self, p, t):
+        assert_family_passes(p, t, "mellin", "double-mellin-product")
+
+    @pytest.mark.parametrize("p,t", A_SWEEP)
+    def test_mixed_side_evaluation(self, p, t):
+        assert_family_passes(p, t, "mellin", "double-mellin-mixed")
 
     def test_mixed_side_symmetry(self, ctx7):
         base = ctx7.tower.base
@@ -534,17 +538,6 @@ class TestDoubleMellin:
                 assert abs(
                     double_mellin_mixed(ctx7, c1, c2) - double_mellin_mixed(ctx7, c2, c1)
                 ) < TOL
-
-    @pytest.mark.parametrize("p", [3, 7])
-    def test_mixed_side_evaluation(self, p):
-        tower = build_tower(p)
-        ctx = KatzContext(tower, 1)
-        for i1 in range(p - 1):
-            for i2 in range(p - 1):
-                dev = double_mellin_mixed_deviation(
-                    ctx, char(tower.base, i1), char(tower.base, i2)
-                )
-                assert dev < TOL
 
     @pytest.mark.parametrize("p", [7, 11])
     def test_cached_inner_vectors_give_the_uncached_sum(self, p):
@@ -576,11 +569,21 @@ class TestDoubleMellin:
         assert KatzContext(tower, 1)._mixed_inner == {}
 
     def test_rejects_characters_of_another_field(self, ctx7):
-        # the cache is keyed by character index, which only the base field fixes
+        # the caches are keyed by character index, which only the field
+        # fixes: F_7 has the generator 3, the tower base 5
         base, other = ctx7.tower.base, construct_field(7)
+        assert base is not other and base.g != other.g
         for c1, c2 in ((char(other, 1), char(base, 1)), (char(base, 1), char(other, 1))):
             with pytest.raises(FieldError):
                 double_mellin_mixed(ctx7, c1, c2)
+            with pytest.raises(FieldError):
+                double_mellin_product(ctx7, c1, c2, literal=True)
+            with pytest.raises(FieldError):
+                kernel_mellin(c1, c2)
+        # the memo keeps the value of the base characters
+        want = sum(char(base, 1).value_table()[j] * kernel_row(char(base, 1))[j]
+                   for j in range(1, 7))
+        assert kernel_mellin(char(base, 1), char(base, 1)) == want
 
     @pytest.mark.parametrize("q", [7, 11, 19])
     def test_cache_keyed_on_chi1_fails_mellin_match(self, monkeypatch, q):
@@ -720,7 +723,8 @@ class TestKernel:
         assert src.count("(d.index, chi.index)") == 1
         namespace = dict(vars(katz))
         exec(src.replace("(d.index, chi.index)", "d.index"), namespace)
-        monkeypatch.setattr(katz, "kernel_mellin", namespace["kernel_mellin"])
+        for module in (katz, harness):
+            monkeypatch.setattr(module, "kernel_mellin", namespace["kernel_mellin"])
         tower = FieldTower(q, 1)  # its own tower: the memo starts empty
         ctx = KatzContext(tower, tower.base.g)
         expected = {
@@ -839,37 +843,84 @@ class TestKernel:
             assert abs(kernel_sum(eps, base.element(j))) < TOL
 
     def test_transform_of_trivial_is_two(self, ctx7):
+        # W(eps) = sum_j (phi nu^4)(j) h(eps, j) = 2 for every nu
         base = ctx7.tower.base
+        phi = quadratic_char(base)
         for n in range(6):
-            assert abs(kernel_transform(trivial_char(base), char(base, n)) - 2) < TOL
+            assert abs(kernel_mellin(trivial_char(base), phi * char(base, n) ** 4) - 2) < TOL
 
-    def test_transform_evaluation_exhaustive_q7(self, ctx7):
-        base = ctx7.tower.base
-        for di in range(6):
-            for ni in range(6):
-                assert kernel_transform_deviation(ctx7, char(base, di), char(base, ni)) < TOL
+    @pytest.mark.parametrize("p,t", A_SWEEP)
+    def test_transform_evaluation(self, p, t):
+        assert_family_passes(p, t, "theorem-5.x", "kernel-transform")
 
-    def test_fiber_transform_exhaustive_q7(self, ctx7):
-        base = ctx7.tower.base
-        for di in range(6):
-            for ni in range(6):
-                assert fiber_jacobi_transform_deviation(ctx7, char(base, di), char(base, ni)) < TOL
+    @pytest.mark.parametrize("p,t", A_SWEEP)
+    def test_fiber_transform(self, p, t):
+        assert_family_passes(p, t, "theorem-5.x", "fiber-transform")
 
-    def test_fiber_transform_spot_q27(self):
-        ctx = KatzContext(build_tower(3, 3), 1)
-        base = ctx.tower.base
-        assert fiber_jacobi_transform_deviation(ctx, char(base, 1), char(base, 2)) < 1e-9
+    @pytest.mark.parametrize("p,t", A_SWEEP)
+    def test_bridge_identity(self, p, t):
+        assert_family_passes(p, t, "theorem-5.x", "gauss-ratio-bridge")
+        assert_family_passes(p, t, "master", "gauss-ratio-bridge")
 
     def test_bridge_identity_exhaustive_q7(self, ctx7):
-        base = ctx7.tower.base
+        chars = [char(ctx7.tower.base, i) for i in range(6)]
         for ni in range(6):
             for di in range(6):
-                assert ratio_bracket_deviation(ctx7, char(base, ni), char(base, di)) < TOL
+                assert ratio_bracket_deviation(ctx7, chars, ni, di) < TOL
 
     def test_transform_of_phi_matches_double_sum(self, ctx7):
+        # W(phi) at nu = eps is the double sum at nu = eps
         base = ctx7.tower.base
-        w = kernel_transform(quadratic_char(base), trivial_char(base))
+        phi = quadratic_char(base)
+        w = kernel_mellin(phi, phi * trivial_char(base) ** 4)
         assert abs(w - kernel_double_sum(7)) < TOL
+
+
+class TestIndexArithmetic:
+    """The Mellin-side families read their characters by index; a slip in
+    that arithmetic must fail the families that read it and only those."""
+
+    def failures(self, q, a):
+        tower = build_tower(q)
+        ctx = KatzContext(tower, 1 if a == "one" else tower.base.g)
+        suites = {"mellin": harness.suite_mellin, "theorem-5.x": harness.suite_theorem5x,
+                  "master": katz.verify_master_identity}
+        return {name: set(failed_ids(suite(ctx, DEFAULT_POLICY))) for name, suite in suites.items()}
+
+    @staticmethod
+    def mutate(monkeypatch, module, name, old, new, readers):
+        src = inspect.getsource(getattr(module, name))
+        assert src.count(old) == 1
+        namespace = dict(vars(module))
+        exec(src.replace(old, new), namespace)
+        for reader in readers:
+            monkeypatch.setattr(reader, name, namespace[name])
+
+    @pytest.mark.parametrize("q", [7, 11])
+    @pytest.mark.parametrize("a", ["one", "g"])
+    def test_m8_for_m8_fifth_in_the_bracket(self, monkeypatch, q, a):
+        # J2(nu N M8, C N) read twice: every check of the bracket fails
+        self.mutate(monkeypatch, katz, "_jacobi_bracket", "5 * m8.index", "m8.index",
+                    (katz, harness))
+        assert self.failures(q, a) == {
+            "mellin": {"double-mellin-product"},
+            "theorem-5.x": {"kernel-transform", "fiber-transform", "gauss-ratio-bridge",
+                            "kernel-double-sum"},
+            "master": {"gauss-ratio-bridge"},
+        }
+
+    @pytest.mark.parametrize("q", [7, 11])
+    @pytest.mark.parametrize("a", ["one", "g"])
+    def test_dropped_delta_term(self, monkeypatch, q, a):
+        # W(D) + 2(q-1) delta(D) without its delta term, where both are written
+        term = " + 2 * (q - 1) * delta(chars[d])"
+        self.mutate(monkeypatch, harness, "suite_mellin", term, "", (harness,))
+        self.mutate(monkeypatch, katz, "ratio_bracket_deviation", term, "", (katz, harness))
+        assert self.failures(q, a) == {
+            "mellin": {"double-mellin-mixed"},
+            "theorem-5.x": {"gauss-ratio-bridge"},
+            "master": {"gauss-ratio-bridge"},
+        }
 
 
 class TestDoubleSumAnchors:
@@ -878,9 +929,9 @@ class TestDoubleSumAnchors:
         assert abs(kernel_double_sum(7) - 14) < TOL
         assert abs(kernel_double_sum(11) - 14) < TOL
 
-    def test_jacobi_side_all_nu_q7(self):
-        for n in range(6):
-            assert kernel_double_sum_deviation(7, n) < TOL
+    @pytest.mark.parametrize("p,t", A_SWEEP)
+    def test_jacobi_side(self, p, t):
+        assert_family_passes(p, t, "theorem-5.x", "kernel-double-sum")
 
     def test_anchor_function(self):
         assert kernel_double_sum_anchor(7) == 14
