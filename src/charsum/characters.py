@@ -16,7 +16,7 @@ import cmath
 import math
 import operator
 
-from .finite_field import FieldElement, FieldError, FieldTower, PrimePowerField
+from .finite_field import FieldElement, FieldError, FieldTower, PrimePowerField, memoized
 
 
 class MultChar:
@@ -44,15 +44,13 @@ class MultChar:
         return cmath.exp(2j * math.pi * (self.index * self.field.dlog[code] % n) / n)
 
     def value_table(self) -> list[complex]:
-        """Values indexed by element code (cached per field and index)."""
-        cached = self.field._char_tables.get(self.index)
-        if cached is None:
-            n = self.field.order - 1
-            roots, dlog = self.field.unity_roots, self.field.dlog
-            idx = self.index
-            cached = [0j] + [roots[(idx * dlog[c]) % n] for c in range(1, self.field.order)]
-            self.field._char_tables[self.index] = cached
-        return cached
+        """Values indexed by element code, memoized on the field by index."""
+        return memoized(self.field.memo["value_table"], self.index, self._build_value_table)
+
+    def _build_value_table(self) -> list[complex]:
+        field, idx = self.field, self.index
+        n, roots, dlog = field.order - 1, field.unity_roots, field.dlog
+        return [0j] + [roots[(idx * dlog[c]) % n] for c in range(1, field.order)]
 
     # characters of one field form a group under pointwise multiplication
     def __mul__(self, other: "MultChar") -> "MultChar":

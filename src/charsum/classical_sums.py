@@ -25,12 +25,12 @@ into q-1 terms C(g^k) Phi[k], where Phi[k] sums A(1 - z), or B(z) psi2(z),
 over the q+1 points of the fiber (Berndt, Evans and Williams, *Gauss and
 Jacobi Sums*, 1998).
 
-Sums that do not depend on the parameter a are memoized, and every a-task
-of one process reuses them: `gauss_sums` one list of q*-1 values per field,
-and the fiber rows Phi, q-1 values each, keyed on the tower by (kind, index
-of A or B), with each of their transforms by (kind, index, index of C);
-katz asks for Gauss rows only at B = 1, M8 and M8^5, at most five over the
-four octic variants.  Jacobi and Eisenstein rows are not memoized.
+Sums that do not depend on the parameter a are kept in the memo of their
+field or tower, and every a-task of one process reuses them: `gauss_sums`
+one list of q*-1 values per field, and the fiber rows Phi, q-1 values each,
+by (kind, index of A or B), with each of their transforms by (kind, index,
+index of C); katz asks for Gauss rows only at B = 1, M8 and M8^5, at most
+five over the four octic variants.  Jacobi and Eisenstein rows are not.
 """
 
 import cmath
@@ -38,7 +38,7 @@ import math
 import operator
 
 from .characters import MultChar, norm_compose, octic_M8, quadratic_char
-from .finite_field import FieldError, FieldTower
+from .finite_field import FieldError, FieldTower, memoized
 
 
 def gauss_literal(a: MultChar) -> complex:
@@ -55,18 +55,18 @@ def gauss(a: MultChar) -> complex:
 def gauss_sums(field) -> list[complex]:
     """G(chi_k) for every character index k of the field, memoized on it: one
     _transform of psi(g^m) on first use, whose plan is not kept."""
-    if field._gauss_sums is None:
-        n, psi = field.order - 1, field.psi_table
-        field._gauss_sums = _transform(_plan(n), [psi[c] for c in field.exp[:n]])
-    return field._gauss_sums
+    return memoized(field.memo, "gauss_sums", _build_gauss_sums, field)
+
+
+def _build_gauss_sums(field) -> list[complex]:
+    n, psi = field.order - 1, field.psi_table
+    return _transform(_plan(n), [psi[c] for c in field.exp[:n]])
 
 
 def log_dft(field, x: list[complex]) -> list[complex]:
     """X_k = sum_m x_m w^(km) for every k, w = e^(2 pi i / n), n = order - 1,
     by _transform with a plan of length n kept on the field."""
-    if field._dft_plan is None:
-        field._dft_plan = _plan(field.order - 1)
-    return _transform(field._dft_plan, x)
+    return _transform(memoized(field.memo, "dft_plan", _plan, field.order - 1), x)
 
 
 def _plan(n: int) -> tuple[list[complex], list[complex], list[complex]]:
@@ -171,29 +171,29 @@ def _fiber_row(tower: FieldTower, kind: str, index: int) -> list[complex]:
     zech[m + n/2], n = q^2 - 1; n/2 = (q-1)(q+1)/2, so the class k of those
     logs is zech[k::q-1] rotated by (q+1)/2.
     """
-    key = (kind, index)
-    row = tower._fiber_rows.get(key)
-    if row is None:
-        top = tower.top
-        n, step = top.order - 1, tower.q - 1
-        tab, u, d = top.char_roots(index)
-        row = []
-        if kind == "gauss":
-            psi, exp = top.psi_table, top.exp
-            for k in range(step):
-                vals = map(psi.__getitem__, exp[k::step])
-                if index:  # the twist B(g2^m); the plain row needs no product
-                    vals = [tab[u * m % d] * v for m, v in zip(range(k, n, step), vals)]
-                row.append(sum(vals, 0j))
-        else:
-            h, zech = (tower.q + 1) // 2, top._zech
-            for k in range(step):
-                col = zech[k::step]
-                vals = [tab[u * lg % d] for lg in col[h:] + col[:h]]
-                if k == 0:
-                    vals[0] = 0j  # z = 1: A(0) = 0
-                row.append(sum(vals, 0j))
-        tower._fiber_rows[key] = row
+    return memoized(tower.memo["fiber_row"], (kind, index), _build_fiber_row, tower, kind, index)
+
+
+def _build_fiber_row(tower: FieldTower, kind: str, index: int) -> list[complex]:
+    top = tower.top
+    n, step = top.order - 1, tower.q - 1
+    tab, u, d = top.char_roots(index)
+    row = []
+    if kind == "gauss":
+        psi, exp = top.psi_table, top.exp
+        for k in range(step):
+            vals = map(psi.__getitem__, exp[k::step])
+            if index:  # the twist B(g2^m); the plain row needs no product
+                vals = [tab[u * m % d] * v for m, v in zip(range(k, n, step), vals)]
+            row.append(sum(vals, 0j))
+    else:
+        h, zech = (tower.q + 1) // 2, top._zech
+        for k in range(step):
+            col = zech[k::step]
+            vals = [tab[u * lg % d] for lg in col[h:] + col[:h]]
+            if k == 0:
+                vals[0] = 0j  # z = 1: A(0) = 0
+            row.append(sum(vals, 0j))
     return row
 
 
@@ -203,12 +203,12 @@ def _fiber_transform(tower: FieldTower, c: MultChar, kind: str, index: int) -> c
     if c.field is not tower.base:
         raise FieldError("a lifted sum needs C on the tower's base field")
     key = (kind, index, c.index)
-    val = tower._lifted_sums.get(key)
-    if val is None:
-        n, roots, row = tower.q - 1, tower.base.unity_roots, _fiber_row(tower, kind, index)
-        terms = map(operator.mul, [roots[c.index * k % n] for k in range(n)], row)
-        val = tower._lifted_sums[key] = sum(terms, 0j)
-    return val
+    return memoized(tower.memo["fiber_transform"], key, _build_fiber_transform, tower, *key)
+
+
+def _build_fiber_transform(tower: FieldTower, kind: str, index: int, c_index: int) -> complex:
+    n, roots, row = tower.q - 1, tower.base.unity_roots, _fiber_row(tower, kind, index)
+    return sum(map(operator.mul, [roots[c_index * k % n] for k in range(n)], row), 0j)
 
 
 def eisenstein_E2(tower: FieldTower, beta: MultChar) -> complex:

@@ -36,6 +36,7 @@ import itertools
 import math
 import operator
 from array import array
+from collections import defaultdict
 from functools import lru_cache
 
 SIZE_GUARD = 1 << 20  # dlog tables are built eagerly; refuse fields beyond this
@@ -155,6 +156,16 @@ def check_order(order: int):
         raise FieldError(f"field order {order} exceeds the table guard {SIZE_GUARD}")
 
 
+def memoized(table: dict, key, build, *args):
+    """table[key], stored as build(*args) on its first read; no value is None.
+    Every memo is read here: table is owner.memo[name] for the memo's name,
+    or owner.memo with key = name where the memo is one value."""
+    value = table.get(key)
+    if value is None:
+        value = table[key] = build(*args)
+    return value
+
+
 # ---------------------------------------------------------------------------
 
 class PrimePowerField:
@@ -192,12 +203,7 @@ class PrimePowerField:
 
         self._neg = self._one_minus = self._trace_table = None  # see neg
         self._root_tables: dict[int, list[complex]] = {}  # see root_table
-        self._gauss_sums: list[complex] | None = None
-        self._dft_plan: tuple | None = None  # see classical_sums.log_dft
-        self._kernel_rows: dict[int, list[complex]] = {}
-        self._kernel_sums: dict[tuple[int, int], complex] = {}  # see katz.kernel_mellin
-        self._hyp_rows: dict[int, list[complex]] = {}  # see hypergeometric
-        self._char_tables: dict[int, list[complex]] = {}
+        self.memo = defaultdict(dict)  # the sums built on this field (see memoized)
 
     # -- construction helpers ------------------------------------------------
 
@@ -521,9 +527,7 @@ class FieldTower:
         self.i_code = top.exp[(top.order - 1) // 4]  # i^2 = -1
         self._trace_line = None
         self._i_line = None
-        self._fiber_rows: dict[tuple[str, int], list[complex]] = {}  # see classical_sums
-        self._lifted_sums: dict[tuple[str, int, int], complex] = {}  # and their transforms
-        self._scanned_fibers = None  # see hypergeometric.norm_fiber
+        self.memo = defaultdict(dict)  # the sums built on this tower (see memoized)
 
     def _smallest_modulus_root(self, base_modulus) -> int:
         """The roots lie in the subfield, so only its q elements are tried."""

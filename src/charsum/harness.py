@@ -1,13 +1,13 @@
 """Run configuration, suite orchestration and result persistence.
 
-A run is a set of tasks, one per (field, a, octic variant); the suites of a
-task that read M8 share one KatzContext, and the a-independent suites join
-the task at a = 1.  Every suite gives a VerificationReport whose checks are
-deterministic for a given configuration and kept in check order, so serial
-and parallel runs write the same records in the same order.  The fields a
-suite accepts and how it fans out are its entry in the `SUITES` registry;
-every configuration setting is one row of `CONFIG_KEYS`, which the config
-file and the CLI flags share.
+A run is a set of tasks: the suites that read M8 run in one per (field, a,
+octic variant) and share its KatzContext, the a-independent ones at a = 1;
+the others run in one per field.  Every suite gives a
+VerificationReport whose checks are deterministic for a given configuration
+and kept in check order, so serial and parallel runs write the same records
+in the same order.  The fields a suite accepts and how it fans out are its
+entry in the `SUITES` registry; every configuration setting is one row of
+`CONFIG_KEYS`, which the config file and the CLI flags share.
 """
 
 import os
@@ -558,11 +558,12 @@ def suite_theorem5x(ctx: KatzContext, policy: TolerancePolicy) -> VerificationRe
         fiber_fam.extend((fiber(d, nu) for nu in idx), ds, idx)
         bridge.extend((ratio_bracket_deviation(ctx, chars, nu, d) for nu in idx), ds, idx)
 
+    double = [kernel_double_sum(q, nu) for nu in idx]  # idx[0] = 0: the anchor's sum too
     rep.family("kernel-double-sum", "nu={}", tol).extend(
-        (abs(kernel_double_sum(q, nu) - _jacobi_bracket(tower, m8, nu, phi)) for nu in idx), idx
+        (abs(s - _jacobi_bracket(tower, m8, nu, phi)) for s, nu in zip(double, idx)), idx
     )
     anchor = kernel_double_sum_anchor(q)
-    rep.family("kernel-double-anchor", "nu=0", tol).extend([abs(kernel_double_sum(q) - anchor)])
+    rep.family("kernel-double-anchor", "nu=0", tol).extend([abs(double[0] - anchor)])
 
     # mu^4 and mu^2 are trivial iff 4 mu and 2 mu are 0 mod q-1
     rep.family("delta-square-fourth", "mu={}", tol).extend(
@@ -653,7 +654,8 @@ def run(config: RunConfig) -> tuple[int, list[VerificationReport]]:
     """
     groups = {}
     for suite, p, t, a_code, *rest in build_tasks(config):
-        groups.setdefault((p, t, a_code or 1, *rest), []).append(suite)
+        a_code = (a_code or 1) if SUITES[suite].octic else None  # see the module docstring
+        groups.setdefault((p, t, a_code, *rest), []).append(suite)
     tasks = list(groups.items())
     workers = config.workers(len(tasks))
     if workers > 1:

@@ -6,16 +6,16 @@ discrete log: z0 = g2^k with k = dlog_base(c) is one solution (the tower
 fixes g = N(g2)), and the kernel of the norm is the cyclic group generated
 by g2^(q-1), of size q+1; so the fiber is the logs k + (q-1)i.  The oracle
 instead tests z^(q+1) = c: one pass over F_{q^2} buckets every z by
-z^(q+1), memoized on the tower, and each scanned fiber is read from it.
+z^(q+1), kept in the tower's memo, and each scanned fiber is read from it.
 
 R(D, j) is computed for every D at once: on the fiber of j^4, N(1 - z) =
 g^l, so R(., j) is one transform of the histogram of M8(z) over l
-(norm_jacobi_table, memoized on the KatzContext, since R reads its octic
-M8); norm_jacobi_row reads R(D, .) from it.  hyp2f1_row is a cyclic
+(norm_jacobi_table, kept in the KatzContext's memo, since R reads its
+octic M8); norm_jacobi_row reads R(D, .) from it.  hyp2f1_row is a cyclic
 correlation in log coordinates, one dot product per argument.  The closed
 forms of R(D, j) and of the kernel h(D, j) share one 2F1 per D, read at
-every j: reduction_row memoizes it on the field, indexed by j and keyed by
-the index of D, at most q-1 rows of q entries per field, which every task
+every j: reduction_row keeps it in the field's memo, indexed by j and keyed
+by the index of D, at most q-1 rows of q entries per field, which every task
 of one process reuses.  The theorem-4.1 and theorem-5.x suites compare
 these rows with the rows of R and h, one D at a time.  Each row agrees with
 the per-point value up to rounding; hyp2f1 and norm_restricted_jacobi stay
@@ -26,7 +26,7 @@ import operator
 
 from .characters import MultChar, norm_compose, quadratic_char
 from .classical_sums import jacobi, log_dft
-from .finite_field import FieldError, FieldTower
+from .finite_field import FieldError, FieldTower, memoized
 
 
 def hyp2f1(a: MultChar, b: MultChar, c: MultChar, x) -> complex:
@@ -90,19 +90,21 @@ def norm_fiber(tower: FieldTower, c, scan: bool = False) -> list[int]:
     The codes g2^m of fiber_logs, in log order; scan=True instead reads the
     codes z with z^(q+1) = c in the top field, in code order, so it does not
     rest on the tower's link g = N(g2).  The first scan of a tower buckets
-    every z by z^(q+1) in one pass and keeps the buckets on the tower."""
+    every z by z^(q+1) in one pass and keeps the buckets in its memo."""
     c_code = tower.base.element(c).code
     if c_code == 0:
         raise ValueError("norm fiber of 0 is just {0}; a nonzero c is required")
-    exp2 = tower.top.exp
     if scan:
-        if tower._scanned_fibers is None:
-            n2, e, fibers = tower.top.order - 1, tower.q + 1, {}
-            for z, lz in enumerate(tower.top.dlog[1:], 1):
-                fibers.setdefault(exp2[lz * e % n2], []).append(z)
-            tower._scanned_fibers = fibers
-        return list(tower._scanned_fibers[tower.embed_table[c_code]])
-    return list(map(exp2.__getitem__, fiber_logs(tower, c_code)))
+        fibers = memoized(tower.memo, "scanned_fibers", _build_scanned_fibers, tower)
+        return list(fibers[tower.embed_table[c_code]])
+    return list(map(tower.top.exp.__getitem__, fiber_logs(tower, c_code)))
+
+
+def _build_scanned_fibers(tower: FieldTower) -> dict[int, list[int]]:
+    exp2, n2, e, fibers = tower.top.exp, tower.top.order - 1, tower.q + 1, {}
+    for z, lz in enumerate(tower.top.dlog[1:], 1):
+        fibers.setdefault(exp2[lz * e % n2], []).append(z)
+    return fibers
 
 
 def norm_restricted_jacobi(ctx, d: MultChar, j, scan: bool = False) -> complex:
@@ -137,37 +139,35 @@ def norm_restricted_jacobi(ctx, d: MultChar, j, scan: bool = False) -> complex:
 
 def norm_jacobi_table(ctx) -> dict[int, list[complex]]:
     """R(D, j) for every D, keyed by the code of j^4: table[j^4][d] is
-    R(chi_d, j).  Memoized on the context.
+    R(chi_d, j); norm_jacobi_row keeps it in the context's memo.
 
     The fiber N(z) = j^4 is walked by fiber_logs, and N(1 - g2^m) = g^l
     with l = dlog(1 - g2^m) mod q-1, where 1 - g2^m = 1 + g2^(m + n/2) has
     log zech[m + n/2] (-1 at z = 1), n = q^2 - 1.  So R(chi_d, j) =
     sum_l H[l] w^(-d l) for the histogram H[l] of M8(z), and one log_dft
     of H gives every D, at index -d."""
-    table = ctx._norm_jacobi_table
-    if table is None:
-        tower = ctx.tower
-        base, top, n = tower.base, tower.top, tower.q - 1
-        n2, zech = top.order - 1, top._zech
-        t8, u8, d8 = top.char_roots(ctx.M8.index)
-        table = ctx._norm_jacobi_table = {}
-        for j4 in dict.fromkeys(base.pow_code(j, 4) for j in range(1, tower.q)):
-            hist = [0j] * n
-            for m in fiber_logs(tower, j4):
-                lg = zech[(m + n2 // 2) % n2]
-                if lg >= 0:
-                    hist[lg % n] += t8[u8 * m % d8]
-            spec = log_dft(base, hist)
-            table[j4] = [spec[-d % n] for d in range(n)]
+    tower = ctx.tower
+    base, top, n = tower.base, tower.top, tower.q - 1
+    n2, zech = top.order - 1, top._zech
+    t8, u8, d8 = top.char_roots(ctx.M8.index)
+    table = {}
+    for j4 in dict.fromkeys(base.pow_code(j, 4) for j in range(1, tower.q)):
+        hist = [0j] * n
+        for m in fiber_logs(tower, j4):
+            lg = zech[(m + n2 // 2) % n2]
+            if lg >= 0:
+                hist[lg % n] += t8[u8 * m % d8]
+        spec = log_dft(base, hist)
+        table[j4] = [spec[-d % n] for d in range(n)]
     return table
 
 
 def norm_jacobi_row(ctx, d: MultChar) -> list[complex]:
     """R(D, j) for every code j, indexed by code; entry 0 is 0j, since R
-    needs j != 0.  Read from norm_jacobi_table, O(q), and not memoized."""
+    needs j != 0.  Read in O(q) from norm_jacobi_table, kept in ctx.memo."""
     if d.field is not ctx.tower.base:
         raise FieldError("norm-restricted Jacobi sum needs a base-field character")
-    base, table = ctx.tower.base, norm_jacobi_table(ctx)
+    base, table = ctx.tower.base, memoized(ctx.memo, "norm_jacobi_table", norm_jacobi_table, ctx)
     return [0j] + [table[base.pow_code(j, 4)][d.index] for j in range(1, base.order)]
 
 
@@ -175,18 +175,18 @@ def reduction_row(d: MultChar) -> list[complex]:
     """2F1(D, D^2 phi; D phi | -((j+1)/(j-1))^2) for every code j, the factor
     that the closed forms of R(D, j) and of the kernel h(D, j) share; 0j at
     j = 0 and j = +-1, where both take a Jacobi-sum form instead.  One
-    hyp2f1_row of (D, D^2 phi, D phi), read at each j and memoized on the
-    field by the index of D."""
-    field = d.field
-    row = field._hyp_rows.get(d.index)
-    if row is None:
-        phi = quadratic_char(field)
-        by_x = hyp2f1_row(d, d**2 * phi, d * phi)
-        neg, add, sub, mul = field.neg, field.add_codes, field.sub_codes, field.mul_codes
-        row = [0j] * field.order
-        for j in range(1, field.order):
-            jp, jm = add(j, 1), sub(j, 1)
-            if jp and jm:
-                row[j] = by_x[neg[field.pow_code(mul(jp, field.inv_code(jm)), 2)]]
-        field._hyp_rows[d.index] = row
+    hyp2f1_row of (D, D^2 phi, D phi), read at each j and memoized in the
+    field's memo["reduction_row"] by the index of D."""
+    return memoized(d.field.memo["reduction_row"], d.index, _build_reduction_row, d)
+
+
+def _build_reduction_row(d: MultChar) -> list[complex]:
+    field, phi = d.field, quadratic_char(d.field)
+    by_x = hyp2f1_row(d, d**2 * phi, d * phi)
+    neg, add, sub, mul = field.neg, field.add_codes, field.sub_codes, field.mul_codes
+    row = [0j] * field.order
+    for j in range(1, field.order):
+        jp, jm = add(j, 1), sub(j, 1)
+        if jp and jm:
+            row[j] = by_x[neg[field.pow_code(mul(jp, field.inv_code(jm)), 2)]]
     return row

@@ -26,37 +26,37 @@ x, so each pair {x, -x} adds phi(a/x - x) 2i Im psi(x s + (a/x) d) and the
 sum runs over one member of each pair.  P depends on (j, k) only through the
 squares s = (j+k)^2 and d = (j-k)^2, so the full matrix sums F(s, d) once
 for each of the ((q+1)/2)^2 pairs of squares: about q^3/8 real terms, with
-no field-size limit.  The context memoizes S(chi) and T(chi1, chi2) by
-character indices, and the inner sums sum_k chi2(k) P(j,k) by chi2.
+no field-size limit.
 
-The kernel sums h(D, j) do not depend on a.  kernel_row memoizes the whole
-row h(D, .) on the field, keyed by the index of D: at most q-1 rows of q
-entries per field, which every a-task of one process reuses (a KatzContext
-is built per task, so the memo cannot live on it), and kernel_mellin each
-sum_j chi(j) h(D, j) there, which W(D) and T's evaluation read.  The
-theorem-5.x suite checks each kernel row against its closed-form row, whose
-2F1 factor is the row that hypergeometric.reduction_row memoizes on the same
-field.  Y(D) reads R(D, .) from norm_jacobi_row, built from the table
-memoized on the context, since R reads the context's octic M8 (see
-hypergeometric).  Every Jacobi or Gauss sum over F_{q^2} has a lifted
-character C N, times M8^e in the Mellin evaluation, and is summed over the
-q-1 norm fibers by the fiber transforms of classical_sums (the Jacobi ones
-by top-field index), whose fiber rows and values are memoized on the tower;
-the Gauss sums over F_q are read from the field's one transform (see
-classical_sums).  No top-field value table or transform is built: the few
-top-field points read are looked up through dlog, and each top-field
-character, of order dividing 4(q-1), reads the root table of its own order,
-never the full table of q^2 - 1 roots (see finite_field.root_table).
+Each sum is memoized in the memo of the object it depends on (see
+finite_field.memoized).  S(chi), T(chi1, chi2) and the inner sums
+sum_k chi2(k) P(j,k) read a, so the context keeps them by character
+indices.  The kernel rows h(D, .) and their sums sum_j chi(j) h(D, j), which
+W(D) and T's evaluation read, do not: the field keeps them by the indices of
+D and chi, at most q-1 rows of q entries, and every a-task of one process
+reuses them.  theorem-5.x checks each kernel row against its closed-form
+row, whose 2F1 factor is hypergeometric.reduction_row's.  Y(D) reads R(D, .)
+from norm_jacobi_row (see hypergeometric).  Every Jacobi or Gauss sum over
+F_{q^2} has a lifted character C N, times M8^e in the Mellin evaluation, and
+is summed over the q-1 norm fibers by the fiber transforms of classical_sums
+(the Jacobi ones by top-field index), which the tower keeps; the Gauss sums
+over F_q are read from the field's one transform.  No top-field value table
+or transform is built: the few top-field points read are looked up through
+dlog, and each top-field character, of order dividing 4(q-1), reads the root
+table of its own order, never the full table of q^2 - 1 roots (see
+finite_field.root_table).
 """
 
 import cmath
 import math
 import operator
+from collections import defaultdict
 from itertools import repeat
 
 from .characters import MultChar, char, decompose_odd, delta, octic_M8, quadratic_char
 from .classical_sums import _fiber_transform, gauss, gauss_sums, lifted_gauss
-from .finite_field import FieldError, FieldTower, build_tower, construct_field, factor_prime_power
+from .finite_field import FieldError, FieldTower, build_tower, construct_field
+from .finite_field import factor_prime_power, memoized
 from .hypergeometric import fiber_logs, norm_fiber
 from .report import VerificationReport
 from .tolerance import DEFAULT_POLICY, TolerancePolicy
@@ -122,11 +122,7 @@ class KatzContext:
 
         self._v = None
         self._pm = None
-        # inner[j] = sum_k chi2(k) P(j,k) for every code j, by chi2.index
-        self._mixed_inner: dict[int, list[complex]] = {}
-        self._mellin, self._mixed = {}, {}  # S by chi.index, T by (chi1, chi2) indices
-        # R(., j) for every D by the code of j^4 (see hypergeometric)
-        self._norm_jacobi_table: dict[int, list[complex]] | None = None
+        self.memo = defaultdict(dict)  # the sums that read a or M8 (see memoized)
 
     def a_index(self) -> int:
         """dlog of a with respect to the tower's base generator."""
@@ -222,11 +218,13 @@ def mellin_transform(ctx: KatzContext, chi: MultChar) -> complex:
     """S(chi) = sum_{j != 0} chi(j) V(j), memoized on the context."""
     if chi.field is not ctx.tower.base:
         raise FieldError("the Mellin transform needs a base-field character")
-    s = ctx._mellin.get(chi.index)
-    if s is None:
-        v, t = ctx.v_vector(), chi.value_table()
-        s = ctx._mellin[chi.index] = sum(t[j] * v[j] for j in range(1, ctx.tower.q))
-    return s
+    return memoized(ctx.memo["mellin_transform"], chi.index, _mellin_of, chi, ctx.v_vector)
+
+
+def _mellin_of(chi: MultChar, row_of, *args) -> complex:
+    """sum_{j != 0} chi(j) row[j] for the row row_of(*args), indexed by code."""
+    t, row = chi.value_table(), row_of(*args)
+    return sum(t[j] * row[j] for j in range(1, len(row)))
 
 
 def double_mellin_product(ctx: KatzContext, chi1: MultChar, chi2: MultChar,
@@ -266,33 +264,34 @@ def kernel_row(d: MultChar) -> list[complex]:
     slice of U doubled, shared by the j of one r (j and 1/j).  At j = 1 the
     argument is x(j+1)^2 = g^(s + dlog 4), and at j = -1 it is (j-1)^2.
     """
+    return memoized(d.field.memo["kernel_row"], d.index, _build_kernel_row, d)
+
+
+def _build_kernel_row(d: MultChar) -> list[complex]:
     field = d.field
-    row = field._kernel_rows.get(d.index)
-    if row is None:
-        phi = quadratic_char(field)
-        td, tphi = d.value_table(), phi.value_table()
-        tmix = (phi * d.conj**2).value_table()
-        om, dlog, exp, n = field.one_minus, field.dlog, field.exp, field.order - 1
-        weights = [td[x] * tphi[om[x]] for x in exp]
-        mix_by_log = [tmix[e] for e in exp] * 2
-        shifted = [mix_by_log[z] if z >= 0 else 0j for z in field._zech] * 2  # U[l]
-        mul, add, sub = field.mul_codes, field.add_codes, field.sub_codes
-        by_shift = {}
-        row = [0j]
-        for j in range(1, field.order):
-            jp, jm = add(j, 1), sub(j, 1)
-            jp, jm = mul(jp, jp), mul(jm, jm)
-            if jp == 0:  # j = -1
-                row.append(tmix[jm] * sum(weights, 0j))
-            elif jm == 0:  # j = 1
-                lp = dlog[jp]
-                row.append(sum(map(operator.mul, weights, mix_by_log[lp : lp + n]), 0j))
-            else:
-                r = (dlog[jp] - dlog[jm]) % n
-                if r not in by_shift:
-                    by_shift[r] = sum(map(operator.mul, weights, shifted[r : r + n]), 0j)
-                row.append(tmix[jm] * by_shift[r])
-        field._kernel_rows[d.index] = row
+    phi = quadratic_char(field)
+    td, tphi = d.value_table(), phi.value_table()
+    tmix = (phi * d.conj**2).value_table()
+    om, dlog, exp, n = field.one_minus, field.dlog, field.exp, field.order - 1
+    weights = [td[x] * tphi[om[x]] for x in exp]
+    mix_by_log = [tmix[e] for e in exp] * 2
+    shifted = [mix_by_log[z] if z >= 0 else 0j for z in field._zech] * 2  # U[l]
+    mul, add, sub = field.mul_codes, field.add_codes, field.sub_codes
+    by_shift = {}
+    row = [0j]
+    for j in range(1, field.order):
+        jp, jm = add(j, 1), sub(j, 1)
+        jp, jm = mul(jp, jp), mul(jm, jm)
+        if jp == 0:  # j = -1
+            row.append(tmix[jm] * sum(weights, 0j))
+        elif jm == 0:  # j = 1
+            lp = dlog[jp]
+            row.append(sum(map(operator.mul, weights, mix_by_log[lp : lp + n]), 0j))
+        else:
+            r = (dlog[jp] - dlog[jm]) % n
+            if r not in by_shift:
+                by_shift[r] = sum(map(operator.mul, weights, shifted[r : r + n]), 0j)
+            row.append(tmix[jm] * by_shift[r])
     return row
 
 
@@ -307,25 +306,21 @@ def kernel_sum(d: MultChar, j) -> complex:
 def double_mellin_mixed(ctx: KatzContext, chi1: MultChar, chi2: MultChar) -> complex:
     """T(chi1, chi2) = sum_{j,k != 0} chi1(j) chi2(k) P(j,k), as a literal
     double sum over the context's cached matrix of P values, memoized on the
-    context.  The inner sums over k are cached there, one vector per chi2."""
+    context."""
     if chi1.field is not ctx.tower.base or chi2.field is not ctx.tower.base:
         raise FieldError("the double Mellin transform needs base-field characters")
     key = (chi1.index, chi2.index)
-    if key in ctx._mixed:
-        return ctx._mixed[key]
-    inner = ctx._mixed_inner.get(chi2.index)
-    if inner is None:
-        t2 = chi2.value_table()
-        inner = ctx._mixed_inner[chi2.index] = [
-            sum(map(operator.mul, t2, row), 0j)  # t2[0] = 0: k = 0 adds 0
-            for row in ctx.mixed_sum_matrix()
-        ]
-    t1 = chi1.value_table()
-    total = 0j
-    for j in range(1, ctx.tower.q):
-        total += t1[j] * inner[j]
-    ctx._mixed[key] = total
-    return total
+    return memoized(ctx.memo["double_mellin_mixed"], key, _mellin_of, chi1, _mixed_inner, ctx, chi2)
+
+
+def _mixed_inner(ctx: KatzContext, chi2: MultChar) -> list[complex]:
+    """inner[j] = sum_k chi2(k) P(j,k) for every code j, memoized on the context."""
+    return memoized(ctx.memo["mixed_inner"], chi2.index, _build_mixed_inner, ctx, chi2)
+
+
+def _build_mixed_inner(ctx: KatzContext, chi2: MultChar) -> list[complex]:
+    t2 = chi2.value_table()
+    return [sum(map(operator.mul, t2, row), 0j) for row in ctx.mixed_sum_matrix()]  # k = 0 adds 0
 
 
 # ---------------------------------------------------------------------------
@@ -337,12 +332,8 @@ def kernel_mellin(d: MultChar, chi: MultChar) -> complex:
     W(D) is its value at chi = phi nu^4."""
     if chi.field is not d.field:
         raise FieldError("the kernel transform needs D and chi on one field")
-    field, key = d.field, (d.index, chi.index)
-    val = field._kernel_sums.get(key)
-    if val is None:
-        t, h = chi.value_table(), kernel_row(d)
-        val = field._kernel_sums[key] = sum(t[j] * h[j] for j in range(1, field.order))
-    return val
+    key = (d.index, chi.index)
+    return memoized(d.field.memo["kernel_mellin"], key, _mellin_of, chi, kernel_row, d)
 
 
 def _jacobi_bracket(tower: FieldTower, m8: MultChar, nu: int, c: MultChar) -> complex:

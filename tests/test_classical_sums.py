@@ -117,10 +117,10 @@ class TestGaussSums:
 
     def test_suites_build_no_top_field_value_tables(self):
         tower = build_tower(23)
-        before = set(tower.top._char_tables)
+        before = set(tower.top.memo["value_table"])
         for suite in (harness.suite_classical, harness.suite_eisenstein):
             assert suite(tower, DEFAULT_POLICY).all_passed
-        assert set(tower.top._char_tables) == before  # not one per character
+        assert set(tower.top.memo["value_table"]) == before  # not one per character
 
 
 class TestJacobi:
@@ -194,7 +194,7 @@ class TestLiftedSums:
         lifted_jacobi(tower, a, c)
         lifted_gauss(tower, c)
         lifted_gauss(tower, c, b)
-        rows = tower._fiber_rows
+        rows = tower.memo["fiber_row"]
         keys = [("jacobi", a.index), ("gauss", 0), ("gauss", b.index)]
         first = [rows[key] for key in keys]
         assert all(len(row) == q - 1 for row in first)

@@ -466,7 +466,7 @@ class TestSuites:
         assert paths[0] == paths[1]
 
     def test_parallel_matches_serial(self, tmp_path):
-        # the second input mixes tower and context suites in one task
+        # the second input runs the tower suites in tasks of their own
         for i, options in enumerate([
             dict(suites=["master"], a_policy="sample-2"),
             dict(suites=None, a_policy="all", octic_variants=True),
@@ -491,9 +491,29 @@ class TestSuites:
                 order.append(name)
                 return inner(arg, policy)
             monkeypatch.setitem(SUITES, name, replace(entry, check=check))
-        run(RunConfig(fields=[(7, 1)], suites=["master", "classical", "mellin"],
+        run(RunConfig(fields=[(7, 1)], suites=["master", "hypergeometric", "mellin"],
                       a_policy="sample-1"))
-        assert order == ["classical", "mellin", "master"]
+        assert order == ["hypergeometric", "mellin", "master"]
+
+    def test_tower_suites_take_a_task_of_their_own(self, monkeypatch):
+        # classical and eisenstein read neither a nor M8: one task per field,
+        # so parallel workers can run it beside the a-tasks
+        monkeypatch.delenv("CHARSUM_PARALLELISM", raising=False)
+        tasks, real = [], harness._run_task
+
+        def recording(task):
+            (_, _, a_code, *_), suites = task
+            tasks.append((a_code, suites))
+            return real(task)
+
+        monkeypatch.setattr(harness, "_run_task", recording)
+        run(RunConfig(fields=[(7, 1)], a_policy="sample-2"))
+        a1, ag = a_values(7, "sample-2")
+        assert tasks == [
+            (None, ["classical", "eisenstein"]),
+            (a1, ["hypergeometric", "theorem-4.1", "mellin", "theorem-5.x", "master"]),
+            (ag, ["mellin", "master"]),
+        ]
 
     def test_one_context_and_one_p_per_point(self, monkeypatch):
         # the suites of one (q, a, octic variant) share a KatzContext, so P

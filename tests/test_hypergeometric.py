@@ -90,12 +90,12 @@ class TestHyp2F1Row:
 
     def test_reduction_row_is_memoized_by_d(self, monkeypatch):
         field = build_tower(11).base
-        monkeypatch.setattr(field, "_hyp_rows", {})
+        monkeypatch.setitem(field.memo, "reduction_row", {})
         for di in range(10):
             row = reduction_row(char(field, di))
-            assert len(row) == 11 and field._hyp_rows[di] is row
+            assert len(row) == 11 and field.memo["reduction_row"][di] is row
             assert reduction_row(char(field, di)) is row
-        assert sorted(field._hyp_rows) == list(range(10))
+        assert sorted(field.memo["reduction_row"]) == list(range(10))
 
     def test_characters_on_mixed_fields_rejected(self):
         f7, f11 = construct_field(7), construct_field(11)

@@ -10,11 +10,19 @@ import pytest
 from conftest import ROUTE_TOL, records
 
 from charsum import classical_sums, harness, hypergeometric, katz
-from charsum.characters import char, decompose_odd, norm_compose, quadratic_char, trivial_char
-from charsum.classical_sums import gauss_literal, jacobi
+from charsum.characters import (
+    char,
+    decompose_odd,
+    norm_compose,
+    octic_M8,
+    quadratic_char,
+    trivial_char,
+)
+from charsum.classical_sums import gauss_literal, jacobi, lifted_gauss, lifted_jacobi
 from charsum.finite_field import (
     FieldError,
     FieldTower,
+    PrimePowerField,
     build_tower,
     construct_field,
     factor_prime_power,
@@ -187,8 +195,8 @@ class TestContext:
     def test_suites_build_no_top_field_value_tables(self, monkeypatch):
         tower = build_tower(23)
         # the top field is shared: start it with no tables and no transform
-        monkeypatch.setattr(tower.top, "_char_tables", {})
-        monkeypatch.setattr(tower.top, "_gauss_sums", None)
+        monkeypatch.setitem(tower.top.memo, "value_table", {})
+        monkeypatch.delitem(tower.top.memo, "gauss_sums", raising=False)
         lazy = ("_neg", "_one_minus", "_trace_table")  # built on first read
         for name in lazy:
             monkeypatch.setattr(tower.top, name, None)
@@ -196,8 +204,8 @@ class TestContext:
         for suite in (suite_hypergeometric, suite_theorem41, suite_mellin, suite_theorem5x,
                       verify_master_identity):
             assert suite(ctx, DEFAULT_POLICY).all_passed
-        assert tower.top._char_tables == {}
-        assert tower.top._gauss_sums is None
+        assert tower.top.memo["value_table"] == {}
+        assert tower.top.memo.get("gauss_sums") is None
         assert [getattr(tower.top, name) for name in lazy] == [None] * 3
 
 
@@ -371,7 +379,7 @@ class TestClosedFormRows:
     def failures(self, q, monkeypatch):
         tower = build_tower(*factor_prime_power(q))
         # the mutated 2F1 rows land in the field's memo: start and end it clean
-        monkeypatch.setattr(tower.base, "_hyp_rows", {})
+        monkeypatch.setitem(tower.base.memo, "reduction_row", {})
         ctx = KatzContext(tower, tower.base.g)
         failed = {
             name: set(failed_ids(suite(ctx, DEFAULT_POLICY)))
@@ -417,7 +425,7 @@ class TestClosedFormRows:
     def test_no_per_point_sums(self, monkeypatch):
         q = 19
         tower = build_tower(q)
-        monkeypatch.setattr(tower.base, "_hyp_rows", {})  # the rows are built here
+        monkeypatch.setitem(tower.base.memo, "reduction_row", {})  # the rows are built here
         names = ("hyp2f1", "norm_restricted_jacobi", "hyp2f1_row", "jacobi", "eisenstein_sums")
         calls = dict.fromkeys(names, 0)
 
@@ -556,17 +564,17 @@ class TestDoubleMellin:
     def test_cache_holds_one_vector_per_chi2(self):
         tower = build_tower(19)
         ctx = KatzContext(tower, tower.base.g)
-        assert ctx._mixed_inner == {}
+        assert ctx.memo["mixed_inner"] == {}
         verify_master_identity(ctx, DEFAULT_POLICY)
         chi2s = {i2 for _, i2 in select_char_pairs(tower.base)}
-        assert set(ctx._mixed_inner) == chi2s and len(chi2s) <= 6
-        assert all(len(v) == tower.q for v in ctx._mixed_inner.values())
-        cached = dict(ctx._mixed_inner)
+        assert set(ctx.memo["mixed_inner"]) == chi2s and len(chi2s) <= 6
+        assert all(len(v) == tower.q for v in ctx.memo["mixed_inner"].values())
+        cached = dict(ctx.memo["mixed_inner"])
         suite_mellin(ctx, DEFAULT_POLICY)  # the same pairs: every vector is reused
-        assert ctx._mixed_inner == cached
-        assert all(ctx._mixed_inner[i] is cached[i] for i in cached)
+        assert ctx.memo["mixed_inner"] == cached
+        assert all(ctx.memo["mixed_inner"][i] is cached[i] for i in cached)
         # the vectors read P, which depends on a
-        assert KatzContext(tower, 1)._mixed_inner == {}
+        assert KatzContext(tower, 1).memo["mixed_inner"] == {}
 
     def test_rejects_characters_of_another_field(self, ctx7):
         # the caches are keyed by character index, which only the field
@@ -586,13 +594,18 @@ class TestDoubleMellin:
         assert kernel_mellin(char(base, 1), char(base, 1)) == want
 
     @pytest.mark.parametrize("q", [7, 11, 19])
-    def test_cache_keyed_on_chi1_fails_mellin_match(self, monkeypatch, q):
-        # the inner-vector cache and the T memo both keyed on chi1
-        src = inspect.getsource(katz.double_mellin_mixed)
-        assert src.count("chi2.index") == 3
+    @pytest.mark.parametrize("wrong", [
+        {"_mixed_inner": "1"}, {"_mixed_inner": "1", "double_mellin_mixed": "chi1.index"},
+    ], ids=["inner", "inner-and-T"])
+    def test_caches_keyed_on_the_wrong_character_fail_mellin_match(self, monkeypatch, q, wrong):
+        # the inner-vector cache keyed on a fixed index, so the vector of the
+        # first chi2 read serves every chi2, and with it the T memo keyed on chi1
         namespace = dict(vars(katz))
-        exec(src.replace("chi2.index", "chi1.index"), namespace)
-        monkeypatch.setattr(katz, "double_mellin_mixed", namespace["double_mellin_mixed"])
+        for name, key in wrong.items():
+            src = inspect.getsource(getattr(katz, name))
+            assert src.count("chi2.index") == 1
+            exec(src.replace("chi2.index", key), namespace)
+            monkeypatch.setattr(katz, name, namespace[name])
         tower = build_tower(q)
         rep = verify_master_identity(KatzContext(tower, tower.base.g), DEFAULT_POLICY)
         assert set(failed_ids(rep)) == {"mellin-match"}
@@ -636,7 +649,7 @@ class TestKernel:
             d = char(field, di)
             row = kernel_row(d)
             assert len(row) == field.order
-            assert field._kernel_rows[di] is row and kernel_row(d) is row
+            assert field.memo["kernel_row"][di] is row and kernel_row(d) is row
             for j in range(1, field.order):  # j = +-1 included: (j+1)^2 or (j-1)^2 is 0
                 assert abs(row[j] - kernel_literal(d, j)) <= ROUTE_TOL
                 assert kernel_sum(d, j) == row[j]
@@ -645,7 +658,8 @@ class TestKernel:
         # a tower of its own, so its base field and fiber memos start empty
         tower = FieldTower(11, 1)
         base = tower.base
-        memos = (base._kernel_rows, tower._fiber_rows, base._kernel_sums, tower._lifted_sums)
+        memos = (base.memo["kernel_row"], tower.memo["fiber_row"], base.memo["kernel_mellin"],
+                 tower.memo["fiber_transform"])
         sizes = []
         for a in range(1, 11):
             ctx = KatzContext(tower, a)
@@ -653,12 +667,12 @@ class TestKernel:
             verify_master_identity(ctx, DEFAULT_POLICY)
             sizes.append(tuple(map(len, memos)))
             # S and T are summed once per context, for each argument read
-            assert set(ctx._mellin) == set(range(10))
-            assert set(ctx._mixed) == set(select_char_pairs(base))
+            assert set(ctx.memo["mellin_transform"]) == set(range(10))
+            assert set(ctx.memo["double_mellin_mixed"]) == set(select_char_pairs(base))
         # the first a fills every memo; the other nine only read them
         assert all(sizes[0])
         assert set(sizes) == {sizes[0]}
-        assert len(base._kernel_rows) <= 10
+        assert len(base.memo["kernel_row"]) <= 10
         # one value per distinct argument of the sweep: the kernel sums at
         # (D, chi1) for D = mu phi^i, mu = nu1 nu2 (W(D) at nu1 reads the same
         # (D, phi nu1^4)); the lifted sums at C = conj(D), of the Jacobi rows
@@ -680,9 +694,9 @@ class TestKernel:
         for i in range(1, 10, 2):
             nu = decompose_odd(char(base, i))
             lifted_args |= {("gauss", (m8**e).index, nu.index) for e in (1, 5)}
-        assert set(base._kernel_sums) == kernel_args
+        assert set(base.memo["kernel_mellin"]) == kernel_args
         assert len(kernel_args) <= 2 * 10**2
-        assert set(tower._lifted_sums) == lifted_args
+        assert set(tower.memo["fiber_transform"]) == lifted_args
         # one Jacobi row per distinct A = nu N M8^e (e = 1, 5), and one
         # Gauss row per twist B = 1, M8, M8^5
         lifted_a = {
@@ -691,8 +705,8 @@ class TestKernel:
             for e in (1, 5)
         }
         twists = {("gauss", 0), ("gauss", ctx.M8.index), ("gauss", (ctx.M8**5).index)}
-        assert twists <= set(tower._fiber_rows) <= lifted_a | twists
-        assert all(len(row) == 10 for row in tower._fiber_rows.values())
+        assert twists <= set(tower.memo["fiber_row"]) <= lifted_a | twists
+        assert all(len(row) == 10 for row in tower.memo["fiber_row"].values())
 
     def test_each_value_summed_once_over_a_sweep(self, monkeypatch):
         # a memo miss reads its row once: count the row reads over ten a's
@@ -713,7 +727,8 @@ class TestKernel:
             ctx = KatzContext(tower, a)
             suite_mellin(ctx, DEFAULT_POLICY)
             verify_master_identity(ctx, DEFAULT_POLICY)
-        assert reads == {"fiber": len(tower._lifted_sums), "kernel": len(tower.base._kernel_sums)}
+        assert reads == {"fiber": len(tower.memo["fiber_transform"]),
+                         "kernel": len(tower.base.memo["kernel_mellin"])}
         assert reads["fiber"] and reads["kernel"]
 
     @pytest.mark.parametrize("q", [7, 11])
@@ -1019,13 +1034,13 @@ class TestRootTables:
         tower = FieldTower(p, t)  # its own fiber rows and base memos
         top, q = tower.top, tower.q
         monkeypatch.setattr(top, "_root_tables", {})  # unbuilt again afterwards
-        monkeypatch.setattr(top, "_char_tables", {})
+        monkeypatch.setitem(top.memo, "value_table", {})
         ctx = KatzContext(tower, 1)
         for check in (suite_hypergeometric, suite_theorem41, suite_mellin, suite_theorem5x,
                       verify_master_identity):
             assert check(ctx, DEFAULT_POLICY).all_passed
         assert top.order - 1 not in top._root_tables
-        assert top._char_tables == {}
+        assert top.memo["value_table"] == {}
         assert all(4 * (q - 1) % d == 0 for d in top._root_tables)
         sigma = sum(d for d in range(1, 4 * q - 3) if 4 * (q - 1) % d == 0)
         assert sum(map(len, top._root_tables.values())) <= sigma
@@ -1046,3 +1061,52 @@ class TestRootTables:
         res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert res.returncode == 0, res.stderr
         assert float(res.stdout) <= 80
+
+
+class TestMemoArgumentChecks:
+    """A memo reader checks its arguments before it reads the memo, on a hit
+    as on a miss: a character of another field whose index has a memoized
+    value still raises FieldError."""
+
+    def test_foreign_characters_rejected_after_the_index_is_memoized(self):
+        tower = build_tower(7)
+        base, ctx = tower.base, KatzContext(tower, 1)
+        # F_7 has the generator 3, the tower base 5; the copy of F_49 has the
+        # top field's generator but is another field
+        other, other_top = construct_field(7), PrimePowerField(7, 2)
+        assert other is not base and other_top is not tower.top
+        c, m8 = char(base, 1), octic_M8(tower)
+        foreign, foreign_m8 = char(other, 1), char(other_top, m8.index)
+        memoized = [
+            (lambda: mellin_transform(ctx, c), ctx.memo["mellin_transform"], 1),
+            (lambda: double_mellin_mixed(ctx, c, c), ctx.memo["double_mellin_mixed"], (1, 1)),
+            (lambda: kernel_mellin(c, c), base.memo["kernel_mellin"], (1, 1)),
+            (lambda: lifted_gauss(tower, c, m8), tower.memo["fiber_transform"],
+             ("gauss", m8.index, 1)),
+            (lambda: lifted_jacobi(tower, m8, c), tower.memo["fiber_transform"],
+             ("jacobi", m8.index, 1)),
+        ]
+        for read, memo, key in memoized:
+            read()
+            assert key in memo
+        for read in (
+            lambda: mellin_transform(ctx, foreign),
+            lambda: double_mellin_mixed(ctx, foreign, c),
+            lambda: double_mellin_mixed(ctx, c, foreign),
+            lambda: kernel_mellin(c, foreign),
+            lambda: lifted_gauss(tower, foreign, m8),
+            lambda: lifted_gauss(tower, c, foreign_m8),
+            lambda: lifted_jacobi(tower, m8, foreign),
+            lambda: lifted_jacobi(tower, foreign_m8, c),
+        ):
+            with pytest.raises(FieldError):
+                read()
+
+    def test_norm_fiber_checks_its_argument_after_a_scan(self):
+        tower = build_tower(7)
+        assert len(norm_fiber(tower, 1, scan=True)) == 8
+        assert "scanned_fibers" in tower.memo
+        with pytest.raises(FieldError):
+            norm_fiber(tower, construct_field(7).element(1), scan=True)
+        with pytest.raises(ValueError):
+            norm_fiber(tower, 0, scan=True)

@@ -81,6 +81,23 @@ def test_write_json_matches_json_dump(tmp_path, case):
     assert path.read_bytes() == json_dump_reference(reports).encode("utf-8")
 
 
+@pytest.mark.parametrize("zeros,zero_texts", [
+    ((0.0, -0.0), ["0.0", "-0.0"]), ((-0.0, 0.0), ["-0.0", "0.0"]),
+])
+def test_write_json_formats_repeated_deviations_as_each_alone(tmp_path, zeros, zero_texts):
+    # each record writes its own deviation's text, repeated or not: a memo of
+    # the texts keyed by deviation would give 0.0 and -0.0 one key, and NaN
+    # equals no key
+    rep = VerificationReport("master", 7, 1)
+    rep.family("p", "j={}", 1e-6).extend([*zeros, 7.41e-323, math.nan, math.inf] * 2, range(10))
+    path = tmp_path / "report.json"
+    write_json([rep], str(path))
+    text = path.read_text()
+    texts = [line.split(": ")[1].rstrip(",") for line in text.splitlines() if "deviation" in line]
+    assert texts == [*zero_texts, "7.4e-323", "NaN", "Infinity"] * 2
+    assert text == json_dump_reference([rep])
+
+
 def test_write_json_keeps_check_order(tmp_path):
     # families in first-use order, the checks of each in the order added:
     # neither the check id, the inputs nor the deviation decides
