@@ -3,13 +3,15 @@
 A multiplicative character is just an index modulo q*-1: it sends g^k to
 exp(2*pi*i*index*k/(q*-1)) and 0 to 0.  Keeping characters as indices makes
 products, powers, conjugates and norm composition exact integer operations;
-only the final complex value is floating point.  A single value is computed
-by the expression of the field's root tables, so it equals their entry bit
-for bit and builds no table; a value table reads the field's full table
-unity_roots.  Sums that read a few characters of F_{q^2} over many points
-read field.char_roots instead: the table of each character's own order.
-The canonical additive character psi(y) = exp(2*pi*i*Tr(y)/p) is the
-field's psi_table, indexed by code.
+only the final complex value is floating point.  Each (field, index) has
+one MultChar, which char builds on first read into field.memo["char"] and
+every operation returns, so equal characters are one object.  A single
+value is computed by the expression of the field's root tables, so it
+equals their entry bit for bit and builds no table; a value table reads the
+field's full table unity_roots.  Sums that read a few characters of F_{q^2}
+over many points read field.char_roots instead: the table of each
+character's own order.  The canonical additive character psi(y) =
+exp(2*pi*i*Tr(y)/p) is the field's psi_table, indexed by code.
 """
 
 import cmath
@@ -20,7 +22,8 @@ from .finite_field import FieldElement, FieldError, FieldTower, PrimePowerField,
 
 
 class MultChar:
-    """Multiplicative character of a fixed field, given by its dlog index."""
+    """Multiplicative character of a fixed field, given by its dlog index;
+    built only by char, once per (field, index)."""
 
     __slots__ = ("field", "index")
 
@@ -56,17 +59,14 @@ class MultChar:
     def __mul__(self, other: "MultChar") -> "MultChar":
         if other.field is not self.field:
             raise FieldError("characters live on different fields")
-        n = self.field.order - 1
-        return MultChar(self.field, (self.index + other.index) % n)
+        return char(self.field, (self.index + other.index) % (self.field.order - 1))
 
     def __pow__(self, e: int) -> "MultChar":
-        n = self.field.order - 1
-        return MultChar(self.field, (self.index * e) % n)
+        return char(self.field, (self.index * e) % (self.field.order - 1))
 
     @property
     def conj(self) -> "MultChar":
-        n = self.field.order - 1
-        return MultChar(self.field, (-self.index) % n)
+        return char(self.field, (-self.index) % (self.field.order - 1))
 
     @property
     def is_trivial(self) -> bool:
@@ -81,32 +81,25 @@ class MultChar:
         n = self.field.order - 1
         return n // math.gcd(n, self.index)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, MultChar)
-            and other.field is self.field
-            and other.index == self.index
-        )
-
-    def __hash__(self):
-        return hash((id(self.field), self.index))
-
     def __repr__(self):
         return f"MultChar(index={self.index}, field order {self.field.order})"
 
 
 def char(field: PrimePowerField, index: int) -> MultChar:
-    """The character sending the field generator to e^(2*pi*i*index/(q*-1))."""
-    return MultChar(field, index)
+    """The one MultChar of (field, index), kept in field.memo["char"]: it sends
+    the field generator to e^(2*pi*i*index/(q*-1)).  The index is read through
+    operator.index, as element codes are, before the memo is read."""
+    index = operator.index(index)
+    return memoized(field.memo["char"], index, MultChar, field, index)
 
 
 def trivial_char(field: PrimePowerField) -> MultChar:
-    return MultChar(field, 0)
+    return char(field, 0)
 
 
 def quadratic_char(field: PrimePowerField) -> MultChar:
     """phi: +1 on nonzero squares, -1 on non-squares, 0 at 0."""
-    return MultChar(field, (field.order - 1) // 2)
+    return char(field, (field.order - 1) // 2)
 
 
 def octic_M8(tower: FieldTower, variant: int = 1) -> MultChar:
@@ -118,7 +111,7 @@ def octic_M8(tower: FieldTower, variant: int = 1) -> MultChar:
     if variant not in (1, 3, 5, 7):
         raise ValueError("octic variant must be one of 1, 3, 5, 7")
     n2 = tower.top.order - 1
-    return MultChar(tower.top, (variant * (n2 // 8)) % n2)
+    return char(tower.top, (variant * (n2 // 8)) % n2)
 
 
 def norm_compose(tower: FieldTower, c: MultChar) -> MultChar:
@@ -130,14 +123,14 @@ def norm_compose(tower: FieldTower, c: MultChar) -> MultChar:
     if c.field is not tower.base:
         raise FieldError("norm_compose needs a character on the tower's base field")
     n2 = tower.top.order - 1
-    return MultChar(tower.top, (c.index * (tower.q + 1)) % n2)
+    return char(tower.top, (c.index * (tower.q + 1)) % n2)
 
 
 def restrict_to_base(tower: FieldTower, beta: MultChar) -> MultChar:
     """beta*: the restriction of a top-field character to F_q*."""
     if beta.field is not tower.top:
         raise FieldError("restrict_to_base needs a character on the tower's top field")
-    return MultChar(tower.base, beta.index % (tower.q - 1))
+    return char(tower.base, beta.index % (tower.q - 1))
 
 
 def delta(chi: MultChar) -> int:
@@ -159,4 +152,4 @@ def decompose_odd(chi: MultChar) -> MultChar:
     if h % 2 != 1:
         raise ValueError("decompose_odd requires q = 3 (mod 4)")
     t = (chi.index - h) % (2 * h)
-    return MultChar(chi.field, t // 2 * ((h + 1) // 2) % h)
+    return char(chi.field, t // 2 * ((h + 1) // 2) % h)

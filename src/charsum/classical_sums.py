@@ -136,7 +136,7 @@ def jacobi_row(a: MultChar) -> list[complex]:
     1 + g^(m + n/2) has log zech[m + n/2], and the term m = 0 is A(0) = 0.
     """
     field = a.field
-    n, zech, roots = field.order - 1, field._zech, field.unity_roots
+    n, zech, roots = field.order - 1, field.zech, field.unity_roots
     x = [roots[a.index * zech[(m + n // 2) % n] % n] for m in range(n)]
     x[0] = 0j
     return log_dft(field, x)
@@ -187,7 +187,7 @@ def _build_fiber_row(tower: FieldTower, kind: str, index: int) -> list[complex]:
                 vals = [tab[u * m % d] * v for m, v in zip(range(k, n, step), vals)]
             row.append(sum(vals, 0j))
     else:
-        h, zech = (tower.q + 1) // 2, top._zech
+        h, zech = (tower.q + 1) // 2, top.zech
         for k in range(step):
             col = zech[k::step]
             vals = [tab[u * lg % d] for lg in col[h:] + col[:h]]

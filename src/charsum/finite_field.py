@@ -8,8 +8,8 @@ is the one with the smallest code, so two builds of the same field agree
 table for table.  Every field carries an eagerly built discrete-log table,
 which makes multiplication and character evaluation O(1).
 
-Every integer table (exp, dlog, the Zech logs, neg, one_minus, trace_table,
-and the tower's embed_table, trace_line and i_line) is an array('i'): 4 bytes
+Every integer table (exp, dlog, zech, neg, one_minus, trace_table, and the
+tower's embed_table, trace_line and i_line) is an array('i'): 4 bytes
 an entry instead of a list's 8-byte pointer plus a 28-byte int object for
 each entry above 256.  Each table is built in that form, from slices of
 another table or a coset or a digit position at a time, so no list of the
@@ -20,7 +20,8 @@ The roots of unity are kept per order: root_table(d) holds the d-th roots,
 d | n = order - 1, with entry s computed by the same expression as entry
 (n/d) s of the full table, so both give the same float bit for bit.  A
 character of order d reads only table d; the full table unity_roots, of n
-entries, is table n, built on the first read of a general reader.
+entries, is table n, built on the first read of a general reader.  Every
+table built on first read is kept in its owner's memo (see memoized).
 
 Only `exp` is computed from the modulus; every other table is index
 arithmetic on exp/dlog or is built digit by digit.  Addition goes through
@@ -195,15 +196,13 @@ class PrimePowerField:
         log_one_plus.append(0)
         log_one_plus[p - 1 :: p] = self.dlog[::p]
         # 1 + g^k = g^zech[k]; -1 if 0
-        self._zech = array("i", map(log_one_plus.__getitem__, self.exp))
+        self.zech = array("i", map(log_one_plus.__getitem__, self.exp))
         del log_one_plus  # freed before psi_table is built
 
         self.p_roots = [cmath.exp(2j * math.pi * t / p) for t in range(p)]
         self.psi_table = list(map(self.p_roots.__getitem__, self._build_trace_table()))
 
-        self._neg = self._one_minus = self._trace_table = None  # see neg
-        self._root_tables: dict[int, list[complex]] = {}  # see root_table
-        self.memo = defaultdict(dict)  # the sums built on this field (see memoized)
+        self.memo = defaultdict(dict)  # the lazy tables and sums of this field (see memoized)
 
     # -- construction helpers ------------------------------------------------
 
@@ -255,42 +254,42 @@ class PrimePowerField:
 
     # neg, one_minus, trace_table and unity_roots are built on first read:
     # the top field of a tower needs none of them after construction, and
-    # each holds q^2 entries there.  Each is a property over an attribute set
-    # in __init__, not a functools.cached_property: writing the instance
-    # __dict__ directly made every attribute read of the field, as in
-    # mul_codes, about twice as slow on CPython 3.11.
+    # each holds q^2 entries there.  They live in memo, not in attributes
+    # added after __init__ (as functools.cached_property adds them): that
+    # made every attribute read of the field, as in mul_codes, about twice
+    # as slow on CPython 3.11.
 
     @property
     def neg(self) -> array:
         """neg[c] = -c, negated digitwise, one digit position at a time."""
-        if self._neg is None:
-            p, neg = self.p, array("i", [0])
-            for w in (p**i for i in range(self.m)):
-                low, neg = neg, array("i")
-                for d in range(p):
-                    s = -d % p * w
-                    neg.extend([s + c for c in low])
-            self._neg = neg
-        return self._neg
+        return memoized(self.memo, "neg", self._build_neg)
+
+    def _build_neg(self) -> array:
+        p, neg = self.p, array("i", [0])
+        for w in (p**i for i in range(self.m)):
+            low, neg = neg, array("i")
+            for d in range(p):
+                s = -d % p * w
+                neg.extend([s + c for c in low])
+        return neg
 
     @property
     def one_minus(self) -> array:
         """one_minus[c] = 1 - c = -(c - 1): neg[c - 1], or neg[c + p - 1]
         where the constant digit of c is 0."""
-        if self._one_minus is None:
-            neg, p = self.neg, self.p
-            one_minus = neg[:-1]
-            one_minus.insert(0, 0)
-            one_minus[::p] = neg[p - 1 :: p]
-            self._one_minus = one_minus
-        return self._one_minus
+        return memoized(self.memo, "one_minus", self._build_one_minus)
+
+    def _build_one_minus(self) -> array:
+        neg, p = self.neg, self.p
+        one_minus = neg[:-1]
+        one_minus.insert(0, 0)
+        one_minus[::p] = neg[p - 1 :: p]
+        return one_minus
 
     @property
     def trace_table(self) -> array:
         """trace_table[c] = Tr(c), in [0, p)."""
-        if self._trace_table is None:
-            self._trace_table = self._build_trace_table()
-        return self._trace_table
+        return memoized(self.memo, "trace_table", self._build_trace_table)
 
     def _build_trace_table(self):
         """Tr(y) = y + y^p + ... + y^(p^(m-1)) lands in F_p and is F_p-linear:
@@ -319,15 +318,14 @@ class PrimePowerField:
         """The d-th roots of unity for d | n = order - 1, memoized by d: entry
         s is e^(2 pi i (n/d) s / n), the expression of unity_roots at
         k = (n/d) s, so the two tables agree bit for bit."""
-        tab = self._root_tables.get(d)
-        if tab is None:
-            n = self.order - 1
-            if d < 1 or n % d:
-                raise FieldError(f"{d} does not divide the group order {n}")
-            step = n // d
-            tab = [cmath.exp(2j * math.pi * (step * s) / n) for s in range(d)]
-            self._root_tables[d] = tab
-        return tab
+        return memoized(self.memo["root_table"], d, self._build_root_table, d)
+
+    def _build_root_table(self, d: int) -> list[complex]:
+        n = self.order - 1
+        if d < 1 or n % d:
+            raise FieldError(f"{d} does not divide the group order {n}")
+        step = n // d
+        return [cmath.exp(2j * math.pi * (step * s) / n) for s in range(d)]
 
     def char_roots(self, index: int) -> tuple[list[complex], int, int]:
         """(tab, u, d) with chi(g^m) = tab[u * m % d] for the character of the
@@ -349,13 +347,13 @@ class PrimePowerField:
         if a == 0 or b == 0:
             return a or b
         n, la = self.order - 1, self.dlog[a]
-        z = self._zech[(self.dlog[b] - la) % n]  # a + b = a (1 + b/a)
+        z = self.zech[(self.dlog[b] - la) % n]  # a + b = a (1 + b/a)
         return 0 if z < 0 else self.exp[(la + z) % n]
 
     def sub_codes(self, a: int, b: int) -> int:
         if self.m == 1:
             return (a - b) % self.p
-        return self.add_codes(a, (self._neg or self.neg)[b])  # no property call once built
+        return self.add_codes(a, self.neg[b])
 
     def mul_codes(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
@@ -525,9 +523,7 @@ class FieldTower:
         self.base = PrimePowerField(p, t, generator=g_base)
 
         self.i_code = top.exp[(top.order - 1) // 4]  # i^2 = -1
-        self._trace_line = None
-        self._i_line = None
-        self.memo = defaultdict(dict)  # the sums built on this tower (see memoized)
+        self.memo = defaultdict(dict)  # the lazy lines and sums of this tower (see memoized)
 
     def _smallest_modulus_root(self, base_modulus) -> int:
         """The roots lie in the subfield, so only its q elements are tried."""
@@ -563,24 +559,23 @@ class FieldTower:
     @property
     def trace_line(self) -> array:
         """Codes of {z in F_{q^2} : z + z^q = 1}; exactly q points."""
-        if self._trace_line is None:
-            top = self.top
-            n2, exp2, dlog2, q = top.order - 1, top.exp, top.dlog, self.q
-            self._trace_line = array("i", (
-                z for z in range(1, top.order)
-                if top.add_codes(z, exp2[q * dlog2[z] % n2]) == 1
-            ))
-        return self._trace_line
+        return memoized(self.memo, "trace_line", self._build_trace_line)
+
+    def _build_trace_line(self) -> array:
+        top = self.top
+        n2, exp2, dlog2, q = top.order - 1, top.exp, top.dlog, self.q
+        return array("i", (
+            z for z in range(1, top.order) if top.add_codes(z, exp2[q * dlog2[z] % n2]) == 1
+        ))
 
     @property
     def i_line(self) -> array:
         """Codes of 1 + i*y for the codes y of F_q in order; exactly q points."""
-        if self._i_line is None:
-            top = self.top
-            self._i_line = array("i", (
-                top.add_codes(1, top.mul_codes(self.i_code, e)) for e in self.embed_table
-            ))
-        return self._i_line
+        return memoized(self.memo, "i_line", self._build_i_line)
+
+    def _build_i_line(self) -> array:
+        add, mul = self.top.add_codes, self.top.mul_codes
+        return array("i", (add(1, mul(self.i_code, e)) for e in self.embed_table))
 
     def __repr__(self):
         return f"FieldTower(q={self.q}, p={self.p}, t={self.t})"

@@ -39,11 +39,11 @@ from .hypergeometric import (
 )
 from .katz import (
     KatzContext,
-    _jacobi_bracket,
     double_mellin_mixed,
     double_mellin_product,
     kernel_double_sum,
     kernel_double_sum_anchor,
+    jacobi_bracket,
     kernel_mellin,
     kernel_row,
     mellin_transform,
@@ -52,6 +52,7 @@ from .katz import (
     ratio_bracket_deviation,
     select_char_pairs,
     spaced_sample,
+    sweeps_every_char,
     verify_master_identity,
 )
 from .report import VerificationReport, report_sort_key, write_csv, write_json
@@ -362,7 +363,7 @@ def suite_hypergeometric(ctx: KatzContext, policy: TolerancePolicy) -> Verificat
         fiber_devs.append(dev)
     rep.family("norm-fiber", "c={}", tol).extend(fiber_devs, js)
 
-    idx = list(range(q - 1)) if q <= 11 else spaced_sample(list(range(q - 1)), 6)
+    idx = list(range(q - 1)) if sweeps_every_char(q) else spaced_sample(range(q - 1), 6)
     chars, k = [char(base, i) for i in idx], len(idx)
     zero_arg = rep.family("hyp-zero-arg", "A={},B={}", tol)
     bound, lim, n = rep.family("hyp-bound", "A={},B={},C={},x={}", tol), (q - 1) / q, q - 1
@@ -422,7 +423,7 @@ def suite_mellin(ctx: KatzContext, policy: TolerancePolicy) -> VerificationRepor
     by its index k in chars: chi_k(a) is roots[k dlog(a)], phi is (q-1)/2,
     conj is -k and products add.  An odd chi_k is phi nu^4 for nu = nus[k]
     (decompose_odd), mu = nu1 nu2, and the evaluations of S read the Jacobi
-    bracket J2(nu N M8, C N) + J2(nu N M8^5, C N) of katz._jacobi_bracket."""
+    bracket J2(nu N M8, C N) + J2(nu N M8^5, C N) of katz.jacobi_bracket."""
     tower = ctx.tower
     q = tower.q
     base = tower.base
@@ -452,7 +453,7 @@ def suite_mellin(ctx: KatzContext, policy: TolerancePolicy) -> VerificationRepor
         rhs = 0j
         for i in (0, 1):
             ch = (half * i - mu) % n
-            bracket = _jacobi_bracket(tower, m8, nu1, chars[ch])
+            bracket = jacobi_bracket(ctx, chars[nu1], chars[ch])
             rhs += roots[ch * la % n] * q / lifted_gauss(tower, chars[ch]) * bracket
         return abs(s - rhs)
 
@@ -481,7 +482,7 @@ def suite_mellin(ctx: KatzContext, policy: TolerancePolicy) -> VerificationRepor
     product_fam.extend(starmap(product, pairs), *columns)
     mixed_fam = rep.family("double-mellin-mixed", "chi1={},chi2={}", tol_pairs)
     mixed_fam.extend(starmap(mixed, pairs), *columns)
-    if q <= 11:
+    if sweeps_every_char(q):
         literal = rep.family("double-mellin-literal", "chi1={},chi2={}", tol_pairs)
         pair_chars = [(chars[k1], chars[k2]) for k1, k2 in pairs]
         lits = (double_mellin_product(ctx, *c, literal=True) for c in pair_chars)
@@ -519,7 +520,7 @@ def suite_theorem5x(ctx: KatzContext, policy: TolerancePolicy) -> VerificationRe
     closed_form = rep.family("kernel-closed-form", "D={},j={}", tol)
     n, roots, dlog, sub, js = q - 1, base.unity_roots, base.dlog, base.sub_codes, range(1, q)
     half, ends, g = (q - 1) // 2, (1, base.neg[1]), gauss_sums(base)
-    chars, m8 = [char(base, i) for i in all_idx], ctx.M8
+    chars = [char(base, i) for i in all_idx]
     phi = chars[half]
     for d_idx in all_idx:
         d = chars[d_idx]
@@ -539,16 +540,16 @@ def suite_theorem5x(ctx: KatzContext, policy: TolerancePolicy) -> VerificationRe
         lhs = kernel_mellin(chars[d], chars[(half + 4 * nu) % n])
         if d == 0:
             return abs(lhs - 2)
-        bracket = _jacobi_bracket(tower, m8, nu, chars[-d % n])
+        bracket = jacobi_bracket(ctx, chars[nu], chars[-d % n])
         rhs = -g[half] * g[d] ** 2 / (q * g[(half + 2 * d) % n]) * bracket
         return abs(lhs - rhs)
 
     def fiber(d, nu):
         w, r = chars[4 * nu % n].value_table(), norm_jacobi_row(ctx, chars[d])
         lhs = sum(w[j] * r[j] for j in range(1, q))
-        return abs(lhs - _jacobi_bracket(tower, m8, nu, chars[-d % n]))
+        return abs(lhs - jacobi_bracket(ctx, chars[nu], chars[-d % n]))
 
-    idx = all_idx if q <= 11 else spaced_sample(all_idx, 6)
+    idx = all_idx if sweeps_every_char(q) else spaced_sample(all_idx, 6)
     transform_fam = rep.family("kernel-transform", "D={},nu={}", tol)
     fiber_fam = rep.family("fiber-transform", "D={},nu={}", tol)
     bridge = rep.family("gauss-ratio-bridge", "D={},nu={}", tol)
@@ -556,11 +557,11 @@ def suite_theorem5x(ctx: KatzContext, policy: TolerancePolicy) -> VerificationRe
         ds = [d] * len(idx)
         transform_fam.extend((transform(d, nu) for nu in idx), ds, idx)
         fiber_fam.extend((fiber(d, nu) for nu in idx), ds, idx)
-        bridge.extend((ratio_bracket_deviation(ctx, chars, nu, d) for nu in idx), ds, idx)
+        bridge.extend((ratio_bracket_deviation(ctx, nu, d) for nu in idx), ds, idx)
 
     double = [kernel_double_sum(q, nu) for nu in idx]  # idx[0] = 0: the anchor's sum too
     rep.family("kernel-double-sum", "nu={}", tol).extend(
-        (abs(s - _jacobi_bracket(tower, m8, nu, phi)) for s, nu in zip(double, idx)), idx
+        (abs(s - jacobi_bracket(ctx, chars[nu], phi)) for s, nu in zip(double, idx)), idx
     )
     anchor = kernel_double_sum_anchor(q)
     rep.family("kernel-double-anchor", "nu=0", tol).extend([abs(double[0] - anchor)])

@@ -121,7 +121,7 @@ def norm_restricted_jacobi(ctx, d: MultChar, j, scan: bool = False) -> complex:
     if j.code == 0:
         raise ValueError("norm-restricted Jacobi sum requires j != 0")
     top = tower.top
-    n2, zech = top.order - 1, top._zech
+    n2, zech = top.order - 1, top.zech
     half = n2 // 2
     t8, u8, d8 = top.char_roots(ctx.M8.index)
     tdn, udn, ddn = top.char_roots(norm_compose(tower, d.conj).index)
@@ -148,7 +148,7 @@ def norm_jacobi_table(ctx) -> dict[int, list[complex]]:
     of H gives every D, at index -d."""
     tower = ctx.tower
     base, top, n = tower.base, tower.top, tower.q - 1
-    n2, zech = top.order - 1, top._zech
+    n2, zech = top.order - 1, top.zech
     t8, u8, d8 = top.char_roots(ctx.M8.index)
     table = {}
     for j4 in dict.fromkeys(base.pow_code(j, 4) for j in range(1, tower.q)):

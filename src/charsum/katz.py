@@ -12,11 +12,12 @@ and the norm-restricted Gauss sums
 for a fixed nonzero a in F_q, q = 3 (mod 4).  This module evaluates both
 sides literally, their single and double Mellin transforms, and the kernel
 sums h(D, j) that the mixed-side transform reduces to.  The suites (see
-harness) check each evaluation against the other side's route, reading every
-character by its index; this module keeps the one copy of the Jacobi bracket
-J2(nu N M8, C N) + J2(nu N M8^5, C N) that five of those checks read, and
-of the Gauss-ratio bridge between the two Mellin evaluations, which
-theorem-5.x and the master sweep both check.
+harness) check each evaluation against the other side's route, reading
+characters by index through char, which returns the one MultChar of each;
+this module keeps the one copy of the Jacobi bracket J2(nu N M8, C N) +
+J2(nu N M8^5, C N) that five of those checks read, and of the Gauss-ratio
+bridge between the two Mellin evaluations, which theorem-5.x and the master
+sweep both check.
 
 P has one route at every q, which shares nothing with V's.  The trace is
 F_p-linear, so psi(x s + (a/x) d) = zeta_p^(Tr(x s) + Tr((a/x) d)): the sum
@@ -29,7 +30,7 @@ for each of the ((q+1)/2)^2 pairs of squares: about q^3/8 real terms, with
 no field-size limit.
 
 Each sum is memoized in the memo of the object it depends on (see
-finite_field.memoized).  S(chi), T(chi1, chi2) and the inner sums
+finite_field.memoized).  V, P, S(chi), T(chi1, chi2) and the inner sums
 sum_k chi2(k) P(j,k) read a, so the context keeps them by character
 indices.  The kernel rows h(D, .) and their sums sum_j chi(j) h(D, j), which
 W(D) and T's evaluation read, do not: the field keeps them by the indices of
@@ -38,9 +39,9 @@ reuses them.  theorem-5.x checks each kernel row against its closed-form
 row, whose 2F1 factor is hypergeometric.reduction_row's.  Y(D) reads R(D, .)
 from norm_jacobi_row (see hypergeometric).  Every Jacobi or Gauss sum over
 F_{q^2} has a lifted character C N, times M8^e in the Mellin evaluation, and
-is summed over the q-1 norm fibers by the fiber transforms of classical_sums
-(the Jacobi ones by top-field index), which the tower keeps; the Gauss sums
-over F_q are read from the field's one transform.  No top-field value table
+is summed over the q-1 norm fibers by the lifted sums of classical_sums,
+which the tower keeps; the Gauss sums over F_q are read from the field's
+one transform.  No top-field value table
 or transform is built: the few top-field points read are looked up through
 dlog, and each top-field character, of order dividing 4(q-1), reads the root
 table of its own order, never the full table of q^2 - 1 roots (see
@@ -53,8 +54,9 @@ import operator
 from collections import defaultdict
 from itertools import repeat
 
-from .characters import MultChar, char, decompose_odd, delta, octic_M8, quadratic_char
-from .classical_sums import _fiber_transform, gauss, gauss_sums, lifted_gauss
+from .characters import MultChar, char, decompose_odd, delta, norm_compose, octic_M8
+from .characters import quadratic_char
+from .classical_sums import gauss, gauss_sums, lifted_gauss, lifted_jacobi
 from .finite_field import FieldError, FieldTower, build_tower, construct_field
 from .finite_field import factor_prime_power, memoized
 from .hypergeometric import fiber_logs, norm_fiber
@@ -119,9 +121,6 @@ class KatzContext:
         self._roots = im + [-v for v in im]
         # Tr(g^k) for k in [0, 2(q-1)), so a sum of two logs needs no modulo
         self._trace_exp = [base.trace_table[e] for e in base.exp] * 2
-
-        self._v = None
-        self._pm = None
         self.memo = defaultdict(dict)  # the sums that read a or M8 (see memoized)
 
     def a_index(self) -> int:
@@ -130,26 +129,27 @@ class KatzContext:
 
     def v_vector(self) -> list[complex]:
         """V(j) for every code j in [0, q)."""
-        if self._v is None:
-            self._v = [norm_restricted_gauss(self, j) for j in range(self.tower.q)]
-        return self._v
+        return memoized(self.memo, "v_vector", self._build_v_vector)
+
+    def _build_v_vector(self) -> list[complex]:
+        return [norm_restricted_gauss(self, j) for j in range(self.tower.q)]
 
     def mixed_sum_matrix(self) -> list[list[complex]]:
         """P(j,k) for every pair of codes, cached (rows reused by transforms);
         one value per pair of squares (s, d), shared by every (j, k) on it."""
-        if self._pm is None:
-            base = self.tower.base
-            q = self.tower.q
-            sq = [base.mul_codes(c, c) for c in range(q)]
-            squares = sorted(set(sq))
-            d_rows = {d: self._trace_row(self._d_side, d) for d in squares}
-            p_sd = {}
-            for s in squares:  # each s-row lives for its own loop only
-                s_row = self._trace_row(self._s_side, s)
-                p_sd[s] = {d: self._p_value(s, d, s_row, d_row) for d, d_row in d_rows.items()}
-            add, sub = base.add_codes, base.sub_codes
-            self._pm = [[p_sd[sq[add(j, k)]][sq[sub(j, k)]] for k in range(q)] for j in range(q)]
-        return self._pm
+        return memoized(self.memo, "mixed_sum_matrix", self._build_mixed_sum_matrix)
+
+    def _build_mixed_sum_matrix(self) -> list[list[complex]]:
+        base, q = self.tower.base, self.tower.q
+        sq = [base.mul_codes(c, c) for c in range(q)]
+        squares = sorted(set(sq))
+        d_rows = {d: self._trace_row(self._d_side, d) for d in squares}
+        p_sd = {}
+        for s in squares:  # each s-row lives for its own loop only
+            s_row = self._trace_row(self._s_side, s)
+            p_sd[s] = {d: self._p_value(s, d, s_row, d_row) for d, d_row in d_rows.items()}
+        add, sub = base.add_codes, base.sub_codes
+        return [[p_sd[sq[add(j, k)]][sq[sub(j, k)]] for k in range(q)] for j in range(q)]
 
     def _trace_row(self, side, c: int) -> list[int]:
         """Tr(y c) plus the side's offset, for y = x (s-side) or a/x (d-side)
@@ -275,7 +275,7 @@ def _build_kernel_row(d: MultChar) -> list[complex]:
     om, dlog, exp, n = field.one_minus, field.dlog, field.exp, field.order - 1
     weights = [td[x] * tphi[om[x]] for x in exp]
     mix_by_log = [tmix[e] for e in exp] * 2
-    shifted = [mix_by_log[z] if z >= 0 else 0j for z in field._zech] * 2  # U[l]
+    shifted = [mix_by_log[z] if z >= 0 else 0j for z in field.zech] * 2  # U[l]
     mul, add, sub = field.mul_codes, field.add_codes, field.sub_codes
     by_shift = {}
     row = [0j]
@@ -336,29 +336,25 @@ def kernel_mellin(d: MultChar, chi: MultChar) -> complex:
     return memoized(d.field.memo["kernel_mellin"], key, _mellin_of, chi, kernel_row, d)
 
 
-def _jacobi_bracket(tower: FieldTower, m8: MultChar, nu: int, c: MultChar) -> complex:
-    """J2(nu N M8, C N) + J2(nu N M8^5, C N), summed over the norm fibers,
-    for the base character of index nu: nu N M8^e has the top-field index
-    nu (q+1) + e index(M8), and no top-field character is built."""
-    n2, nu_n = tower.top.order - 1, nu * (tower.q + 1)
-    return (_fiber_transform(tower, c, "jacobi", (nu_n + m8.index) % n2)
-            + _fiber_transform(tower, c, "jacobi", (nu_n + 5 * m8.index) % n2))
+def jacobi_bracket(ctx: KatzContext, nu: MultChar, c: MultChar) -> complex:
+    """J2(nu N M8, C N) + J2(nu N M8^5, C N) for base characters nu and C,
+    each a lifted_jacobi over the norm fibers."""
+    tower, m8, nu_n = ctx.tower, ctx.M8, norm_compose(ctx.tower, nu)
+    return lifted_jacobi(tower, nu_n * m8, c) + lifted_jacobi(tower, nu_n * m8**5, c)
 
 
-def ratio_bracket_deviation(ctx: KatzContext, chars: list[MultChar], nu1: int, d: int) -> float:
+def ratio_bracket_deviation(ctx: KatzContext, nu1: int, d: int) -> float:
     """The master bridge between the two Mellin evaluations, for D = mu*phi^i:
 
     q/G2(conj(D)N) * {J2(nu1 N M8, conj(D)N) + J2(nu1 N M8^5, conj(D)N)}
         = G(phi D^2)/G(phi) * (W(D) + 2(q-1) delta(D)),
 
-    with nu1 and D character indices and chars the base characters by index."""
-    tower = ctx.tower
-    q = tower.q
-    n, half, g = q - 1, (q - 1) // 2, gauss_sums(tower.base)
-    bracket = _jacobi_bracket(tower, ctx.M8, nu1, chars[-d % n])
-    lhs = q / lifted_gauss(tower, chars[-d % n]) * bracket
+    with nu1 and D character indices."""
+    tower, base, q = ctx.tower, ctx.tower.base, ctx.tower.q
+    n, half, g, dc = q - 1, (q - 1) // 2, gauss_sums(base), char(base, d)
+    lhs = q / lifted_gauss(tower, dc.conj) * jacobi_bracket(ctx, char(base, nu1), dc.conj)
     rhs = g[(half + 2 * d) % n] / g[half] * (
-        kernel_mellin(chars[d], chars[(half + 4 * nu1) % n]) + 2 * (q - 1) * delta(chars[d])
+        kernel_mellin(dc, char(base, (half + 4 * nu1) % n)) + 2 * (q - 1) * delta(dc)
     )
     return abs(lhs - rhs)
 
@@ -467,12 +463,17 @@ def spaced_sample(items: list[int], k: int) -> list[int]:
     return [items[int(i * step)] for i in range(k)]
 
 
+def sweeps_every_char(q: int) -> bool:
+    """Whether each character sweep over F_q reads every index, not a sample."""
+    return q <= 11
+
+
 def select_char_pairs(field) -> list[tuple[int, int]]:
-    """Character-index pairs for the double-Mellin sweep: every pair for
-    q <= 11, and a deterministic spread (4 odd + 2 even indices per axis)
-    above that."""
+    """Character-index pairs for the double-Mellin sweep: every pair where
+    sweeps_every_char, and a deterministic spread (4 odd + 2 even indices
+    per axis) above that."""
     idx = list(range(field.order - 1))
-    if field.order > 11:
+    if not sweeps_every_char(field.order):
         idx = spaced_sample(idx[1::2], 4) + spaced_sample(idx[::2], 2)
     return [(i1, i2) for i1 in idx for i2 in idx]
 
@@ -512,7 +513,7 @@ def verify_master_identity(
         for i1, i2 in pairs if i1 % 2 and i2 % 2 for i in (0, 1)
     })
     rep.family("gauss-ratio-bridge", "nu1={},D={}", policy.abs_tol(q, 4 * q * q)).extend(
-        (ratio_bracket_deviation(ctx, chars, nu1, d) for nu1, d in bridge_args),
+        (ratio_bracket_deviation(ctx, nu1, d) for nu1, d in bridge_args),
         *zip(*bridge_args),
     )
     return rep

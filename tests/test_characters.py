@@ -1,8 +1,11 @@
 import cmath
+import subprocess
+import sys
 
 import pytest
 
 from charsum.characters import (
+    MultChar,
     char,
     decompose_odd,
     delta,
@@ -12,7 +15,8 @@ from charsum.characters import (
     restrict_to_base,
     trivial_char,
 )
-from charsum.finite_field import FieldError, build_tower, construct_field
+from charsum.classical_sums import gauss
+from charsum.finite_field import FieldError, PrimePowerField, build_tower, construct_field
 
 TOL = 1e-12
 
@@ -100,6 +104,73 @@ class TestMultChar:
             char(construct_field(7), 1)(construct_field(11).element(3))
         with pytest.raises(FieldError):
             char(construct_field(7), 1) * char(construct_field(11), 1)
+
+
+class TestOneObjectPerCharacter:
+    def test_char_returns_one_object_per_field_and_index(self):
+        field = construct_field(7)
+        assert char(field, 3) is char(field, 3)
+        assert char(field, 3) is not char(construct_field(11), 3)
+        assert field.memo["char"][3] is char(field, 3)
+        # equality is identity: MultChar keeps object.__eq__ and __hash__
+        assert "__eq__" not in vars(MultChar) and "__hash__" not in vars(MultChar)
+
+    def test_every_operation_returns_the_interned_object(self):
+        tower = build_tower(7)
+        base, top = tower.base, tower.top
+        a, b = char(base, 2), char(base, 5)
+        assert a.conj.conj is a
+        assert a * b is char(base, 1)
+        assert a**4 is char(base, 2)
+        assert trivial_char(base) is char(base, 0)
+        assert quadratic_char(base) is char(base, 3)
+        for variant in (1, 3, 5, 7):
+            assert octic_M8(tower, variant) is octic_M8(tower, variant)
+            assert octic_M8(tower, variant) is char(top, variant * 6)
+        assert norm_compose(tower, a) is char(top, 16)
+        assert restrict_to_base(tower, norm_compose(tower, a)) is char(base, 4)
+        for k in (1, 3, 5):
+            nu = decompose_odd(char(base, k))
+            assert nu is char(base, nu.index)
+            assert quadratic_char(base) * nu**4 is char(base, k)
+
+    def test_out_of_range_index_stores_nothing(self):
+        field = PrimePowerField(7, 1)  # not the cached canonical field
+        for index in (6, -1, 100):
+            with pytest.raises(ValueError):
+                char(field, index)
+        assert field.memo["char"] == {}
+
+    def test_non_integer_index_is_refused_before_the_memo(self):
+        field = PrimePowerField(7, 1)
+        for index in (3.0, "3"):
+            with pytest.raises(TypeError):
+                char(field, index)
+        assert field.memo["char"] == {}
+        chi = char(field, 3)
+        assert type(chi.index) is int and chi is field.memo["char"][3]
+        assert approx(gauss(chi) * gauss(chi.conj), chi(-1) * 7)
+        assert len(chi.value_table()) == 7
+        # True reads as index 1, as element(True) reads code 1
+        assert char(field, True) is char(field, 1) and field.element(True).code == 1
+
+    def test_a_run_builds_each_character_once(self):
+        # a fresh interpreter, so every character of the run is built in it
+        code = (
+            "from charsum.characters import MultChar\n"
+            "from charsum.cli import main\n"
+            "init, built = MultChar.__init__, []\n"
+            "def counting(self, field, index):\n"
+            "    built.append((id(field), index))\n"
+            "    init(self, field, index)\n"
+            "MultChar.__init__ = counting\n"
+            "assert main(['run', '--q', '7']) == 0\n"
+            "print(len(built), len(set(built)))\n"
+        )
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+        built, distinct = map(int, res.stdout.splitlines()[-1].split())
+        assert built == distinct > 6
 
 
 class TestOctic:

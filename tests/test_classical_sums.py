@@ -213,7 +213,7 @@ class TestLiftedSums:
         top, q = tower.top, tower.q
         n, roots, step = top.order - 1, top.unity_roots, q - 1
         gauss_vals = [top.psi_table[z] for z in top.exp]
-        log_one_minus = [top._zech[(m + n // 2) % n] for m in range(n)]
+        log_one_minus = [top.zech[(m + n // 2) % n] for m in range(n)]
         for i in range(n):
             twisted = [roots[i * m % n] * v for m, v in enumerate(gauss_vals)] if i else gauss_vals
             jacobi_vals = [roots[i * lg % n] for lg in log_one_minus]

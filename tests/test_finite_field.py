@@ -153,11 +153,11 @@ class TestArithmetic:
 
     def test_lazy_tables_built_on_first_read(self):
         field = PrimePowerField(3, 4)  # not the cached canonical field
-        lazy = ("_neg", "_one_minus", "_trace_table")
-        assert [getattr(field, name) for name in lazy] == [None] * 3
+        lazy = ("neg", "one_minus", "trace_table")
+        assert [field.memo.get(name) for name in lazy] == [None] * 3
         assert field.one_minus[0] == 1 and field.neg[1] == 2
         assert field.psi_table == [field.p_roots[t] for t in field.trace_table]
-        assert None not in [getattr(field, name) for name in lazy]
+        assert None not in [field.memo.get(name) for name in lazy]
         assert field.neg is field.neg
 
     def test_element_operators(self):
@@ -330,13 +330,13 @@ class TestTableLayout:
     def test_every_integer_table_is_an_int_array(self, monkeypatch):
         tower = build_tower(263)
         for field in (tower.base, tower.top):
-            for name in ("_neg", "_one_minus", "_trace_table"):  # unbuilt again afterwards
-                monkeypatch.setattr(field, name, None)
-            for name in ("exp", "dlog", "_zech", "neg", "one_minus", "trace_table"):
+            for name in ("neg", "one_minus", "trace_table"):  # unbuilt again afterwards
+                monkeypatch.delitem(field.memo, name, raising=False)
+            for name in ("exp", "dlog", "zech", "neg", "one_minus", "trace_table"):
                 table = getattr(field, name)
                 assert isinstance(table, array) and table.typecode == "i", (field, name)
-        monkeypatch.setattr(tower, "_trace_line", None)
-        monkeypatch.setattr(tower, "_i_line", None)
+        monkeypatch.delitem(tower.memo, "trace_line", raising=False)
+        monkeypatch.delitem(tower.memo, "i_line", raising=False)
         for name in ("embed_table", "trace_line", "i_line"):
             table = getattr(tower, name)
             assert isinstance(table, array) and table.typecode == "i", name
@@ -381,9 +381,9 @@ class TestRootTables:
     def test_full_table_built_on_first_read(self):
         field = PrimePowerField(7, 2)  # not the cached canonical field
         n = field.order - 1
-        assert field._root_tables == {}
+        assert field.memo["root_table"] == {}
         assert field.root_table(8) is field.root_table(8)
-        assert n not in field._root_tables
+        assert n not in field.memo["root_table"]
         full = field.unity_roots
         assert full is field.root_table(n) and len(full) == n
         assert full == [cmath.exp(2j * math.pi * k / n) for k in range(n)]
@@ -393,9 +393,9 @@ class TestRootTables:
     def test_char_value_reads_no_table(self, monkeypatch):
         top = build_tower(7).top
         n = top.order - 1
-        monkeypatch.setattr(top, "_root_tables", {})  # unbuilt again afterwards
+        monkeypatch.setitem(top.memo, "root_table", {})  # unbuilt again afterwards
         values = {(i, z): char(top, i)(top.element(z)) for i in range(n) for z in range(top.order)}
-        assert top._root_tables == {}
+        assert top.memo["root_table"] == {}
         full = top.unity_roots
         for (i, z), v in values.items():
             tab, u, d = top.char_roots(i)

@@ -527,7 +527,7 @@ class TestSuites:
             init(self, *args, **kwargs)
 
         def counting_matrix(self):
-            counts["P"] += self._pm is None
+            counts["P"] += self.memo.get("mixed_sum_matrix") is None
             return matrix(self)
 
         monkeypatch.setattr(KatzContext, "__init__", counting_init)

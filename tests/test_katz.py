@@ -197,16 +197,16 @@ class TestContext:
         # the top field is shared: start it with no tables and no transform
         monkeypatch.setitem(tower.top.memo, "value_table", {})
         monkeypatch.delitem(tower.top.memo, "gauss_sums", raising=False)
-        lazy = ("_neg", "_one_minus", "_trace_table")  # built on first read
+        lazy = ("neg", "one_minus", "trace_table")  # built on first read
         for name in lazy:
-            monkeypatch.setattr(tower.top, name, None)
+            monkeypatch.delitem(tower.top.memo, name, raising=False)
         ctx = KatzContext(tower, tower.base.g)
         for suite in (suite_hypergeometric, suite_theorem41, suite_mellin, suite_theorem5x,
                       verify_master_identity):
             assert suite(ctx, DEFAULT_POLICY).all_passed
         assert tower.top.memo["value_table"] == {}
         assert tower.top.memo.get("gauss_sums") is None
-        assert [getattr(tower.top, name) for name in lazy] == [None] * 3
+        assert [tower.top.memo.get(name) for name in lazy] == [None] * 3
 
 
 class TestMixedSum:
@@ -878,10 +878,9 @@ class TestKernel:
         assert_family_passes(p, t, "master", "gauss-ratio-bridge")
 
     def test_bridge_identity_exhaustive_q7(self, ctx7):
-        chars = [char(ctx7.tower.base, i) for i in range(6)]
         for ni in range(6):
             for di in range(6):
-                assert ratio_bracket_deviation(ctx7, chars, ni, di) < TOL
+                assert ratio_bracket_deviation(ctx7, ni, di) < TOL
 
     def test_transform_of_phi_matches_double_sum(self, ctx7):
         # W(phi) at nu = eps is the double sum at nu = eps
@@ -889,6 +888,30 @@ class TestKernel:
         phi = quadratic_char(base)
         w = kernel_mellin(phi, phi * trivial_char(base) ** 4)
         assert abs(w - kernel_double_sum(7)) < TOL
+
+
+class TestSweepBound:
+    def test_one_bound_decides_every_sweep(self, monkeypatch):
+        # at q = 11 each sweep reads all 10 character indices; with the bound
+        # moved below 11, each reads its 6-index sample, and the literal
+        # double-Mellin oracle is left out
+        ctx = KatzContext(build_tower(11), 1)
+        checks = {
+            suite_hypergeometric: "hyp-zero-arg",
+            suite_mellin: "double-mellin-product",
+            suite_theorem5x: "kernel-transform",
+            verify_master_identity: "mellin-match",
+        }
+
+        def counts():
+            reps = [suite(ctx, DEFAULT_POLICY) for suite in checks]
+            literal = "double-mellin-literal" in reps[1].families
+            return [len(rep.families[c]) for rep, c in zip(reps, checks.values())], literal
+
+        assert counts() == ([100] * 4, True)
+        for module in (katz, harness):
+            monkeypatch.setattr(module, "sweeps_every_char", lambda q: False)
+        assert counts() == ([36] * 4, False)
 
 
 class TestIndexArithmetic:
@@ -915,8 +938,7 @@ class TestIndexArithmetic:
     @pytest.mark.parametrize("a", ["one", "g"])
     def test_m8_for_m8_fifth_in_the_bracket(self, monkeypatch, q, a):
         # J2(nu N M8, C N) read twice: every check of the bracket fails
-        self.mutate(monkeypatch, katz, "_jacobi_bracket", "5 * m8.index", "m8.index",
-                    (katz, harness))
+        self.mutate(monkeypatch, katz, "jacobi_bracket", "m8**5", "m8", (katz, harness))
         assert self.failures(q, a) == {
             "mellin": {"double-mellin-product"},
             "theorem-5.x": {"kernel-transform", "fiber-transform", "gauss-ratio-bridge",
@@ -928,9 +950,10 @@ class TestIndexArithmetic:
     @pytest.mark.parametrize("a", ["one", "g"])
     def test_dropped_delta_term(self, monkeypatch, q, a):
         # W(D) + 2(q-1) delta(D) without its delta term, where both are written
-        term = " + 2 * (q - 1) * delta(chars[d])"
-        self.mutate(monkeypatch, harness, "suite_mellin", term, "", (harness,))
-        self.mutate(monkeypatch, katz, "ratio_bracket_deviation", term, "", (katz, harness))
+        term = " + 2 * (q - 1) * delta({})"
+        self.mutate(monkeypatch, harness, "suite_mellin", term.format("chars[d]"), "", (harness,))
+        self.mutate(monkeypatch, katz, "ratio_bracket_deviation", term.format("dc"), "",
+                    (katz, harness))
         assert self.failures(q, a) == {
             "mellin": {"double-mellin-mixed"},
             "theorem-5.x": {"gauss-ratio-bridge"},
@@ -1033,17 +1056,17 @@ class TestRootTables:
     def test_katz_suites_build_no_full_top_table(self, monkeypatch, p, t):
         tower = FieldTower(p, t)  # its own fiber rows and base memos
         top, q = tower.top, tower.q
-        monkeypatch.setattr(top, "_root_tables", {})  # unbuilt again afterwards
+        monkeypatch.setitem(top.memo, "root_table", {})  # unbuilt again afterwards
         monkeypatch.setitem(top.memo, "value_table", {})
         ctx = KatzContext(tower, 1)
         for check in (suite_hypergeometric, suite_theorem41, suite_mellin, suite_theorem5x,
                       verify_master_identity):
             assert check(ctx, DEFAULT_POLICY).all_passed
-        assert top.order - 1 not in top._root_tables
+        assert top.order - 1 not in top.memo["root_table"]
         assert top.memo["value_table"] == {}
-        assert all(4 * (q - 1) % d == 0 for d in top._root_tables)
+        assert all(4 * (q - 1) % d == 0 for d in top.memo["root_table"])
         sigma = sum(d for d in range(1, 4 * q - 3) if 4 * (q - 1) % d == 0)
-        assert sum(map(len, top._root_tables.values())) <= sigma
+        assert sum(map(len, top.memo["root_table"].values())) <= sigma
 
     def test_master_q263_allocates_at_most_80_bytes_per_top_element(self):
         # a fresh interpreter: the tower, the context and the master checks

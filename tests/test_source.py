@@ -50,3 +50,71 @@ def test_the_store_rule_sees_both_forms():
     assert foreign_private_stores(ast.parse(src)) == [
         "1: tower._rows[key]", "2: ctx._table", "6: tower._sums[k]", "7: ctx.field._table",
     ]
+
+
+def private_relative_imports(tree: ast.AST) -> list[str]:
+    """Each underscore name taken by a relative import, as "line: name"."""
+    return [
+        f"{node.lineno}: {alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+
+
+def test_no_module_imports_another_modules_private_names():
+    # a name another module reads is public: it drops its underscore
+    imports = [
+        f"{path.name}:{imp}"
+        for path in sorted(SRC.glob("*.py"))
+        for imp in private_relative_imports(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert not imports, imports
+
+
+def test_the_import_rule_sees_parenthesised_imports():
+    src = "from .katz import (\n    KatzContext,\n    _jacobi_bracket,\n)\n"
+    src += "from .classical_sums import _fiber_transform, gauss\nfrom os import _exit\n"
+    assert private_relative_imports(ast.parse(src)) == ["1: _jacobi_bracket", "5: _fiber_transform"]
+
+
+def multchar_uses(tree: ast.AST) -> list[str]:
+    """The function around each use of the name MultChar as a value (a call,
+    or the class handed to a builder), as "line: function"; an annotation is
+    not a use."""
+    annotations = set()
+    for node in ast.walk(tree):
+        for ann in (getattr(node, "annotation", None), getattr(node, "returns", None)):
+            annotations.update(map(id, ast.walk(ann)) if ann else ())
+    out = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+            elif isinstance(child, ast.Name) and child.id == "MultChar":
+                if id(child) not in annotations:
+                    out.append(f"{child.lineno}: {where}")
+            else:
+                visit(child, where)
+
+    visit(tree, "<module>")
+    return out
+
+
+def test_a_character_is_built_only_by_char():
+    # one MultChar per (field, index) holds only if nothing else builds one
+    uses = [
+        f"{path.name}:{use.split(': ')[1]}"
+        for path in sorted(SRC.glob("*.py"))
+        for use in multchar_uses(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert uses == ["characters.py:char"]
+
+
+def test_the_build_rule_sees_calls_and_handed_classes():
+    src = "def f(a: MultChar) -> MultChar:\n    return MultChar(a.field, 0)\n"
+    src += "def g(x: 'MultChar'):\n    y: MultChar = memoized(t, 1, MultChar, x)\n"
+    src += "z = isinstance(w, MultChar)\n"
+    assert multchar_uses(ast.parse(src)) == ["2: f", "4: g", "5: <module>"]
