@@ -1,4 +1,4 @@
-"""Gauss, Jacobi and Eisenstein sums, plus classical closed-form deviations.
+"""Gauss, Jacobi and Eisenstein sums.
 
 Every sum that the suites read is an entry of a discrete Fourier transform
 in log coordinates, one per fixed argument, and `_transform` runs each one:
@@ -10,10 +10,10 @@ Jacobi row J(A, chi_k) = sum_m A(1 - g^m) e^(2 pi i k m / N) is one per A
 q-1 per line (`eisenstein_sums`); `log_dft` runs those of length q-1.
 `gauss_literal`, `jacobi`, `eisenstein_E2` and `eisenstein_E` sum one value
 literally and are kept as the oracles of the tests (and `jacobi` for the
-few single values the closed forms need).  The Hasse-Davenport product and
-lifting relations and the quartic Gauss-sum evaluation are deviation
-functions here; the Jacobi/Gauss and Eisenstein/Gauss evaluations are read
-row against row in the classical and eisenstein suites.  Each compares two
+few single values the closed forms need).  This module keeps values and
+no identities: the Hasse-Davenport, lifting and quartic Gauss relations and
+the Jacobi/Gauss and Eisenstein/Gauss evaluations are read row against row,
+by index, in the classical and eisenstein suites.  Each compares two
 independently computed values: Jacobi rows from A(1 - g^m) or Eisenstein
 rows from the points of a line, against Gauss sums from psi(g^m), or
 transform values at different indices.
@@ -37,7 +37,7 @@ import cmath
 import math
 import operator
 
-from .characters import MultChar, norm_compose, octic_M8, quadratic_char
+from .characters import MultChar
 from .finite_field import FieldError, FieldTower, memoized
 
 
@@ -257,44 +257,3 @@ def _line_sums(tower: FieldTower, codes) -> list[complex]:
             hist[m % (q - 1)] += roots2[k2 * m % n2]
         out[k2 :: q + 1] = log_dft(tower.base, hist)
     return out
-
-
-# ---------------------------------------------------------------------------
-# closed-form cross-checks
-
-
-def hasse_davenport_product_deviation(a: MultChar) -> float:
-    """|A(4) G(A) G(A*phi) - G(A^2) G(phi)|."""
-    phi = quadratic_char(a.field)
-    g = gauss_sums(a.field)
-    lhs = a(4) * g[a.index] * g[(a * phi).index]
-    rhs = g[(a**2).index] * g[phi.index]
-    return abs(lhs - rhs)
-
-
-def lifted_gauss_deviation(tower: FieldTower, c: MultChar) -> float:
-    """Lifting relation G2(CN) = -G(C)^2, plus the conjugation instance
-    G2(CN*M8) = G2((CN*M8)^q)."""
-    if c.field is not tower.base:
-        raise FieldError("lifted-Gauss check needs a base-field character")
-    g, g2 = gauss_sums(tower.base), gauss_sums(tower.top)
-    cn = norm_compose(tower, c)
-    dev = abs(g2[cn.index] - (-g[c.index] ** 2))
-    beta = cn * octic_M8(tower)
-    return max(dev, abs(g2[beta.index] - g2[(beta**tower.q).index]))
-
-
-def quartic_gauss_deviation(tower: FieldTower, c: MultChar) -> float:
-    """G2(CN*M4) = G2(CN*conj(M4)) = -(conj(C)^2 phi)(2) G(C^2 phi) G(phi)."""
-    if c.field is not tower.base:
-        raise FieldError("quartic-Gauss check needs a base-field character")
-    if tower.q % 4 != 3:
-        raise ValueError("quartic Gauss evaluation requires q = 3 (mod 4)")
-    phi = quadratic_char(tower.base)
-    m4 = octic_M8(tower) ** 2
-    cn = norm_compose(tower, c)
-    g, g2 = gauss_sums(tower.base), gauss_sums(tower.top)
-    lhs1 = g2[(cn * m4).index]
-    lhs2 = g2[(cn * m4.conj).index]
-    rhs = -(c.conj**2 * phi)(2) * g[(c**2 * phi).index] * g[phi.index]
-    return max(abs(lhs1 - rhs), abs(lhs2 - rhs))

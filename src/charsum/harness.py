@@ -17,16 +17,7 @@ from dataclasses import dataclass, field as dc_field, replace
 from itertools import repeat, starmap
 
 from .characters import char, decompose_odd, delta, quadratic_char, trivial_char
-from .classical_sums import (
-    eisenstein_sums,
-    gauss_sums,
-    hasse_davenport_product_deviation,
-    jacobi,
-    jacobi_row,
-    lifted_gauss,
-    lifted_gauss_deviation,
-    quartic_gauss_deviation,
-)
+from .classical_sums import eisenstein_sums, gauss_sums, jacobi, jacobi_row, lifted_gauss
 from .finite_field import FieldError, build_tower, check_order, factor_prime_power
 from .hypergeometric import (
     binom,
@@ -263,22 +254,30 @@ def load_config(path: str) -> RunConfig:
 
 def suite_classical(tower, policy: TolerancePolicy) -> VerificationReport:
     """Gauss/Jacobi basics, the Hasse-Davenport product and lifting relations,
-    the quartic Gauss evaluation, and Frobenius conjugation of G2.  The
-    Jacobi checks of each A read its row J(A, .), one transform per A.  A
-    character b of F_{q^2} is read by its index: conj b is -b, b^q is qb and
-    b(-1) depends only on the parity of b."""
+    the quartic Gauss evaluation, and Frobenius conjugation of G2, every Gauss
+    value read from g = gauss_sums(base) or g2 = gauss_sums(top) by index.
+    The Jacobi checks of each A read its row J(A, .), one transform per A.
+
+    Characters are indices: chi_i of F_q and b of F_{q^2}, n = q - 1,
+    n2 = q^2 - 1, half = n/2, phi = chi_half and roots = base.unity_roots.
+    conj b is -b and b^q is qb.  -1 = g^half, so chi_i(-1) = roots[i half],
+    and b(-1) = top.root_table(2)[b mod 2].  A(4) = roots[i dlog 4] and
+    (conj(C)^2 phi)(2) = roots[(half - 2c) dlog 2].  C N is c(q+1), M8 is
+    n2/8 and M4 = M8^2 is n2/4, all mod n2.  Each value is the entry that
+    MultChar's call would give, bit for bit, and no top character is built."""
     q = tower.q
     base, top = tower.base, tower.top
     rep = VerificationReport("classical", q, None)
     tol = policy.abs_tol(q, 4 * top.order)
     g, g2 = gauss_sums(base), gauss_sums(top)
-    n, n2, chars = q - 1, top.order - 1, [char(base, i) for i in range(q - 1)]
-    top_sign = [char(top, b)(-1) for b in (0, 1)]  # b(-1) for even and odd b
+    n, n2, half, roots, dlog = q - 1, top.order - 1, (q - 1) // 2, base.unity_roots, base.dlog
+    sign = [roots[i * half % n] for i in range(n)]  # chi_i(-1)
+    top_sign = top.root_table(2)  # b(-1) for even and odd b
 
     trivial = rep.family("gauss-trivial", "order={}", tol)
     trivial.extend((abs(g[0] + 1), abs(g2[0] + 1)), (base.order, top.order))
     conjugate = rep.family("gauss-conjugate", "A={}", tol)
-    conjugate.extend((abs(g[i] * g[-i % n] - chars[i](-1) * q) for i in range(1, n)), range(1, n))
+    conjugate.extend((abs(g[i] * g[-i % n] - sign[i] * q) for i in range(1, n)), range(1, n))
     conjugate_top = rep.family("gauss-conjugate-top", "beta={}", tol)
     devs = (abs(g2[b] * g2[-b % n2] - top_sign[b % 2] * top.order) for b in range(1, n2))
     conjugate_top.extend(devs, range(1, n2))
@@ -290,24 +289,32 @@ def suite_classical(tower, policy: TolerancePolicy) -> VerificationReport:
     with_trivial.extend((abs(jac_eps[i] + 1) for i in range(1, n)), range(1, n))
     bridge = rep.family("gauss-jacobi-bridge", "A={},B={}", tol)
     reflection = rep.family("jacobi-reflection", "A={},C={}", tol)
-    hd_product = rep.family("hd-product", "A={}", tol)
-    hd_product.extend(map(hasse_davenport_product_deviation, chars), range(n))
-    for a in chars:
-        i, sign = a.index, a(-1)
-        jac = jacobi_row(a) if i else jac_eps  # J(A, chi_k)
+    for i in range(n):
+        jac = jacobi_row(char(base, i)) if i else jac_eps  # J(A, chi_k) at A = chi_i
         if i:
-            inverse.extend([abs(jac[-i % n] + sign)], [i])
+            inverse.extend([abs(jac[-i % n] + sign[i])], [i])
         ks = [k for k in range(n) if (i + k) % n]
         devs = (abs(jac[k] - g[i] * g[k] / g[(i + k) % n]) for k in ks)
         bridge.extend(devs, repeat(i, n - 1), ks)
         # J(A, conj C) against A(-1) J(A, conj(A) C)
-        devs = (abs(jac[-k % n] - sign * jac[(k - i) % n]) for k in range(1, n))
+        devs = (abs(jac[-k % n] - sign[i] * jac[(k - i) % n]) for k in range(1, n))
         reflection.extend(devs, repeat(i, n - 1), range(1, n))
 
-    lifted = rep.family("lifted-gauss", "C={}", tol)
-    lifted.extend((lifted_gauss_deviation(tower, c) for c in chars), range(n))
-    quartic = rep.family("quartic-gauss", "C={}", tol)
-    quartic.extend((quartic_gauss_deviation(tower, c) for c in chars), range(n))
+    # for each C = chi_c: A(4) G(A) G(A phi) = G(A^2) G(phi) at A = C;
+    # G2(C N) = -G(C)^2, and G2(beta) = G2(beta^q) at beta = C N M8; and
+    # G2(C N M4) = G2(C N conj M4) = -(conj(C)^2 phi)(2) G(C^2 phi) G(phi)
+    log4, log2, m8, m4 = dlog[4 % tower.p], dlog[2 % tower.p], n2 // 8, n2 // 4
+    hd_product, lifted, quartic = [], [], []
+    for c in range(n):
+        hd = roots[c * log4 % n] * g[c] * g[(c + half) % n]
+        hd_product.append(abs(hd - g[2 * c % n] * g[half]))
+        cn, beta = c * (q + 1) % n2, (c * (q + 1) + m8) % n2
+        lifted.append(max(abs(g2[cn] - (-g[c] ** 2)), abs(g2[beta] - g2[beta * q % n2])))
+        rhs = -roots[(half - 2 * c) % n * log2 % n] * g[(2 * c + half) % n] * g[half]
+        quartic.append(max(abs(g2[(cn + m4) % n2] - rhs), abs(g2[(cn - m4) % n2] - rhs)))
+    rep.family("hd-product", "A={}", tol).extend(hd_product, range(n))
+    rep.family("lifted-gauss", "C={}", tol).extend(lifted, range(n))
+    rep.family("quartic-gauss", "C={}", tol).extend(quartic, range(n))
     frobenius = rep.family("gauss-frobenius", "beta={}", tol)
     frobenius.extend((abs(g2[b] - g2[b * q % n2]) for b in range(n2)), range(n2))
     return rep
@@ -544,8 +551,8 @@ def suite_theorem5x(ctx: KatzContext, policy: TolerancePolicy) -> VerificationRe
         rhs = -g[half] * g[d] ** 2 / (q * g[(half + 2 * d) % n]) * bracket
         return abs(lhs - rhs)
 
-    def fiber(d, nu):
-        w, r = chars[4 * nu % n].value_table(), norm_jacobi_row(ctx, chars[d])
+    def fiber(d, nu, r):
+        w = chars[4 * nu % n].value_table()
         lhs = sum(w[j] * r[j] for j in range(1, q))
         return abs(lhs - jacobi_bracket(ctx, chars[nu], chars[-d % n]))
 
@@ -554,9 +561,9 @@ def suite_theorem5x(ctx: KatzContext, policy: TolerancePolicy) -> VerificationRe
     fiber_fam = rep.family("fiber-transform", "D={},nu={}", tol)
     bridge = rep.family("gauss-ratio-bridge", "D={},nu={}", tol)
     for d in idx:
-        ds = [d] * len(idx)
+        ds, r = [d] * len(idx), norm_jacobi_row(ctx, chars[d])  # R(D, .), read once per D
         transform_fam.extend((transform(d, nu) for nu in idx), ds, idx)
-        fiber_fam.extend((fiber(d, nu) for nu in idx), ds, idx)
+        fiber_fam.extend((fiber(d, nu, r) for nu in idx), ds, idx)
         bridge.extend((ratio_bracket_deviation(ctx, nu, d) for nu in idx), ds, idx)
 
     double = [kernel_double_sum(q, nu) for nu in idx]  # idx[0] = 0: the anchor's sum too

@@ -21,13 +21,10 @@ from charsum.classical_sums import (
     gauss,
     gauss_literal,
     gauss_sums,
-    hasse_davenport_product_deviation,
     jacobi,
     jacobi_row,
     lifted_gauss,
-    lifted_gauss_deviation,
     lifted_jacobi,
-    quartic_gauss_deviation,
 )
 from charsum.finite_field import FieldError, FieldTower, build_tower, construct_field
 from charsum.katz import spaced_sample
@@ -94,26 +91,53 @@ class TestGaussSums:
         assert res.returncode == 0, res.stderr
         assert float(res.stdout) < 2
 
-    @pytest.mark.parametrize("q", [7, 11])
-    @pytest.mark.parametrize("mutation", ["conjugate", "shift"])
-    def test_wrong_transform_fails_the_suites(self, monkeypatch, q, mutation):
-        # G(conj chi) served for G(chi), or the index shifted by one; a copy,
-        # so the memo stays untouched
-        def wrong(field):
-            sums = gauss_sums(field)
-            if mutation == "conjugate":
-                return [sums[-k] for k in range(len(sums))]
-            return sums[1:] + sums[:1]
+    @pytest.mark.parametrize("p,t", [(7, 1), (11, 1), (3, 3)])
+    def test_wrong_transform_fails_the_suites(self, monkeypatch, p, t):
+        # each wrong row is served under the name that the suites read, one at
+        # a time, as a copy so that the memos stay untouched: G(conj chi) for
+        # G(chi) or the index shifted by one, of both fields or of one, or
+        # every Jacobi row J(A, .) shifted by one
+        tower = build_tower(p, t)
+        conjugated = lambda row: [row[-k] for k in range(len(row))]
+        shifted = lambda row: row[1:] + row[:1]
+        both, base, top = (tower.base, tower.top), (tower.base,), (tower.top,)
+        base_ids = {"gauss-trivial", "gauss-conjugate", "gauss-jacobi-bridge", "hd-product",
+                    "lifted-gauss", "quartic-gauss"}
+        top_ids = {"gauss-trivial", "gauss-conjugate-top", "lifted-gauss", "quartic-gauss",
+                   "gauss-frobenius"}
+        jacobi_ids = {"jacobi-trivial", "jacobi-inverse", "jacobi-with-trivial",
+                      "gauss-jacobi-bridge", "jacobi-reflection"}
+        # where p = 3, 4 = 1 and 2 = -1: the product and quartic relations hold
+        # for conj C as for C, so a conjugated row passes both
+        conj_ids = {"gauss-jacobi-bridge"} | ({"hd-product", "quartic-gauss"} if p != 3 else set())
+        table = [  # (harness name, wrong row, fields served it, classical families it fails)
+            ("gauss_sums", conjugated, both, conj_ids),
+            ("gauss_sums", shifted, both, base_ids | top_ids),
+            ("gauss_sums", shifted, base, base_ids),
+            ("gauss_sums", shifted, top, top_ids),
+            ("jacobi_row", shifted, base, jacobi_ids),
+        ]
+        caught = set()
+        for name, wrong, fields, want in table:
+            right = getattr(harness, name)
 
-        monkeypatch.setattr(classical_sums, "gauss_sums", wrong)
-        monkeypatch.setattr(harness, "gauss_sums", wrong)
-        tower = build_tower(q)
-        failed = {}
-        for suite in (harness.suite_classical, harness.suite_eisenstein):
-            rep = suite(tower, DEFAULT_POLICY)
-            failed[suite] = {check_id for check_id, _, _, passed in records(rep) if not passed}
-        assert {"gauss-jacobi-bridge", "hd-product"} <= failed[harness.suite_classical]
-        assert failed[harness.suite_eisenstein] == {"eisenstein-gauss-ratio"}
+            def serve(arg, name=name, right=right, wrong=wrong, fields=fields):
+                row = right(arg)  # arg is a field, or the character A of J(A, .)
+                return wrong(row) if (arg if name == "gauss_sums" else arg.field) in fields else row
+
+            with monkeypatch.context() as patch:
+                patch.setattr(harness, name, serve)
+                failed = {}
+                for suite in (harness.suite_classical, harness.suite_eisenstein):
+                    rep = suite(tower, DEFAULT_POLICY)
+                    failed[suite] = {cid for cid, _, _, passed in records(rep) if not passed}
+            assert failed[harness.suite_classical] == want, (name, fields)
+            gauss_ratio = {"eisenstein-gauss-ratio"} if name == "gauss_sums" else set()
+            assert failed[harness.suite_eisenstein] == gauss_ratio, (name, fields)
+            caught |= want
+        # every family of the classical suite fails under one wrong row at least
+        assert caught == set(harness.suite_classical(tower, DEFAULT_POLICY).families)
+        assert len(caught) == 12
 
     def test_suites_build_no_top_field_value_tables(self):
         tower = build_tower(23)
@@ -243,10 +267,18 @@ class TestLiftedSums:
 
 
 class TestHasseDavenport:
+    # the product, lifting and quartic relations are families of the classical
+    # suite, which reads every Gauss value of both fields by index
+    @staticmethod
+    def family(q, check_id):
+        rep = harness.suite_classical(build_tower(q), DEFAULT_POLICY)
+        return {inputs: dev for cid, inputs, dev, _ in records(rep) if cid == check_id}
+
     @pytest.mark.parametrize("q", [7, 11, 19])
     def test_product_relation_all_characters(self, q):
-        field = construct_field(q)
-        assert all(hasse_davenport_product_deviation(char(field, k)) < TOL for k in range(q - 1))
+        devs = self.family(q, "hd-product")
+        assert list(devs) == [f"A={k}" for k in range(q - 1)]
+        assert max(devs.values()) < TOL
 
     def test_product_relation_trivial_case(self):
         # both sides reduce to G(phi) * G(eps) = -G(phi)
@@ -255,14 +287,13 @@ class TestHasseDavenport:
         eps = trivial_char(field)
         lhs = eps(4) * gauss(eps) * gauss(phi)
         assert abs(lhs - gauss(eps) * gauss(phi)) < TOL
-        assert hasse_davenport_product_deviation(eps) < TOL
+        assert self.family(7, "hd-product")["A=0"] < TOL
 
-    @pytest.mark.parametrize("p,t", [(3, 1), (7, 1), (11, 1)])
-    def test_lifted_gauss_all_characters(self, p, t):
-        tower = build_tower(p, t)
-        assert all(
-            lifted_gauss_deviation(tower, char(tower.base, k)) < TOL for k in range(tower.q - 1)
-        )
+    @pytest.mark.parametrize("q", [3, 7, 11])
+    def test_lifted_gauss_all_characters(self, q):
+        devs = self.family(q, "lifted-gauss")
+        assert list(devs) == [f"C={k}" for k in range(q - 1)]
+        assert max(devs.values()) < TOL
 
     def test_frobenius_conjugation_random_characters(self):
         tower = build_tower(7)
@@ -271,14 +302,15 @@ class TestHasseDavenport:
             b = char(tower.top, rng.randrange(48))
             assert abs(gauss(b) - gauss(b**7)) < TOL
 
-    @pytest.mark.parametrize("p", [7, 11])
-    def test_quartic_gauss_all_characters(self, p):
-        tower = build_tower(p)
-        assert all(quartic_gauss_deviation(tower, char(tower.base, k)) < TOL for k in range(p - 1))
+    @pytest.mark.parametrize("q", [7, 11])
+    def test_quartic_gauss_all_characters(self, q):
+        devs = self.family(q, "quartic-gauss")
+        assert list(devs) == [f"C={k}" for k in range(q - 1)]
+        assert max(devs.values()) < TOL
 
     def test_quartic_gauss_phi_at_q19(self):
-        tower = build_tower(19)
-        assert quartic_gauss_deviation(tower, quadratic_char(tower.base)) < TOL
+        phi = quadratic_char(build_tower(19).base)
+        assert self.family(19, "quartic-gauss")[f"C={phi.index}"] < TOL
 
 
 class TestEisenstein:

@@ -414,14 +414,16 @@ class TestSuites:
             assert a_indices["mellin"] == a_indices["master"] == {0, 1}
 
     def test_classical_builds_no_character_per_top_field_check(self, monkeypatch):
-        # the sweeps over the q^2 - 1 characters of F_{q^2} read indices: the
-        # constructions grow as q (about 20q), where one per character and
-        # per conjugate or power took about 4q^2
+        # classical reads every character of F_{q^2}, and every Gauss value,
+        # by index: it builds only the q - 1 characters of F_q whose Jacobi
+        # rows it reads
         built, init = [], MultChar.__init__
-        monkeypatch.setattr(MultChar, "__init__", lambda c, *args: built.append(1) or init(c, *args))
+        monkeypatch.setattr(MultChar, "__init__", lambda c, f, i: built.append(f) or init(c, f, i))
         q = 59
-        assert suite_classical(build_tower(q), DEFAULT_POLICY).all_passed
-        assert len(built) <= 25 * q
+        tower = FieldTower(q, 1)  # its memos start empty
+        assert suite_classical(tower, DEFAULT_POLICY).all_passed
+        assert len(built) == q - 1
+        assert all(f is tower.base for f in built)
         # the Mellin-side suites read base characters by index from one list
         # per suite and build no top-field character: about 5q at q = 11 and
         # 2q to 12q at q = 59 on a tower of their own, where conjugates,

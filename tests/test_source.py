@@ -118,3 +118,18 @@ def test_the_build_rule_sees_calls_and_handed_classes():
     src += "def g(x: 'MultChar'):\n    y: MultChar = memoized(t, 1, MultChar, x)\n"
     src += "z = isinstance(w, MultChar)\n"
     assert multchar_uses(ast.parse(src)) == ["2: f", "4: g", "5: <module>"]
+
+
+def test_a_deviation_is_formed_in_the_suite_that_records_it():
+    # a suite reads its values by index and forms each deviation itself, so a
+    # wrong value served to it reaches every family that reads the value; the
+    # Gauss-ratio bridge is the one deviation function, since both theorem-5.x
+    # and master record it
+    found = [
+        f"{path.stem}.{node.name}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.name.endswith("_deviation")
+    ]
+    assert found == ["katz.ratio_bracket_deviation"]
