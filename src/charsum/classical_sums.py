@@ -54,13 +54,16 @@ def gauss(a: MultChar) -> complex:
 
 def gauss_sums(field) -> list[complex]:
     """G(chi_k) for every character index k of the field, memoized on it: one
-    _transform of psi(g^m) on first use, whose plan is not kept."""
+    transform of psi(g^m) on first use.  A field of odd degree runs it as a
+    log_dft, whose plan it keeps; one of even degree may be the top F_{q^2}
+    of a tower and keeps no plan (a tower's q = 3 (mod 4) has odd degree)."""
     return memoized(field.memo, "gauss_sums", _build_gauss_sums, field)
 
 
 def _build_gauss_sums(field) -> list[complex]:
     n, psi = field.order - 1, field.psi_table
-    return _transform(_plan(n), [psi[c] for c in field.exp[:n]])
+    x = [psi[c] for c in field.exp[:n]]
+    return log_dft(field, x) if field.m % 2 else _transform(_plan(n), x)
 
 
 def log_dft(field, x: list[complex]) -> list[complex]:

@@ -20,14 +20,18 @@ bridge between the two Mellin evaluations, which theorem-5.x and the master
 sweep both check.
 
 P has one route at every q, which shares nothing with V's.  The trace is
-F_p-linear, so psi(x s + (a/x) d) = zeta_p^(Tr(x s) + Tr((a/x) d)): the sum
-over x adds lookups in two precomputed rows of traces, one for s and one for
-d.  Since phi(-1) = -1, the term of -x is minus the conjugate of the term of
-x, so each pair {x, -x} adds phi(a/x - x) 2i Im psi(x s + (a/x) d) and the
-sum runs over one member of each pair.  P depends on (j, k) only through the
-squares s = (j+k)^2 and d = (j-k)^2, so the full matrix sums F(s, d) once
-for each of the ((q+1)/2)^2 pairs of squares: about q^3/8 real terms, with
-no field-size limit.
+F_p-linear, so psi(x s + (a/x) d) = zeta_p^(Tr(x s) + Tr((a/x) d)).  Since
+phi(-1) = -1, the term of -x is minus the conjugate of the term of x, so each
+pair {x, -x} adds phi(a/x - x) 2i Im psi(x s + (a/x) d) and the sum runs
+over one member of each pair.  P depends on (j, k) only through the squares
+s = (j+k)^2 and d = (j-k)^2, so the matrix sums F(s, d) once for each of the
+((q+1)/2)^2 pairs of squares: about q^3/8 real terms, with no field-size
+limit.  For nonzero s = g^(2i) and d = g^(2k), the trace sum of x = g^l
+depends only on u = l + 2i and the anti-diagonal c = i + k (mod (q-1)/2), so
+each c maps one row of q-1 trace sums through the roots, and the x-sums of
+its (q-1)/2 pairs are column sums of stride-2 slices of that row (see
+_p_table); mixed_sum adds the same terms in the same order, one pair at a
+time, so every entry agrees bit for bit.
 
 Each sum is memoized in the memo of the object it depends on (see
 finite_field.memoized).  V, P, S(chi), T(chi1, chi2) and the inner sums
@@ -141,15 +145,44 @@ class KatzContext:
 
     def _build_mixed_sum_matrix(self) -> list[list[complex]]:
         base, q = self.tower.base, self.tower.q
-        sq = [base.mul_codes(c, c) for c in range(q)]
-        squares = sorted(set(sq))
-        d_rows = {d: self._trace_row(self._d_side, d) for d in squares}
-        p_sd = {}
-        for s in squares:  # each s-row lives for its own loop only
-            s_row = self._trace_row(self._s_side, s)
-            p_sd[s] = {d: self._p_value(s, d, s_row, d_row) for d, d_row in d_rows.items()}
+        h = (q - 1) // 2
+        # the half-log of c^2: i for c^2 = g^(2i), h for c = 0
+        sq = [h] + [base.dlog[c] % h for c in range(1, q)]
+        tab = self._p_table()
         add, sub = base.add_codes, base.sub_codes
-        return [[p_sd[sq[add(j, k)]][sq[sub(j, k)]] for k in range(q)] for j in range(q)]
+        return [[tab[sq[add(j, k)]][sq[sub(j, k)]] for k in range(q)] for j in range(q)]
+
+    def _p_table(self) -> list[list[complex]]:
+        """P at s = (j+k)^2 and d = (j-k)^2 by their half-logs: tab[i][k] for
+        s = g^(2i), d = g^(2k), and index h = (q-1)/2 for a zero square.
+
+        With x = g^l, the term of x at nonzero s and d reads the trace sum
+        T[l + 2i] + T[la - l + 2k] (T = _trace_exp, la = dlog a); for u = l + 2i
+        and c = i + k (mod h) it is T[u] + T[la + 2c - u], a function of (u, c)
+        alone.  So each anti-diagonal c maps one row e_c[u] through _roots, with
+        either sign of phi(a/x - x), and F(i, c - i) for every i sums the
+        stride-2 slices [l : l + q - 1 : 2] of the kept x: the same terms, in the
+        same order, as _p_value.  The zero edges go through _p_value."""
+        base, q, p = self.tower.base, self.tower.q, self.tower.base.p
+        n, h = q - 1, (q - 1) // 2
+        tab = [[0j] * (h + 1) for _ in range(h + 1)]
+        s_zero, d_zero = self._trace_row(self._s_side, 0), self._trace_row(self._d_side, 0)
+        for i, code in enumerate([base.exp[2 * i] for i in range(h)] + [0]):  # the edges
+            tab[h][i] = self._p_value(0, code, s_zero, self._trace_row(self._d_side, code))
+            tab[i][h] = self._p_value(code, 0, self._trace_row(self._s_side, code), d_zero)
+        plus, minus = self._roots[: 2 * p], self._roots[2 * p :]
+        t, la, scale = self._trace_exp, self.a_index(), self.inv_g_phi
+        for c in range(h):
+            r = (la + 2 * c) % n
+            e_c = list(map(operator.add, t[:n], t[r + n : r : -1]))  # T[u] + T[r - u]
+            rows = (list(map(plus.__getitem__, e_c)) * 2, list(map(minus.__getitem__, e_c)) * 2)
+            slices = [rows[off > 0][l : l + n : 2] for l, off in zip(*self._s_side)]
+            sums = map(sum, zip(*slices), repeat(0.0)) if slices else repeat(0.0, h)
+            for i, f in enumerate(sums):
+                val = 1j * f
+                val *= scale
+                tab[i][(c - i) % h] = val
+        return tab
 
     def _trace_row(self, side, c: int) -> list[int]:
         """Tr(y c) plus the side's offset, for y = x (s-side) or a/x (d-side)

@@ -1,3 +1,4 @@
+import json
 import random
 import subprocess
 import sys
@@ -90,6 +91,31 @@ class TestGaussSums:
         res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert res.returncode == 0, res.stderr
         assert float(res.stdout) < 2
+
+    def test_one_plan_per_length_over_a_default_run(self):
+        # a fresh interpreter, so no plan exists yet: each base field F_q
+        # builds its plan of length q-1 once, for gauss_sums and log_dft
+        # alike, and each top field F_{q^2} one for its Gauss sums, not kept
+        code = (
+            "import collections, json\n"
+            "from charsum import classical_sums, harness\n"
+            "from charsum.finite_field import build_tower, factor_prime_power\n"
+            "built, real = collections.Counter(), classical_sums._plan\n"
+            "def counted(n):\n"
+            "    built[n] += 1\n"
+            "    return real(n)\n"
+            "classical_sums._plan = counted\n"
+            "assert harness.run(harness.RunConfig())[0] == 0\n"
+            "tops = [q for q in harness.DEFAULT_Q\n"
+            "        if 'dft_plan' in build_tower(*factor_prime_power(q)).top.memo]\n"
+            "print(json.dumps([built, tops]))\n"
+        )
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+        built, tops = json.loads(res.stdout)
+        want = {str(n): 1 for q in harness.DEFAULT_Q for n in (q - 1, q * q - 1)}
+        assert built == want
+        assert tops == []
 
     @pytest.mark.parametrize("p,t", [(7, 1), (11, 1), (3, 3)])
     def test_wrong_transform_fails_the_suites(self, monkeypatch, p, t):

@@ -5,6 +5,7 @@ import json
 import operator
 import subprocess
 import sys
+import textwrap
 
 import pytest
 from conftest import ROUTE_TOL, records
@@ -238,18 +239,26 @@ class TestMixedSum:
 
 
 class TestMixedSumMatrix:
-    # q = 27 has an extension base field; 251 and 263 lie on either side of
-    # 256, where a table-driven route once changed
-    @pytest.mark.parametrize("p,t,n_rows", [(3, 3, 27), (263, 1, 3), (251, 1, 3)])
+    # q = 3 at a = 1 has an empty x-sum; q = 27, 243 and 343 have extension
+    # base fields; 251 and 263 lie on either side of 256, where a
+    # table-driven route once changed
+    @pytest.mark.parametrize("p,t,n_rows", [(3, 1, 3), (7, 1, 7), (19, 1, 19), (3, 3, 27),
+                                            (3, 5, 3), (7, 3, 3), (263, 1, 3), (251, 1, 3)])
     def test_matches_literal_loop(self, p, t, n_rows):
         tower = build_tower(p, t)
+        rows = spaced_sample(list(range(tower.q)), n_rows)
+        # the oracle's extension-field sums cost about 1 us a term, so at
+        # q = 243 and 343 it reads the last sampled row only
+        oracle_rows = rows if tower.base.m == 1 or tower.q < 100 else rows[-1:]
         for a in (1, tower.base.g):  # a square and a non-square a
             ctx = KatzContext(tower, a)
             pm = ctx.mixed_sum_matrix()
-            for j in spaced_sample(list(range(tower.q)), n_rows):
+            for j in rows:
+                for k in range(tower.q):
+                    assert mixed_sum(ctx, j, k) == pm[j][k]
+            for j in oracle_rows:
                 for k in range(tower.q):
                     assert abs(pm[j][k] - p_literal(ctx, j, k)) < 1e-12
-                    assert mixed_sum(ctx, j, k) == pm[j][k]
 
 
 class TestXPairing:
@@ -282,26 +291,46 @@ class TestXPairing:
         assert not any(passed for *_, passed in points)
 
     @pytest.mark.parametrize("q", [7, 11])
-    @pytest.mark.parametrize("entry", ["off-diagonal", "diagonal"])
+    @pytest.mark.parametrize("entry", ["off-diagonal", "diagonal", "s-zero-edge"])
     def test_one_wrong_entry_fails_the_records_that_read_it(self, monkeypatch, q, entry):
+        # the wrong entry is served through the table of P by the half-logs
+        # of s and d, where (q-1)/2 stands for a zero square
         tower = build_tower(q)
         base = tower.base
         sq = [base.mul_codes(c, c) for c in range(q)]
-        s0 = sq[2]
-        d0 = sq[1] if entry == "off-diagonal" else 0
-        real = KatzContext._p_value
+        s0 = 0 if entry == "s-zero-edge" else sq[2]
+        d0 = 0 if entry == "diagonal" else sq[1]
+        half = {s: base.dlog[s] // 2 if s else (q - 1) // 2 for s in (s0, d0)}
+        real = KatzContext._p_table
 
-        def wrong(self, s, d, s_row, d_row):
-            val = real(self, s, d, s_row, d_row)
-            return val + 0.01 if (s, d) == (s0, d0) else val
+        def wrong(self):
+            tab = real(self)
+            tab[half[s0]][half[d0]] += 0.01
+            return tab
 
-        monkeypatch.setattr(KatzContext, "_p_value", wrong)
+        monkeypatch.setattr(KatzContext, "_p_table", wrong)
         for a in (1, base.g):
             points = point_records(verify_master_identity(KatzContext(tower, a)))
             reading = {f"j={j},k={k}" for j in range(q) for k in range(q)
                        if (sq[base.add_codes(j, k)], sq[base.sub_codes(j, k)]) == (s0, d0)}
-            assert len(reading) == (4 if d0 else 2)
+            assert len(reading) == (4 if s0 and d0 else 2)
             assert {inputs for inputs, _, passed in points if not passed} == reading
+
+    @pytest.mark.parametrize("q", [7, 11, 27])
+    @pytest.mark.parametrize("a", ["one", "g"])
+    @pytest.mark.parametrize("slip", [
+        ("r = (la + 2 * c) % n", "r = (la + 2 * (c + 1)) % n"),  # one anti-diagonal off
+        ("[l : l + n : 2]", "[l : l + h]"),  # u without the stride-2 step
+    ], ids=["anti-diagonal-off", "no-stride"])
+    def test_slips_in_the_table_fail_point_identity(self, monkeypatch, q, a, slip):
+        src = textwrap.dedent(inspect.getsource(KatzContext._p_table))
+        assert src.count(slip[0]) == 1
+        namespace = dict(vars(katz))
+        exec(src.replace(*slip), namespace)
+        monkeypatch.setattr(KatzContext, "_p_table", namespace["_p_table"])
+        tower = build_tower(*factor_prime_power(q))
+        ctx = KatzContext(tower, 1 if a == "one" else tower.base.g)
+        assert "point-identity" in failed_ids(verify_master_identity(ctx))
 
 
 class TestNormRestrictedGauss:
