@@ -18,7 +18,7 @@ import cmath
 import math
 import operator
 
-from .finite_field import FieldElement, FieldError, FieldTower, PrimePowerField, memoized
+from .finite_field import FieldError, FieldTower, PrimePowerField, memoized
 
 
 class MultChar:
@@ -35,12 +35,7 @@ class MultChar:
         self.index = index
 
     def __call__(self, x) -> complex:
-        if isinstance(x, FieldElement):
-            if x.field is not self.field:
-                raise FieldError("element belongs to a different field")
-            code = x.code
-        else:
-            code = operator.index(x) % self.field.p  # integers are scalars, as in the formulas
+        code = self.field.scalar(x)
         if code == 0:
             return 0j
         n = self.field.order - 1

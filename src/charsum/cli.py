@@ -104,17 +104,9 @@ def main(argv=None) -> int:
     try:
         cfg = config_from_args(args)
         cfg.jobs()  # fail fast on load, before any field is built
-    except ConfigError as e:
-        print(f"charsum: config error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
         for path in (cfg.out_json, cfg.out_csv):
             if path:
                 _check_writable(path)
-    except OSError as e:
-        print(f"charsum: i/o error: {e}", file=sys.stderr)
-        return EXIT_IO
-    try:
         code, reports = run(cfg)
     except ConfigError as e:
         print(f"charsum: config error: {e}", file=sys.stderr)

@@ -390,6 +390,14 @@ class PrimePowerField:
             raise FieldError(f"code {code} out of range for field of order {self.order}")
         return FieldElement(self, code)
 
+    def scalar(self, value) -> int:
+        """The code of value read as a scalar, as the formulas read integers:
+        an int through Z -> F_p, an element of this field as its code, and
+        another field's element raises FieldError through element."""
+        if isinstance(value, FieldElement):
+            return self.element(value).code
+        return operator.index(value) % self.p
+
     def coeffs_of(self, code: int) -> tuple[int, ...]:
         """Coefficients c0, c1, ... of the element, low degree first."""
         return tuple(code // self.p**i % self.p for i in range(self.m))
@@ -398,11 +406,26 @@ class PrimePowerField:
         return f"PrimePowerField(p={self.p}, m={self.m})"
 
 
+def _div_codes(field: PrimePowerField, a: int, b: int) -> int:
+    return field.mul_codes(a, field.inv_code(b))
+
+
+def _operator(codes):
+    """FieldElement's binary operator for codes(field, own code, other code):
+    the other operand, a FieldElement or an int, is read by field.scalar."""
+    def method(self, other):
+        if not isinstance(other, (FieldElement, int)):
+            return NotImplemented
+        return FieldElement(self.field, codes(self.field, self.code, self.field.scalar(other)))
+
+    return method
+
+
 class FieldElement:
     """An element of a PrimePowerField, identified by its coefficient code.
 
-    Integer operands in arithmetic are treated as scalars, i.e. lifted
-    through Z -> F_p, so expressions like (j + 1)**2 read as in the formulas.
+    Integer operands in arithmetic and == are scalars, read by field.scalar,
+    so expressions like (j + 1)**2 read as in the formulas.
     """
 
     __slots__ = ("field", "code")
@@ -415,54 +438,12 @@ class FieldElement:
     def coeffs(self):
         return self.field.coeffs_of(self.code)
 
-    def _coerce(self, other) -> int:
-        if isinstance(other, FieldElement):
-            if other.field is not self.field:
-                raise FieldError("elements from different fields")
-            return other.code
-        if isinstance(other, int):
-            return other % self.field.p
-        return NotImplemented
-
-    def __add__(self, other):
-        c = self._coerce(other)
-        if c is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.add_codes(self.code, c))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        c = self._coerce(other)
-        if c is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.sub_codes(self.code, c))
-
-    def __rsub__(self, other):
-        c = self._coerce(other)
-        if c is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.sub_codes(c, self.code))
-
-    def __mul__(self, other):
-        c = self._coerce(other)
-        if c is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.mul_codes(self.code, c))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        c = self._coerce(other)
-        if c is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.mul_codes(self.code, self.field.inv_code(c)))
-
-    def __rtruediv__(self, other):
-        c = self._coerce(other)
-        if c is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.mul_codes(c, self.field.inv_code(self.code)))
+    __add__ = __radd__ = _operator(PrimePowerField.add_codes)
+    __sub__ = _operator(PrimePowerField.sub_codes)
+    __rsub__ = _operator(lambda field, a, b: field.sub_codes(b, a))
+    __mul__ = __rmul__ = _operator(PrimePowerField.mul_codes)
+    __truediv__ = _operator(_div_codes)
+    __rtruediv__ = _operator(lambda field, a, b: _div_codes(field, b, a))
 
     def __pow__(self, e: int):
         return FieldElement(self.field, self.field.pow_code(self.code, e))
@@ -474,7 +455,7 @@ class FieldElement:
         if isinstance(other, FieldElement):
             return self.field is other.field and self.code == other.code
         if isinstance(other, int):
-            return self.code == other % self.field.p
+            return self.code == self.field.scalar(other)
         return NotImplemented
 
     def __hash__(self):

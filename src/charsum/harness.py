@@ -229,7 +229,7 @@ def load_config(path: str) -> RunConfig:
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise ConfigError(f"cannot read config {path}: {e}") from None
     for lineno, raw in enumerate(lines, 1):
         line = raw.split("#", 1)[0].strip()
@@ -426,9 +426,10 @@ def suite_theorem41(ctx: KatzContext, policy: TolerancePolicy) -> VerificationRe
 
 def suite_mellin(ctx: KatzContext, policy: TolerancePolicy) -> VerificationReport:
     """Single and double Mellin evaluations, Mellin inversion, and the
-    literal-vs-product oracle for the double transform.  A character is read
-    by its index k in chars: chi_k(a) is roots[k dlog(a)], phi is (q-1)/2,
-    conj is -k and products add.  An odd chi_k is phi nu^4 for nu = nus[k]
+    literal double transform, each a reading of V against the closed forms
+    of S(chi) and S(chi1) S(chi2), computed once.  A character is read by
+    its index k in chars: chi_k(a) is roots[k dlog(a)], phi is (q-1)/2, conj
+    is -k and products add.  An odd chi_k is phi nu^4 for nu = nus[k]
     (decompose_odd), mu = nu1 nu2, and the evaluations of S read the Jacobi
     bracket J2(nu N M8, C N) + J2(nu N M8^5, C N) of katz.jacobi_bracket."""
     tower = ctx.tower
@@ -441,28 +442,25 @@ def suite_mellin(ctx: KatzContext, policy: TolerancePolicy) -> VerificationRepor
     chars, m8, m8_5 = [char(base, i) for i in range(q - 1)], ctx.M8, ctx.M8**5
     nus = [decompose_odd(c).index if c.is_odd() else None for c in chars]
 
-    def single(k):
-        s = mellin_transform(ctx, chars[k])
+    def closed_single(k):  # S(chi_k)
         if k % 2 == 0:
-            return abs(s)
+            return 0j
         nu = nus[k]
-        rhs = (
+        return (
             roots[-nu % n * la % n] / ctx.tau * lifted_gauss(tower, chars[nu], m8)
             + roots[(half - nu) % n * la % n] / ctx.tau * lifted_gauss(tower, chars[nu], m8_5)
         )
-        return abs(s - rhs)
 
-    def product(k1, k2):
-        s = double_mellin_product(ctx, chars[k1], chars[k2])
+    def closed_product(k1, k2):  # S(chi_k1) S(chi_k2)
         if not (k1 % 2 and k2 % 2):
-            return abs(s)
+            return 0j
         nu1, mu = nus[k1], (nus[k1] + nus[k2]) % n
         rhs = 0j
         for i in (0, 1):
             ch = (half * i - mu) % n
             bracket = jacobi_bracket(ctx, chars[nu1], chars[ch])
             rhs += roots[ch * la % n] * q / lifted_gauss(tower, chars[ch]) * bracket
-        return abs(s - rhs)
+        return rhs
 
     def mixed(k1, k2):
         # the weights (conj(mu) phi^i)(a) of the rows of D = mu and mu phi are
@@ -482,25 +480,26 @@ def suite_mellin(ctx: KatzContext, policy: TolerancePolicy) -> VerificationRepor
             rhs += weight * g_ratio * (hsum + 2 * (q - 1) * delta(chars[d]))
         return abs(t - rhs)
 
-    rep.family("mellin-single", "chi={}", tol).extend(map(single, range(n)), range(n))
+    closed = [closed_single(k) for k in range(n)]
+    singles = (abs(mellin_transform(ctx, c) - s) for c, s in zip(chars, closed))
+    rep.family("mellin-single", "chi={}", tol).extend(singles, range(n))
     pairs = select_char_pairs(base)
-    columns = list(zip(*pairs))
+    columns, pair_chars = list(zip(*pairs)), [(chars[k1], chars[k2]) for k1, k2 in pairs]
+    closed_pairs = list(starmap(closed_product, pairs))
+    products = (double_mellin_product(ctx, *c) for c in pair_chars)
     product_fam = rep.family("double-mellin-product", "chi1={},chi2={}", tol_pairs)
-    product_fam.extend(starmap(product, pairs), *columns)
+    product_fam.extend((abs(x - y) for x, y in zip(products, closed_pairs)), *columns)
     mixed_fam = rep.family("double-mellin-mixed", "chi1={},chi2={}", tol_pairs)
     mixed_fam.extend(starmap(mixed, pairs), *columns)
     if sweeps_every_char(q):
         literal = rep.family("double-mellin-literal", "chi1={},chi2={}", tol_pairs)
-        pair_chars = [(chars[k1], chars[k2]) for k1, k2 in pairs]
         lits = (double_mellin_product(ctx, *c, literal=True) for c in pair_chars)
-        rows = (double_mellin_product(ctx, *c) for c in pair_chars)
-        literal.extend((abs(x - y) for x, y in zip(lits, rows)), *columns)
+        literal.extend((abs(x - y) for x, y in zip(lits, closed_pairs)), *columns)
 
     v = ctx.v_vector()
-    s_all = [mellin_transform(ctx, c) for c in chars]
     tables = [c.value_table() for c in chars]
     inversion, js = rep.family("mellin-inversion", "j={}", tol_pairs), range(1, q)
-    recon = (sum(s * t[j].conjugate() for s, t in zip(s_all, tables)) / (q - 1) for j in js)
+    recon = (sum(s * t[j].conjugate() for s, t in zip(closed, tables)) / (q - 1) for j in js)
     inversion.extend((abs(r - v[j]) for j, r in zip(js, recon)), js)
     return rep
 

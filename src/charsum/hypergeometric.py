@@ -14,12 +14,12 @@ g^l, so R(., j) is one transform of the histogram of M8(z) over l
 octic M8); norm_jacobi_row reads R(D, .) from it.  hyp2f1_row is a cyclic
 correlation in log coordinates, one dot product per argument.  The closed
 forms of R(D, j) and of the kernel h(D, j) share one 2F1 per D, read at
-every j: reduction_row keeps it in the field's memo, indexed by j and keyed
-by the index of D, at most q-1 rows of q entries per field, which every task
-of one process reuses.  The theorem-4.1 and theorem-5.x suites compare
-these rows with the rows of R and h, one D at a time.  Each row agrees with
-the per-point value up to rounding; hyp2f1 and norm_restricted_jacobi stay
-as the literal oracles.
+every j: reduction_row evaluates it only at the arguments it reads and keeps
+it in the field's memo, indexed by j and keyed by the index of D, at most
+q-1 rows of q entries per field, which every task of one process reuses.
+The theorem-4.1 and theorem-5.x suites compare these rows with the rows
+of R and h, one D at a time.  Each row agrees with the per-point value up
+to rounding; hyp2f1 and norm_restricted_jacobi stay as the literal oracles.
 """
 
 import operator
@@ -49,7 +49,12 @@ def hyp2f1(a: MultChar, b: MultChar, c: MultChar, x) -> complex:
 
 
 def hyp2f1_row(a: MultChar, b: MultChar, c: MultChar) -> list[complex]:
-    """2F1(A,B;C | x) for every code x, indexed by code; entry 0 is 0j.
+    """2F1(A,B;C | x) for every code x, indexed by code; entry 0 is 0j."""
+    return _hyp2f1_at(a, b, c, a.field.exp)
+
+
+def _hyp2f1_at(a: MultChar, b: MultChar, c: MultChar, xs) -> list[complex]:
+    """2F1(A,B;C | x) at each nonzero code x of xs, indexed by code; 0j elsewhere.
 
     In log coordinates y = g^s, x = g^t, it is a cyclic correlation:
     q 2F1(g^t) = sum_s W[s] F[s + t] with the weights W[s] = B(y)
@@ -61,12 +66,13 @@ def hyp2f1_row(a: MultChar, b: MultChar, c: MultChar) -> list[complex]:
     tb = b.value_table()
     tbc = (b.conj * c).value_table()
     tac = a.conj.value_table()
-    neg, om, exp = field.neg, field.one_minus, field.exp
+    neg, om, exp, dlog = field.neg, field.one_minus, field.exp, field.dlog
     n = field.order - 1
     weights = [tb[y] * tbc[neg[om[y]]] for y in exp]
     by_log = [tac[om[e]] for e in exp] * 2
     row = [0j] * field.order
-    for t, x in enumerate(exp):
+    for x in xs:
+        t = dlog[x]
         row[x] = sum(map(operator.mul, weights, by_log[t : t + n]), 0j) / field.order
     return row
 
@@ -174,19 +180,19 @@ def norm_jacobi_row(ctx, d: MultChar) -> list[complex]:
 def reduction_row(d: MultChar) -> list[complex]:
     """2F1(D, D^2 phi; D phi | -((j+1)/(j-1))^2) for every code j, the factor
     that the closed forms of R(D, j) and of the kernel h(D, j) share; 0j at
-    j = 0 and j = +-1, where both take a Jacobi-sum form instead.  One
-    hyp2f1_row of (D, D^2 phi, D phi), read at each j and memoized in the
-    field's memo["reduction_row"] by the index of D."""
+    j = 0 and j = +-1, where both take a Jacobi-sum form instead.  The 2F1 of
+    (D, D^2 phi, D phi) is evaluated only at the (q-3)/2 arguments read, and
+    the row is memoized in the field's memo["reduction_row"] by the index of D."""
     return memoized(d.field.memo["reduction_row"], d.index, _build_reduction_row, d)
 
 
 def _build_reduction_row(d: MultChar) -> list[complex]:
     field, phi = d.field, quadratic_char(d.field)
-    by_x = hyp2f1_row(d, d**2 * phi, d * phi)
     neg, add, sub, mul = field.neg, field.add_codes, field.sub_codes, field.mul_codes
-    row = [0j] * field.order
+    args = [0] * field.order  # the argument at each j; 0, where 2F1 is 0j, at j = 0, +-1
     for j in range(1, field.order):
         jp, jm = add(j, 1), sub(j, 1)
         if jp and jm:
-            row[j] = by_x[neg[field.pow_code(mul(jp, field.inv_code(jm)), 2)]]
-    return row
+            args[j] = neg[field.pow_code(mul(jp, field.inv_code(jm)), 2)]
+    by_x = _hyp2f1_at(d, d**2 * phi, d * phi, {x for x in args if x})
+    return list(map(by_x.__getitem__, args))

@@ -1,9 +1,10 @@
 """Every library function that takes a field element reads it through
 `field.element`: an integer is a code, an element must belong to the field,
 and anything else raises FieldError.  Characters and FieldElement operators
-read integers as scalars instead."""
+read integers as scalars instead, through `field.scalar`."""
 
 import ast
+import operator
 from functools import lru_cache
 from pathlib import Path
 
@@ -103,10 +104,73 @@ def test_element_takes_a_code_or_an_element_only():
 
 
 # ---------------------------------------------------------------------------
-# one coercion path: only finite_field and characters inspect an argument's
-# type to decide how to read it
+# the scalar convention: FieldElement's binary operators, == and a character
+# read an int through Z -> F_p and an element of the field by its code
 
-COERCING_MODULES = {"finite_field.py", "characters.py"}
+SCALAR_FIELDS = [(7, 1), (3, 2)]
+CODE_ARITHMETIC = {  # operator -> the code arithmetic its result must equal
+    operator.add: lambda f, a, b: f.add_codes(a, b),
+    operator.sub: lambda f, a, b: f.sub_codes(a, b),
+    operator.mul: lambda f, a, b: f.mul_codes(a, b),
+    operator.truediv: lambda f, a, b: f.mul_codes(a, f.inv_code(b)),
+}
+
+
+def scalar_operands(field):
+    """(operand, the code it is read as); every code is nonzero, so each
+    operand can divide."""
+    p = field.p
+    return [
+        (field.element(field.order - 2), field.order - 2),
+        (2 * p + 2, 2),  # an int >= p
+        (-p - 2, p - 2),  # a negative int
+        (True, 1),  # bools are ints
+    ]
+
+
+@pytest.mark.parametrize("p,m", SCALAR_FIELDS)
+def test_an_operand_is_read_as_a_scalar(p, m):
+    field = construct_field(p, m)
+    x, chi = field.element(3), char(field, 1)  # 3 is X, not a scalar, in F_9
+    for other, code in scalar_operands(field):
+        for op, codes in CODE_ARITHMETIC.items():
+            forward, reflected = op(x, other), op(other, x)
+            assert forward.field is reflected.field is field
+            assert forward.code == codes(field, 3, code)
+            assert reflected.code == codes(field, code, 3)
+        assert (x == other) is (code == 3)
+        assert (field.element(code) == other) is True
+        assert chi(other) == chi.value_table()[code]
+
+
+@pytest.mark.parametrize("p,m", SCALAR_FIELDS)
+def test_another_fields_element_and_a_float_are_refused(p, m):
+    field = construct_field(p, m)
+    x, chi = field.element(3), char(field, 1)
+    # the tower's base has the order of field but is another field
+    for other in (construct_field(11).element(3), build_tower(p, m).base.element(3)):
+        assert other.field is not field
+        for op in CODE_ARITHMETIC:
+            for args in ((x, other), (other, x)):
+                with pytest.raises(FieldError):
+                    op(*args)
+        assert x != other
+        with pytest.raises(FieldError):
+            chi(other)
+    for op in CODE_ARITHMETIC:
+        for args in ((x, 3.0), (3.0, x)):
+            with pytest.raises(TypeError):
+                op(*args)
+    assert x != 3.0
+    with pytest.raises(TypeError):
+        chi(3.0)
+
+
+# ---------------------------------------------------------------------------
+# one coercion path: only finite_field inspects an argument's type to decide
+# how to read it
+
+COERCING_MODULES = {"finite_field.py"}
 
 
 def ad_hoc_coercions(source: str) -> list[int]:
@@ -139,7 +203,9 @@ def test_the_guard_sees_each_ad_hoc_coercion():
 
 def test_element_arguments_are_read_only_through_field_element():
     modules = sorted(SRC.glob("*.py"))
-    assert {m.name for m in modules} >= COERCING_MODULES | {"katz.py", "hypergeometric.py"}
+    assert {m.name for m in modules} >= COERCING_MODULES | {
+        "characters.py", "katz.py", "hypergeometric.py",
+    }
     found = {
         m.name: lines
         for m in modules

@@ -341,6 +341,16 @@ class TestRegistry:
         assert "config error" in res.stderr
         assert "Traceback" not in res.stderr
 
+    def test_undecodable_config_is_config_error(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_bytes(b"\xff\xfeq = 7\n")  # a UTF-16 byte-order mark
+        res = run_cli("run", "--config", str(path))
+        assert res.returncode == 2
+        lines = res.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("charsum: config error: ")
+        assert str(path) in lines[0]
+        assert "Traceback" not in res.stderr
+
     def test_flags_parse_like_config_keys(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("q = 7, 11\nsuites = master\na_policy = sample-2\nparallelism = 2\n"

@@ -390,12 +390,38 @@ class TestFiberWalks:
             for name, suite in self.SUITES.items()
         }
         if walk == "V":
-            expected = {"mellin": {"mellin-single", "double-mellin-product"},
+            expected = {"mellin": {"mellin-single", "double-mellin-product",
+                                   "double-mellin-literal", "mellin-inversion"},
                         "master": {"point-identity", "mellin-match"}}
         else:
             expected = {"hypergeometric": {"norm-fiber", "fiber-jacobi-even"},
                         "theorem-4.1": {"fiber-jacobi-hyp"}, "theorem-5.x": {"fiber-transform"}}
         assert failed == {name: expected.get(name, set()) for name in self.SUITES}
+
+
+class TestWrongV:
+    """Every mellin family that reads V compares it with closed forms, so a
+    wrong V fails each of them; double-mellin-mixed reads P, not V."""
+
+    @pytest.mark.parametrize("q", [7, 11])
+    @pytest.mark.parametrize("a", ["one", "g"])
+    @pytest.mark.parametrize("wrong", ["1.5 at one j", "complex factor"])
+    def test_wrong_v_fails_the_families_that_read_it(self, monkeypatch, q, a, wrong):
+        real = KatzContext._build_v_vector
+
+        def v_vector(ctx):
+            v = real(ctx)
+            if wrong == "1.5 at one j":
+                v[2] *= 1.5
+                return v
+            return [cmath.rect(1.3, 0.9) * x for x in v]
+
+        monkeypatch.setattr(KatzContext, "_build_v_vector", v_vector)
+        tower = build_tower(q)
+        ctx = KatzContext(tower, 1 if a == "one" else tower.base.g)
+        assert set(failed_ids(suite_mellin(ctx, DEFAULT_POLICY))) == {
+            "mellin-single", "double-mellin-product", "double-mellin-literal", "mellin-inversion",
+        }
 
 
 class TestClosedFormRows:
@@ -419,19 +445,20 @@ class TestClosedFormRows:
     @pytest.mark.parametrize("q", [7, 11, 27])
     @pytest.mark.parametrize("wrong", ["shifted", "D*phi"])
     def test_wrong_hyp_rows_fail_the_checks(self, monkeypatch, q, wrong):
-        # hyp-bound reads the mutated rows too and passes them: a magnitude
-        # bound cannot see a row shifted by one x or the row of D*phi
-        real = hypergeometric.hyp2f1_row
+        # the rows are served through the evaluator that hyp2f1_row and
+        # reduction_row share; hyp-bound reads the mutated rows too and passes
+        # them: a magnitude bound cannot see a row shifted by one x or the row
+        # of D*phi
+        real = hypergeometric._hyp2f1_at
         if wrong == "shifted":
-            def row(a, b, c):
-                r = real(a, b, c)
+            def row(a, b, c, xs):
+                r = real(a, b, c, a.field.exp)
                 return [0j] + r[2:] + r[1:2]
         else:
-            def row(a, b, c):
+            def row(a, b, c, xs):
                 phi = quadratic_char(a.field)
-                return real(a * phi, b, c * phi)  # (D phi, D^2 phi, D) for (D, D^2 phi, D phi)
-        monkeypatch.setattr(hypergeometric, "hyp2f1_row", row)
-        monkeypatch.setattr(harness, "hyp2f1_row", row)
+                return real(a * phi, b, c * phi, xs)  # (D phi, D^2 phi, D) for (D, D^2 phi, D phi)
+        monkeypatch.setattr(hypergeometric, "_hyp2f1_at", row)
         assert self.failures(q, monkeypatch) == {
             "theorem-4.1": {"fiber-jacobi-hyp"}, "theorem-5.x": {"kernel-closed-form"},
         }
@@ -455,7 +482,7 @@ class TestClosedFormRows:
         q = 19
         tower = build_tower(q)
         monkeypatch.setitem(tower.base.memo, "reduction_row", {})  # the rows are built here
-        names = ("hyp2f1", "norm_restricted_jacobi", "hyp2f1_row", "jacobi", "eisenstein_sums")
+        names = ("hyp2f1", "norm_restricted_jacobi", "_hyp2f1_at", "jacobi", "eisenstein_sums")
         calls = dict.fromkeys(names, 0)
 
         def counting(name, real):
@@ -469,8 +496,8 @@ class TestClosedFormRows:
             monkeypatch.setattr(module, "hyp2f1", hyp2f1)
         monkeypatch.setattr(hypergeometric, "norm_restricted_jacobi", counting(
             "norm_restricted_jacobi", hypergeometric.norm_restricted_jacobi))
-        monkeypatch.setattr(hypergeometric, "hyp2f1_row", counting(  # read by reduction_row
-            "hyp2f1_row", hypergeometric.hyp2f1_row))
+        monkeypatch.setattr(hypergeometric, "_hyp2f1_at", counting(  # read by reduction_row
+            "_hyp2f1_at", hypergeometric._hyp2f1_at))
         monkeypatch.setattr(harness, "jacobi", counting("jacobi", harness.jacobi))
         monkeypatch.setattr(harness, "eisenstein_sums", counting(
             "eisenstein_sums", harness.eisenstein_sums))
@@ -486,7 +513,7 @@ class TestClosedFormRows:
         assert t41["hyp2f1"] == t5x["hyp2f1"] == 0
         assert t41["norm_restricted_jacobi"] <= (q - 1) ** 2 // 2
         # one 2F1 row per D, shared by the two suites
-        assert t41["hyp2f1_row"] + t5x["hyp2f1_row"] <= q - 1
+        assert t41["_hyp2f1_at"] + t5x["_hyp2f1_at"] <= q - 1
         # one literal Jacobi sum per D in each, for j = +-1
         assert t41["jacobi"] <= q - 1 and t5x["jacobi"] <= q - 1
         assert count(harness.suite_eisenstein, tower)["eisenstein_sums"] == 1
@@ -853,7 +880,8 @@ class TestKernel:
     @pytest.mark.parametrize("a", ["one", "g"])
     def test_wrong_twisted_gauss_rows_fail_mellin_single(self, monkeypatch, q, a):
         # the rows of G2(nu N M8^e) read one fiber off, Phi[k + 1] served as
-        # Phi[k] (a copy); only mellin-single reads a twisted row
+        # Phi[k] (a copy); only the closed form of S(chi) reads a twisted row,
+        # and mellin-single and mellin-inversion read it
         real_row = classical_sums._fiber_row
 
         def wrong_row(tower, kind, index):
@@ -864,7 +892,7 @@ class TestKernel:
         tower = FieldTower(q, 1)  # its own tower: no memoized lifted sum
         ctx = KatzContext(tower, 1 if a == "one" else tower.base.g)
         failed = failed_ids(suite_mellin(ctx, DEFAULT_POLICY))
-        assert failed and set(failed) == {"mellin-single"}
+        assert set(failed) == {"mellin-single", "mellin-inversion"}
 
     def test_zero_j_rejected(self):
         with pytest.raises(ValueError):
@@ -969,7 +997,7 @@ class TestIndexArithmetic:
         # J2(nu N M8, C N) read twice: every check of the bracket fails
         self.mutate(monkeypatch, katz, "jacobi_bracket", "m8**5", "m8", (katz, harness))
         assert self.failures(q, a) == {
-            "mellin": {"double-mellin-product"},
+            "mellin": {"double-mellin-product", "double-mellin-literal"},
             "theorem-5.x": {"kernel-transform", "fiber-transform", "gauss-ratio-bridge",
                             "kernel-double-sum"},
             "master": {"gauss-ratio-bridge"},
