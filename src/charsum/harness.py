@@ -16,7 +16,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field as dc_field, replace
 from itertools import repeat, starmap
 
-from .characters import char, decompose_odd, delta, quadratic_char, trivial_char
+from .characters import char, decompose_odd, quadratic_char, trivial_char
 from .classical_sums import eisenstein_sums, gauss_sums, jacobi, jacobi_row, lifted_gauss
 from .finite_field import FieldError, build_tower, check_order, factor_prime_power
 from .hypergeometric import (
@@ -30,6 +30,7 @@ from .hypergeometric import (
 )
 from .katz import (
     KatzContext,
+    bridge_sides,
     double_mellin_mixed,
     double_mellin_product,
     kernel_double_sum,
@@ -40,7 +41,6 @@ from .katz import (
     mellin_transform,
     quadratic_kernel_expected,
     quadratic_kernel_mellin,
-    ratio_bracket_deviation,
     select_char_pairs,
     spaced_sample,
     sweeps_every_char,
@@ -262,9 +262,9 @@ def suite_classical(tower, policy: TolerancePolicy) -> VerificationReport:
     n2 = q^2 - 1, half = n/2, phi = chi_half and roots = base.unity_roots.
     conj b is -b and b^q is qb.  -1 = g^half, so chi_i(-1) = roots[i half],
     and b(-1) = top.root_table(2)[b mod 2].  A(4) = roots[i dlog 4] and
-    (conj(C)^2 phi)(2) = roots[(half - 2c) dlog 2].  C N is c(q+1), M8 is
-    n2/8 and M4 = M8^2 is n2/4, all mod n2.  Each value is the entry that
-    MultChar's call would give, bit for bit, and no top character is built."""
+    (conj(C)^2 phi)(2) = roots[(half - 2c) dlog 2].  C N is c(q+1) and M4 =
+    M8^2 is n2/4, both mod n2.  Each value is the entry that MultChar's call
+    would give, bit for bit, and no top character is built."""
     q = tower.q
     base, top = tower.base, tower.top
     rep = VerificationReport("classical", q, None)
@@ -301,15 +301,15 @@ def suite_classical(tower, policy: TolerancePolicy) -> VerificationReport:
         reflection.extend(devs, repeat(i, n - 1), range(1, n))
 
     # for each C = chi_c: A(4) G(A) G(A phi) = G(A^2) G(phi) at A = C;
-    # G2(C N) = -G(C)^2, and G2(beta) = G2(beta^q) at beta = C N M8; and
+    # G2(C N) = -G(C)^2 (G2(beta) = G2(beta^q) is gauss-frobenius's); and
     # G2(C N M4) = G2(C N conj M4) = -(conj(C)^2 phi)(2) G(C^2 phi) G(phi)
-    log4, log2, m8, m4 = dlog[4 % tower.p], dlog[2 % tower.p], n2 // 8, n2 // 4
+    log4, log2, m4 = dlog[4 % tower.p], dlog[2 % tower.p], n2 // 4
     hd_product, lifted, quartic = [], [], []
     for c in range(n):
         hd = roots[c * log4 % n] * g[c] * g[(c + half) % n]
         hd_product.append(abs(hd - g[2 * c % n] * g[half]))
-        cn, beta = c * (q + 1) % n2, (c * (q + 1) + m8) % n2
-        lifted.append(max(abs(g2[cn] - (-g[c] ** 2)), abs(g2[beta] - g2[beta * q % n2])))
+        cn = c * (q + 1) % n2
+        lifted.append(abs(g2[cn] + g[c] ** 2))
         rhs = -roots[(half - 2 * c) % n * log2 % n] * g[(2 * c + half) % n] * g[half]
         quartic.append(max(abs(g2[(cn + m4) % n2] - rhs), abs(g2[(cn - m4) % n2] - rhs)))
     rep.family("hd-product", "A={}", tol).extend(hd_product, range(n))
@@ -425,20 +425,20 @@ def suite_theorem41(ctx: KatzContext, policy: TolerancePolicy) -> VerificationRe
 
 
 def suite_mellin(ctx: KatzContext, policy: TolerancePolicy) -> VerificationReport:
-    """Single and double Mellin evaluations, Mellin inversion, and the
-    literal double transform, each a reading of V against the closed forms
-    of S(chi) and S(chi1) S(chi2), computed once.  A character is read by
-    its index k in chars: chi_k(a) is roots[k dlog(a)], phi is (q-1)/2, conj
-    is -k and products add.  An odd chi_k is phi nu^4 for nu = nus[k]
-    (decompose_odd), mu = nu1 nu2, and the evaluations of S read the Jacobi
-    bracket J2(nu N M8, C N) + J2(nu N M8^5, C N) of katz.jacobi_bracket."""
+    """Single and double Mellin evaluations, Mellin inversion and the literal
+    double transform of V, and T(chi1, chi2) of P, each against the closed
+    forms, computed once.  A character is read by its index k in chars:
+    chi_k(a) is roots[k dlog(a)], phi is (q-1)/2, conj is -k and products
+    add.  An odd chi_k is phi nu^4 for nu = nus[k] (decompose_odd), and the
+    forms of S(chi1) S(chi2) and T sum the Jacobi and the kernel side of
+    katz.bridge_sides at (nu1, D) over D = mu phi^i, mu = nu1 nu2."""
     tower = ctx.tower
     q = tower.q
     base = tower.base
     rep = VerificationReport("mellin", q, ctx.a_index())
     tol = policy.abs_tol(q, 4 * q * q)
     tol_pairs = policy.abs_tol(q, q**3)
-    n, half, g, roots, la = q - 1, (q - 1) // 2, gauss_sums(base), base.unity_roots, ctx.a_index()
+    n, half, roots, la = q - 1, (q - 1) // 2, base.unity_roots, ctx.a_index()
     chars, m8, m8_5 = [char(base, i) for i in range(q - 1)], ctx.M8, ctx.M8**5
     nus = [decompose_odd(c).index if c.is_odd() else None for c in chars]
 
@@ -451,50 +451,38 @@ def suite_mellin(ctx: KatzContext, policy: TolerancePolicy) -> VerificationRepor
             + roots[(half - nu) % n * la % n] / ctx.tau * lifted_gauss(tower, chars[nu], m8_5)
         )
 
-    def closed_product(k1, k2):  # S(chi_k1) S(chi_k2)
+    def closed_pair(k1, k2):  # S(chi_k1) S(chi_k2) and T(chi_k1, chi_k2)
+        # each weighs its side at D = mu phi^i by (conj(mu) phi^i)(a), equal
+        # for D = mu and mu phi at a square a, where T's form sees only the sum
+        # of the two kernel rows and passes the row of D*phi served for D; a
+        # non-square a fails it, and the gauss-ratio-bridge (no a) catches it
         if not (k1 % 2 and k2 % 2):
-            return 0j
+            return 0j, 0j
         nu1, mu = nus[k1], (nus[k1] + nus[k2]) % n
-        rhs = 0j
+        product = mixed = 0j
         for i in (0, 1):
-            ch = (half * i - mu) % n
-            bracket = jacobi_bracket(ctx, chars[nu1], chars[ch])
-            rhs += roots[ch * la % n] * q / lifted_gauss(tower, chars[ch]) * bracket
-        return rhs
-
-    def mixed(k1, k2):
-        # the weights (conj(mu) phi^i)(a) of the rows of D = mu and mu phi are
-        # equal at a square a, where this check sees only the sum of the two
-        # rows and passes the row of D*phi served for D; a non-square a fails
-        # it, and the gauss-ratio-bridge, which does not read a, catches it
-        t = double_mellin_mixed(ctx, chars[k1], chars[k2])
-        if not (k1 % 2 and k2 % 2):
-            return abs(t)
-        mu = (nus[k1] + nus[k2]) % n
-        g_ratio = g[(half + 2 * mu) % n] / g[half]
-        rhs = 0j
-        for i in (0, 1):
-            d = (mu + half * i) % n
-            hsum = kernel_mellin(chars[d], chars[k1])
+            lhs, rhs = bridge_sides(ctx, nu1, (mu + half * i) % n)
             weight = roots[(half * i - mu) % n * la % n]
-            rhs += weight * g_ratio * (hsum + 2 * (q - 1) * delta(chars[d]))
-        return abs(t - rhs)
+            product += weight * lhs
+            mixed += weight * rhs
+        return product, mixed
 
     closed = [closed_single(k) for k in range(n)]
     singles = (abs(mellin_transform(ctx, c) - s) for c, s in zip(chars, closed))
     rep.family("mellin-single", "chi={}", tol).extend(singles, range(n))
     pairs = select_char_pairs(base)
     columns, pair_chars = list(zip(*pairs)), [(chars[k1], chars[k2]) for k1, k2 in pairs]
-    closed_pairs = list(starmap(closed_product, pairs))
+    closed_products, closed_mixed = zip(*starmap(closed_pair, pairs))
     products = (double_mellin_product(ctx, *c) for c in pair_chars)
     product_fam = rep.family("double-mellin-product", "chi1={},chi2={}", tol_pairs)
-    product_fam.extend((abs(x - y) for x, y in zip(products, closed_pairs)), *columns)
+    product_fam.extend((abs(x - y) for x, y in zip(products, closed_products)), *columns)
+    ts = (double_mellin_mixed(ctx, *c) for c in pair_chars)
     mixed_fam = rep.family("double-mellin-mixed", "chi1={},chi2={}", tol_pairs)
-    mixed_fam.extend(starmap(mixed, pairs), *columns)
+    mixed_fam.extend((abs(x - y) for x, y in zip(ts, closed_mixed)), *columns)
     if sweeps_every_char(q):
         literal = rep.family("double-mellin-literal", "chi1={},chi2={}", tol_pairs)
         lits = (double_mellin_product(ctx, *c, literal=True) for c in pair_chars)
-        literal.extend((abs(x - y) for x, y in zip(lits, closed_pairs)), *columns)
+        literal.extend((abs(x - y) for x, y in zip(lits, closed_products)), *columns)
 
     v = ctx.v_vector()
     tables = [c.value_table() for c in chars]
@@ -563,7 +551,8 @@ def suite_theorem5x(ctx: KatzContext, policy: TolerancePolicy) -> VerificationRe
         ds, r = [d] * len(idx), norm_jacobi_row(ctx, chars[d])  # R(D, .), read once per D
         transform_fam.extend((transform(d, nu) for nu in idx), ds, idx)
         fiber_fam.extend((fiber(d, nu, r) for nu in idx), ds, idx)
-        bridge.extend((ratio_bracket_deviation(ctx, nu, d) for nu in idx), ds, idx)
+        sides = (bridge_sides(ctx, nu, d) for nu in idx)
+        bridge.extend((abs(lhs - rhs) for lhs, rhs in sides), ds, idx)
 
     double = [kernel_double_sum(q, nu) for nu in idx]  # idx[0] = 0: the anchor's sum too
     rep.family("kernel-double-sum", "nu={}", tol).extend(

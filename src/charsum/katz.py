@@ -15,9 +15,9 @@ sums h(D, j) that the mixed-side transform reduces to.  The suites (see
 harness) check each evaluation against the other side's route, reading
 characters by index through char, which returns the one MultChar of each;
 this module keeps the one copy of the Jacobi bracket J2(nu N M8, C N) +
-J2(nu N M8^5, C N) that five of those checks read, and of the Gauss-ratio
-bridge between the two Mellin evaluations, which theorem-5.x and the master
-sweep both check.
+J2(nu N M8^5, C N) that five of those checks read, and of the two sides of
+the Gauss-ratio bridge (bridge_sides), which mellin sums and theorem-5.x and
+master compare; it forms no identity outside verify_master_identity.
 
 P has one route at every q, which shares nothing with V's.  The trace is
 F_p-linear, so psi(x s + (a/x) d) = zeta_p^(Tr(x s) + Tr((a/x) d)).  Since
@@ -34,22 +34,22 @@ _p_table); mixed_sum adds the same terms in the same order, one pair at a
 time, so every entry agrees bit for bit.
 
 Each sum is memoized in the memo of the object it depends on (see
-finite_field.memoized).  V, P, S(chi), T(chi1, chi2) and the inner sums
-sum_k chi2(k) P(j,k) read a, so the context keeps them by character
-indices.  The kernel rows h(D, .) and their sums sum_j chi(j) h(D, j), which
-W(D) and T's evaluation read, do not: the field keeps them by the indices of
-D and chi, at most q-1 rows of q entries, and every a-task of one process
-reuses them.  theorem-5.x checks each kernel row against its closed-form
-row, whose 2F1 factor is hypergeometric.reduction_row's.  Y(D) reads R(D, .)
-from norm_jacobi_row (see hypergeometric).  Every Jacobi or Gauss sum over
-F_{q^2} has a lifted character C N, times M8^e in the Mellin evaluation, and
-is summed over the q-1 norm fibers by the lifted sums of classical_sums,
-which the tower keeps; the Gauss sums over F_q are read from the field's
-one transform.  No top-field value table
-or transform is built: the few top-field points read are looked up through
-dlog, and each top-field character, of order dividing 4(q-1), reads the root
-table of its own order, never the full table of q^2 - 1 roots (see
-finite_field.root_table).
+finite_field.memoized).  V, P, S(chi) and the inner sums sum_k chi2(k)
+P(j,k) read a, so the context keeps them by character indices; T(chi1, chi2)
+is one dot product with an inner sum.  The kernel rows h(D, .) do not: the
+field keeps them by the index of D, at most q-1 rows of q entries, and each
+sum_j chi(j) h(D, j) is one dot product with a row.  Nor do the bridge's
+sides: the tower keeps them by (M8, nu1, D).  So every a-task of one process
+reuses the rows and the sides.  theorem-5.x checks each kernel row against
+its closed-form row, whose 2F1 factor is hypergeometric.reduction_row's.
+Y(D) reads R(D, .) from norm_jacobi_row (see hypergeometric).  Every Jacobi
+or Gauss sum over F_{q^2} has a lifted character C N, times M8^e in the
+Mellin evaluation, and is summed over the q-1 norm fibers by the lifted sums
+of classical_sums, which the tower keeps; the Gauss sums over F_q are read
+from the field's one transform.  No top-field value table or transform is
+built: the few top-field points read are looked up through dlog, and each
+top-field character, of order dividing 4(q-1), reads the root table of its
+own order, never the full table of q^2 - 1 roots (see finite_field.root_table).
 """
 
 import cmath
@@ -338,12 +338,11 @@ def kernel_sum(d: MultChar, j) -> complex:
 
 def double_mellin_mixed(ctx: KatzContext, chi1: MultChar, chi2: MultChar) -> complex:
     """T(chi1, chi2) = sum_{j,k != 0} chi1(j) chi2(k) P(j,k), as a literal
-    double sum over the context's cached matrix of P values, memoized on the
-    context."""
+    double sum over the context's cached matrix of P values: one dot product
+    with the memoized inner vector of chi2."""
     if chi1.field is not ctx.tower.base or chi2.field is not ctx.tower.base:
         raise FieldError("the double Mellin transform needs base-field characters")
-    key = (chi1.index, chi2.index)
-    return memoized(ctx.memo["double_mellin_mixed"], key, _mellin_of, chi1, _mixed_inner, ctx, chi2)
+    return _mellin_of(chi1, _mixed_inner, ctx, chi2)
 
 
 def _mixed_inner(ctx: KatzContext, chi2: MultChar) -> list[complex]:
@@ -361,12 +360,11 @@ def _build_mixed_inner(ctx: KatzContext, chi2: MultChar) -> list[complex]:
 
 
 def kernel_mellin(d: MultChar, chi: MultChar) -> complex:
-    """sum_{j != 0} chi(j) h(D, j), memoized on the field by (D, chi) indices;
-    W(D) is its value at chi = phi nu^4."""
+    """sum_{j != 0} chi(j) h(D, j), one dot product with the memoized
+    kernel_row(D); W(D) is its value at chi = phi nu^4."""
     if chi.field is not d.field:
         raise FieldError("the kernel transform needs D and chi on one field")
-    key = (d.index, chi.index)
-    return memoized(d.field.memo["kernel_mellin"], key, _mellin_of, chi, kernel_row, d)
+    return _mellin_of(chi, kernel_row, d)
 
 
 def jacobi_bracket(ctx: KatzContext, nu: MultChar, c: MultChar) -> complex:
@@ -376,20 +374,27 @@ def jacobi_bracket(ctx: KatzContext, nu: MultChar, c: MultChar) -> complex:
     return lifted_jacobi(tower, nu_n * m8, c) + lifted_jacobi(tower, nu_n * m8**5, c)
 
 
-def ratio_bracket_deviation(ctx: KatzContext, nu1: int, d: int) -> float:
-    """The master bridge between the two Mellin evaluations, for D = mu*phi^i:
+def bridge_sides(ctx: KatzContext, nu1: int, d: int) -> tuple[complex, complex]:
+    """The two sides of the bridge between the two Mellin evaluations, for
+    D = mu*phi^i, with nu1 and D character indices and W(D) read at phi nu1^4:
 
     q/G2(conj(D)N) * {J2(nu1 N M8, conj(D)N) + J2(nu1 N M8^5, conj(D)N)}
-        = G(phi D^2)/G(phi) * (W(D) + 2(q-1) delta(D)),
+        = G(phi D^2)/G(phi) * (W(D) + 2(q-1) delta(D)).
 
-    with nu1 and D character indices."""
+    Neither side reads a; the pair is memoized on the tower by (M8, nu1, D),
+    since its rounding, though not its value, depends on M8."""
+    key = (ctx.M8.index, nu1, d)
+    return memoized(ctx.tower.memo["bridge_sides"], key, _build_bridge_sides, ctx, nu1, d)
+
+
+def _build_bridge_sides(ctx: KatzContext, nu1: int, d: int) -> tuple[complex, complex]:
     tower, base, q = ctx.tower, ctx.tower.base, ctx.tower.q
     n, half, g, dc = q - 1, (q - 1) // 2, gauss_sums(base), char(base, d)
     lhs = q / lifted_gauss(tower, dc.conj) * jacobi_bracket(ctx, char(base, nu1), dc.conj)
     rhs = g[(half + 2 * d) % n] / g[half] * (
         kernel_mellin(dc, char(base, (half + 4 * nu1) % n)) + 2 * (q - 1) * delta(dc)
     )
-    return abs(lhs - rhs)
+    return lhs, rhs
 
 
 # ---------------------------------------------------------------------------
@@ -545,8 +550,7 @@ def verify_master_identity(
         (nus[i1], (nus[i1] + nus[i2] + n // 2 * i) % n)
         for i1, i2 in pairs if i1 % 2 and i2 % 2 for i in (0, 1)
     })
-    rep.family("gauss-ratio-bridge", "nu1={},D={}", policy.abs_tol(q, 4 * q * q)).extend(
-        (ratio_bracket_deviation(ctx, nu1, d) for nu1, d in bridge_args),
-        *zip(*bridge_args),
-    )
+    bridge = rep.family("gauss-ratio-bridge", "nu1={},D={}", policy.abs_tol(q, 4 * q * q))
+    sides = (bridge_sides(ctx, nu1, d) for nu1, d in bridge_args)
+    bridge.extend((abs(lhs - rhs) for lhs, rhs in sides), *zip(*bridge_args))
     return rep

@@ -123,8 +123,7 @@ def test_the_build_rule_sees_calls_and_handed_classes():
 def test_a_deviation_is_formed_in_the_suite_that_records_it():
     # a suite reads its values by index and forms each deviation itself, so a
     # wrong value served to it reaches every family that reads the value; the
-    # Gauss-ratio bridge is the one deviation function, since both theorem-5.x
-    # and master record it
+    # Gauss-ratio bridge too, from the two sides that katz.bridge_sides returns
     found = [
         f"{path.stem}.{node.name}"
         for path in sorted(SRC.glob("*.py"))
@@ -132,4 +131,4 @@ def test_a_deviation_is_formed_in_the_suite_that_records_it():
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
         and node.name.endswith("_deviation")
     ]
-    assert found == ["katz.ratio_bracket_deviation"]
+    assert found == []
