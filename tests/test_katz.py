@@ -985,6 +985,34 @@ class TestKernel:
                 lhs, rhs = bridge_sides(ctx7, ni, di)
                 assert abs(lhs - rhs) < TOL
 
+    @pytest.mark.parametrize("p,t", [(11, 1), (3, 3)])
+    def test_bridge_identity_exhaustive(self, monkeypatch, p, t):
+        # every (nu1, D) at a second prime and at p = 3, where the suites
+        # read only the selected pairs; the memo holds exactly those keys
+        tower = build_tower(p, t)
+        monkeypatch.setitem(tower.memo, "bridge_sides", {})  # start and end it clean
+        ctx, n = KatzContext(tower, tower.base.g), tower.q - 1
+        for ni in range(n):
+            for di in range(n):
+                lhs, rhs = bridge_sides(ctx, ni, di)
+                assert abs(lhs - rhs) < TOL
+        want = {(ctx.M8.index, ni, di) for ni in range(n) for di in range(n)}
+        assert set(tower.memo["bridge_sides"]) == want
+
+    @pytest.mark.parametrize("q", [7, 11])
+    def test_kernel_mellin_is_the_sum_of_literal_kernel_sums(self, q):
+        # kernel_mellin keeps no memo of its own: each value is a dot product
+        # with kernel_row(D), checked here against the per-x loop
+        base = build_tower(q).base
+        for di in range(q - 1):
+            d = char(base, di)
+            h = [kernel_literal(d, j) for j in range(1, q)]
+            for ci in range(q - 1):
+                chi = char(base, ci)
+                t = chi.value_table()
+                want = sum(t[j] * h[j - 1] for j in range(1, q))
+                assert abs(kernel_mellin(d, chi) - want) < TOL
+
     def test_transform_of_phi_matches_double_sum(self, ctx7):
         # W(phi) at nu = eps is the double sum at nu = eps
         base = ctx7.tower.base
