@@ -38,9 +38,9 @@ import math
 import operator
 from array import array
 from collections import defaultdict
-from functools import lru_cache
 
 SIZE_GUARD = 1 << 20  # dlog tables are built eagerly; refuse fields beyond this
+_FIELDS, _TOWERS = {}, {}  # construct_field's fields and build_tower's towers (see memoized)
 
 
 class FieldError(ValueError):
@@ -160,7 +160,8 @@ def check_order(order: int):
 def memoized(table: dict, key, build, *args):
     """table[key], stored as build(*args) on its first read; no value is None.
     Every memo is read here: table is owner.memo[name] for the memo's name,
-    or owner.memo with key = name where the memo is one value."""
+    owner.memo with key = name where the memo is one value, or one of the
+    module's dicts of fields by (p, m) and towers by (p, t)."""
     value = table.get(key)
     if value is None:
         value = table[key] = build(*args)
@@ -468,10 +469,9 @@ class FieldElement:
         return f"FieldElement({self.coeffs} over F_{self.field.p}^{self.field.m})"
 
 
-@lru_cache(maxsize=None)
 def construct_field(p: int, m: int = 1) -> PrimePowerField:
-    """Canonical F_{p^m}: smallest modulus, smallest generator (both by code)."""
-    return PrimePowerField(p, m)
+    """Canonical F_{p^m}: smallest modulus and generator (by code); one per (p, m)."""
+    return memoized(_FIELDS, (p, m), PrimePowerField, p, m)
 
 
 class FieldTower:
@@ -551,10 +551,8 @@ class FieldTower:
 
     @property
     def i_line(self) -> array:
-        """Codes of 1 + i*y for the codes y of F_q in order; exactly q points."""
-        return memoized(self.memo, "i_line", self._build_i_line)
-
-    def _build_i_line(self) -> array:
+        """Codes of 1 + i*y for the codes y of F_q in order; exactly q points,
+        built in O(q) on each read."""
         add, mul = self.top.add_codes, self.top.mul_codes
         return array("i", (add(1, mul(self.i_code, e)) for e in self.embed_table))
 
@@ -562,7 +560,7 @@ class FieldTower:
         return f"FieldTower(q={self.q}, p={self.p}, t={self.t})"
 
 
-@lru_cache(maxsize=None)
 def build_tower(p: int, t: int = 1) -> FieldTower:
-    """The tower F_q in F_{q^2} for q = p^t, with all lookup tables built."""
-    return FieldTower(p, t)
+    """The tower F_q in F_{q^2} for q = p^t, with all lookup tables built;
+    one per (p, t), so build_tower(p) is build_tower(p, 1)."""
+    return memoized(_TOWERS, (p, t), FieldTower, p, t)

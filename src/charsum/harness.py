@@ -33,11 +33,12 @@ from .katz import (
     bridge_sides,
     double_mellin_mixed,
     double_mellin_product,
-    kernel_double_sum,
+    kernel_double_row,
     kernel_double_sum_anchor,
     jacobi_bracket,
     kernel_mellin,
     kernel_row,
+    mellin,
     mellin_transform,
     quadratic_kernel_expected,
     quadratic_kernel_mellin,
@@ -539,9 +540,7 @@ def suite_theorem5x(ctx: KatzContext, policy: TolerancePolicy) -> VerificationRe
         return abs(lhs - rhs)
 
     def fiber(d, nu, r):
-        w = chars[4 * nu % n].value_table()
-        lhs = sum(w[j] * r[j] for j in range(1, q))
-        return abs(lhs - jacobi_bracket(ctx, chars[nu], chars[-d % n]))
+        return abs(mellin(chars[4 * nu % n], r) - jacobi_bracket(ctx, chars[nu], chars[-d % n]))
 
     idx = all_idx if sweeps_every_char(q) else spaced_sample(all_idx, 6)
     transform_fam = rep.family("kernel-transform", "D={},nu={}", tol)
@@ -554,7 +553,8 @@ def suite_theorem5x(ctx: KatzContext, policy: TolerancePolicy) -> VerificationRe
         sides = (bridge_sides(ctx, nu, d) for nu in idx)
         bridge.extend((abs(lhs - rhs) for lhs, rhs in sides), ds, idx)
 
-    double = [kernel_double_sum(q, nu) for nu in idx]  # idx[0] = 0: the anchor's sum too
+    row = kernel_double_row(base)  # read at phi nu^4 for every nu; idx[0] = 0 is the anchor's
+    double = [mellin(chars[(half + 4 * nu) % n], row) for nu in idx]
     rep.family("kernel-double-sum", "nu={}", tol).extend(
         (abs(s - jacobi_bracket(ctx, chars[nu], phi)) for s, nu in zip(double, idx)), idx
     )

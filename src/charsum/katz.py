@@ -33,15 +33,17 @@ its (q-1)/2 pairs are column sums of stride-2 slices of that row (see
 _p_table); mixed_sum adds the same terms in the same order, one pair at a
 time, so every entry agrees bit for bit.
 
-Each sum is memoized in the memo of the object it depends on (see
-finite_field.memoized).  V, P, S(chi) and the inner sums sum_k chi2(k)
-P(j,k) read a, so the context keeps them by character indices; T(chi1, chi2)
-is one dot product with an inner sum.  The kernel rows h(D, .) do not: the
-field keeps them by the index of D, at most q-1 rows of q entries, and each
-sum_j chi(j) h(D, j) is one dot product with a row.  Nor do the bridge's
-sides: the tower keeps them by (M8, nu1, D).  So every a-task of one process
-reuses the rows and the sides.  theorem-5.x checks each kernel row against
-its closed-form row, whose 2F1 factor is hypergeometric.reduction_row's.
+Every sum_{j != 0} chi(j) row[j] over a row indexed by code is read by
+mellin: S(chi) of V, each inner sum sum_k chi2(k) P(j,k) of a row of P,
+T(chi1, chi2) of the inner vector, sum_j chi(j) h(D, j) of a kernel row, and
+the double sum of kernel_double_row.  Each sum is memoized in the memo of the
+object it depends on (see finite_field.memoized).  V, P, S(chi) and the inner
+vectors read a, so the context keeps them by character indices.  The kernel
+rows h(D, .) do not: the field keeps them by the index of D, at most q-1 rows
+of q entries.  Nor do the bridge's sides: the tower keeps them by (M8, nu1,
+D).  So every a-task of one process reuses the rows and the sides.
+theorem-5.x checks each kernel row against its closed-form row, whose 2F1
+factor is hypergeometric.reduction_row's.
 Y(D) reads R(D, .) from norm_jacobi_row (see hypergeometric).  Every Jacobi
 or Gauss sum over F_{q^2} has a lifted character C N, times M8^e in the
 Mellin evaluation, and is summed over the q-1 norm fibers by the lifted sums
@@ -149,8 +151,9 @@ class KatzContext:
         # the half-log of c^2: i for c^2 = g^(2i), h for c = 0
         sq = [h] + [base.dlog[c] % h for c in range(1, q)]
         tab = self._p_table()
-        add, sub = base.add_codes, base.sub_codes
-        return [[tab[sq[add(j, k)]][sq[sub(j, k)]] for k in range(q)] for j in range(q)]
+        add, neg = base.add_codes, base.neg  # (j - k)^2 = (j + (-k))^2: r[k] at -k
+        rows = ([sq[add(j, k)] for k in range(q)] for j in range(q))
+        return [[tab[r[k]][r[neg[k]]] for k in range(q)] for r in rows]
 
     def _p_table(self) -> list[list[complex]]:
         """P at s = (j+k)^2 and d = (j-k)^2 by their half-logs: tab[i][k] for
@@ -251,13 +254,13 @@ def mellin_transform(ctx: KatzContext, chi: MultChar) -> complex:
     """S(chi) = sum_{j != 0} chi(j) V(j), memoized on the context."""
     if chi.field is not ctx.tower.base:
         raise FieldError("the Mellin transform needs a base-field character")
-    return memoized(ctx.memo["mellin_transform"], chi.index, _mellin_of, chi, ctx.v_vector)
+    return memoized(ctx.memo["mellin_transform"], chi.index, mellin, chi, ctx.v_vector())
 
 
-def _mellin_of(chi: MultChar, row_of, *args) -> complex:
-    """sum_{j != 0} chi(j) row[j] for the row row_of(*args), indexed by code."""
-    t, row = chi.value_table(), row_of(*args)
-    return sum(t[j] * row[j] for j in range(1, len(row)))
+def mellin(chi: MultChar, row: list[complex]) -> complex:
+    """sum_{j != 0} chi(j) row[j] for a row indexed by code, added in code
+    order from 0j; chi's value table is 0j at code 0, so row[0] drops out."""
+    return sum(map(operator.mul, chi.value_table(), row), 0j)
 
 
 def double_mellin_product(ctx: KatzContext, chi1: MultChar, chi2: MultChar,
@@ -342,7 +345,7 @@ def double_mellin_mixed(ctx: KatzContext, chi1: MultChar, chi2: MultChar) -> com
     with the memoized inner vector of chi2."""
     if chi1.field is not ctx.tower.base or chi2.field is not ctx.tower.base:
         raise FieldError("the double Mellin transform needs base-field characters")
-    return _mellin_of(chi1, _mixed_inner, ctx, chi2)
+    return mellin(chi1, _mixed_inner(ctx, chi2))
 
 
 def _mixed_inner(ctx: KatzContext, chi2: MultChar) -> list[complex]:
@@ -351,8 +354,7 @@ def _mixed_inner(ctx: KatzContext, chi2: MultChar) -> list[complex]:
 
 
 def _build_mixed_inner(ctx: KatzContext, chi2: MultChar) -> list[complex]:
-    t2 = chi2.value_table()
-    return [sum(map(operator.mul, t2, row), 0j) for row in ctx.mixed_sum_matrix()]  # k = 0 adds 0
+    return [mellin(chi2, row) for row in ctx.mixed_sum_matrix()]
 
 
 # ---------------------------------------------------------------------------
@@ -360,11 +362,11 @@ def _build_mixed_inner(ctx: KatzContext, chi2: MultChar) -> list[complex]:
 
 
 def kernel_mellin(d: MultChar, chi: MultChar) -> complex:
-    """sum_{j != 0} chi(j) h(D, j), one dot product with the memoized
+    """sum_{j != 0} chi(j) h(D, j), the mellin read of the memoized
     kernel_row(D); W(D) is its value at chi = phi nu^4."""
     if chi.field is not d.field:
         raise FieldError("the kernel transform needs D and chi on one field")
-    return _mellin_of(chi, kernel_row, d)
+    return mellin(chi, kernel_row(d))
 
 
 def jacobi_bracket(ctx: KatzContext, nu: MultChar, c: MultChar) -> complex:
@@ -401,28 +403,28 @@ def _build_bridge_sides(ctx: KatzContext, nu1: int, d: int) -> tuple[complex, co
 # standalone double sums and their integer anchors
 
 
+def kernel_double_row(field) -> list[complex]:
+    """sum_{x != 0} phi(x) phi(1-x) phi(x(j+1)^2 + (j-1)^2) for every code j,
+    as a literal sum over x.  The oracle of kernel-double-sum: it reads no
+    kernel_row and keeps no memo."""
+    tphi, om = quadratic_char(field).value_table(), field.one_minus
+    mul, add, sub = field.mul_codes, field.add_codes, field.sub_codes
+    row = []
+    for j in range(field.order):
+        jp, jm = mul(add(j, 1), add(j, 1)), mul(sub(j, 1), sub(j, 1))
+        row.append(sum((tphi[x] * tphi[om[x]] * tphi[add(mul(x, jp), jm)]
+                        for x in range(1, field.order)), 0j))
+    return row
+
+
 def kernel_double_sum(q: int, nu_index: int = 0) -> complex:
-    """sum_{j,x != 0} (phi nu^4)(j) phi(x) phi(1-x) phi(x(j+1)^2 + (j-1)^2),
-    as a literal double sum over the base field of the q-tower."""
+    """sum_{j,x != 0} (phi nu^4)(j) phi(x) phi(1-x) phi(x(j+1)^2 + (j-1)^2):
+    the mellin read of kernel_double_row over the base field of the q-tower."""
     p, t = factor_prime_power(q)
     if q % 4 != 3:
         raise ValueError("the weighted kernel double sum is studied for q = 3 (mod 4)")
     field = build_tower(p, t).base
-    phi = quadratic_char(field)
-    tphi = phi.value_table()
-    tw = (phi * char(field, nu_index) ** 4).value_table()
-    om = field.one_minus
-    mul, add = field.mul_codes, field.add_codes
-    total = 0j
-    for j in range(1, q):
-        je = field.element(j)
-        jp = ((je + 1) ** 2).code
-        jm = ((je - 1) ** 2).code
-        inner = 0j
-        for x in range(1, q):
-            inner += tphi[x] * tphi[om[x]] * tphi[add(mul(x, jp), jm)]
-        total += tw[j] * inner
-    return total
+    return mellin(quadratic_char(field) * char(field, nu_index) ** 4, kernel_double_row(field))
 
 
 def decompose_q_squared(q: int, p: int) -> tuple[int, int]:

@@ -121,6 +121,12 @@ class TestConstructField:
     def test_construct_field_is_cached(self):
         assert construct_field(7) is construct_field(7)
 
+    def test_one_field_and_one_tower_per_p_and_degree(self):
+        # keyed on (p, m) and (p, t), not on how the call spells them
+        assert construct_field(7) is construct_field(7, 1) is construct_field(p=7, m=1)
+        assert build_tower(7) is build_tower(7, 1) is build_tower(p=7, t=1)
+        assert build_tower(7).top is construct_field(7, 2)
+
 
 class TestArithmetic:
     def test_f25_multiplication_matches_schoolbook(self):
@@ -281,6 +287,12 @@ class TestTower:
                 assert fr[top.add_codes(z, w)] == top.add_codes(fr[z], fr[w])
                 assert fr[top.mul_codes(z, w)] == top.mul_codes(fr[z], fr[w])
 
+    def test_i_line_is_built_on_each_read(self):
+        tower = build_tower(7)
+        line = tower.i_line
+        assert line == tower.i_line and line is not tower.i_line
+        assert "i_line" not in tower.memo
+
     def test_trace_line_has_q_points(self):
         tower = build_tower(7)
         line = tower.trace_line
@@ -326,7 +338,6 @@ class TestTableLayout:
                 table = getattr(field, name)
                 assert isinstance(table, array) and table.typecode == "i", (field, name)
         monkeypatch.delitem(tower.memo, "trace_line", raising=False)
-        monkeypatch.delitem(tower.memo, "i_line", raising=False)
         for name in ("embed_table", "trace_line", "i_line"):
             table = getattr(tower, name)
             assert isinstance(table, array) and table.typecode == "i", name

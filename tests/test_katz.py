@@ -1,3 +1,4 @@
+import ast
 import cmath
 import collections
 import functools
@@ -38,11 +39,13 @@ from charsum.katz import (
     decompose_q_squared,
     double_mellin_mixed,
     double_mellin_product,
+    kernel_double_row,
     kernel_double_sum,
     kernel_double_sum_anchor,
     kernel_mellin,
     kernel_row,
     kernel_sum,
+    mellin,
     mellin_transform,
     mixed_sum,
     norm_restricted_gauss,
@@ -1001,8 +1004,8 @@ class TestKernel:
 
     @pytest.mark.parametrize("q", [7, 11])
     def test_kernel_mellin_is_the_sum_of_literal_kernel_sums(self, q):
-        # kernel_mellin keeps no memo of its own: each value is a dot product
-        # with kernel_row(D), checked here against the per-x loop
+        # kernel_mellin keeps no memo of its own: each value is the mellin
+        # read of kernel_row(D), checked here against the per-x loop
         base = build_tower(q).base
         for di in range(q - 1):
             d = char(base, di)
@@ -1092,6 +1095,69 @@ class TestIndexArithmetic:
             "theorem-5.x": {"gauss-ratio-bridge"},
             "master": {"gauss-ratio-bridge"},
         }
+
+
+class TestMellinReader:
+    @pytest.mark.parametrize("p,t", [(7, 1), (3, 3)])
+    def test_equals_the_per_j_loop_and_drops_row_zero(self, p, t):
+        base = build_tower(p, t).base
+        row = [complex(1000, -7)] + [complex(j % 5 - 2, j % 3) for j in range(1, base.order)]
+        for i in range(base.order - 1):
+            chi = char(base, i)
+            want = 0j
+            for j in range(1, base.order):
+                want += chi(base.element(j)) * row[j]
+            assert abs(mellin(chi, row) - want) < TOL, i
+
+    @pytest.mark.parametrize("p,t", [(7, 1), (11, 1), (19, 1), (3, 3)])
+    def test_double_sum_equals_the_double_loop(self, p, t):
+        # sum_{j,x != 0} (phi nu^4)(j) phi(x) phi(1-x) phi(x(j+1)^2 + (j-1)^2)
+        # by field arithmetic, for every nu
+        base = build_tower(p, t).base
+        phi, one = quadratic_char(base), base.element(1)
+        elements = [base.element(c) for c in range(1, base.order)]
+        for nu in range(base.order - 1):
+            weight = phi * char(base, nu) ** 4
+            want = 0j
+            for j in elements:
+                for x in elements:
+                    arg = x * (j + 1) ** 2 + (j - 1) ** 2
+                    want += weight(j) * phi(x) * phi(one - x) * phi(arg)
+            assert abs(kernel_double_sum(base.order, nu) - want) < TOL, nu
+
+    def test_double_row_reads_no_kernel_row_transform_or_memo(self):
+        # the oracle of kernel-double-sum shares nothing with the routes it checks
+        tree = ast.parse(textwrap.dedent(inspect.getsource(katz.kernel_double_row)))
+        body = tree.body[0].body[1:]  # past the docstring
+        read = {n.id for stmt in body for n in ast.walk(stmt) if isinstance(n, ast.Name)}
+        read |= {n.attr for stmt in body for n in ast.walk(stmt) if isinstance(n, ast.Attribute)}
+        assert not read & {"kernel_row", "reduction_row", "mellin", "kernel_mellin", "gauss_sums",
+                           "memoized", "memo"}, read
+
+    @pytest.mark.parametrize("q", [7, 19])
+    def test_theorem5x_builds_the_double_row_once(self, monkeypatch, q):
+        calls = []
+
+        def counted(field):
+            calls.append(field)
+            return kernel_double_row(field)
+
+        monkeypatch.setattr(harness, "kernel_double_row", counted)
+        rep = suite_theorem5x(KatzContext(build_tower(q), 1), DEFAULT_POLICY)
+        assert calls == [build_tower(q).base]
+        assert len(rep.families["kernel-double-sum"]) == min(q - 1, 6)
+
+    @pytest.mark.parametrize("p,t", [(7, 1), (11, 1), (3, 3)])
+    def test_double_row_shifted_by_one_code_fails_the_double_sum(self, monkeypatch, p, t):
+        # a constant added to the row cancels (every phi nu^4 is nontrivial),
+        # so the mutation is the row served one code off
+        def shifted(field):
+            r = kernel_double_row(field)
+            return [r[0]] + r[2:] + r[1:2]
+
+        monkeypatch.setattr(harness, "kernel_double_row", shifted)
+        rep = suite_theorem5x(KatzContext(build_tower(p, t), 1), DEFAULT_POLICY)
+        assert set(failed_ids(rep)) == {"kernel-double-sum", "kernel-double-anchor"}
 
 
 class TestDoubleSumAnchors:

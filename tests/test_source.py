@@ -132,3 +132,42 @@ def test_a_deviation_is_formed_in_the_suite_that_records_it():
         and node.name.endswith("_deviation")
     ]
     assert found == []
+
+
+def memo_decorator_imports(tree: ast.AST) -> list[str]:
+    """Each import of functools' lru_cache or cache, as from functools import
+    ... or as an attribute of an imported functools, as "line: name"."""
+    names = {"lru_cache", "cache"}
+    out = [
+        f"{node.lineno}: {alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "functools"
+        for alias in node.names
+        if alias.name in names
+    ]
+    out += [
+        f"{node.lineno}: functools.{node.attr}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in names
+        and isinstance(node.value, ast.Name) and node.value.id == "functools"
+    ]
+    return out
+
+
+def test_every_memo_is_read_through_memoized():
+    # one memo reader: a functools cache would key on the call's spelling,
+    # so build_tower(7) and build_tower(7, 1) would be two towers
+    imports = [
+        f"{path.name}:{imp}"
+        for path in sorted(SRC.glob("*.py"))
+        for imp in memo_decorator_imports(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert not imports, imports
+
+
+def test_the_memo_rule_sees_both_forms():
+    src = "from functools import lru_cache, reduce\nimport functools\n"
+    src += "@functools.cache\ndef f(): pass\nfrom functools import cache as c\n"
+    assert memo_decorator_imports(ast.parse(src)) == [
+        "1: lru_cache", "5: cache", "3: functools.cache",
+    ]
