@@ -23,3 +23,8 @@ def records(rep) -> list[tuple[str, str, float, bool]]:
         for check_id, fam in rep.families.items()
         for inputs, dev in zip(fam.formatted(), fam.deviations)
     ]
+
+
+def failed_ids(rep) -> set[str]:
+    """The check_id of every family of rep with a failed record."""
+    return {check_id for check_id, _, _, passed in records(rep) if not passed}

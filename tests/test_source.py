@@ -3,7 +3,19 @@
 import ast
 from pathlib import Path
 
+from test_mutations import GAPS, MUTATIONS
+
 SRC = Path(__file__).resolve().parents[1] / "src" / "charsum"
+
+
+def findings(rule) -> list[str]:
+    """rule(tree) over every module of the package, each finding as
+    "file:finding"."""
+    return [
+        f"{path.name}:{found}"
+        for path in sorted(SRC.glob("*.py"))
+        for found in rule(ast.parse(path.read_text(encoding="utf-8")))
+    ]
 
 
 def test_every_source_line_fits_in_100_columns():
@@ -36,11 +48,7 @@ def foreign_private_stores(tree: ast.AST) -> list[str]:
 def test_no_module_stores_to_another_objects_private_attributes():
     # each object declares and fills its own private state; a memo that
     # another module builds lives in the owner's memo store
-    stores = [
-        f"{path.name}:{store}"
-        for path in sorted(SRC.glob("*.py"))
-        for store in foreign_private_stores(ast.parse(path.read_text(encoding="utf-8")))
-    ]
+    stores = findings(foreign_private_stores)
     assert not stores, stores
 
 
@@ -65,11 +73,7 @@ def private_relative_imports(tree: ast.AST) -> list[str]:
 
 def test_no_module_imports_another_modules_private_names():
     # a name another module reads is public: it drops its underscore
-    imports = [
-        f"{path.name}:{imp}"
-        for path in sorted(SRC.glob("*.py"))
-        for imp in private_relative_imports(ast.parse(path.read_text(encoding="utf-8")))
-    ]
+    imports = findings(private_relative_imports)
     assert not imports, imports
 
 
@@ -157,11 +161,7 @@ def memo_decorator_imports(tree: ast.AST) -> list[str]:
 def test_every_memo_is_read_through_memoized():
     # one memo reader: a functools cache would key on the call's spelling,
     # so build_tower(7) and build_tower(7, 1) would be two towers
-    imports = [
-        f"{path.name}:{imp}"
-        for path in sorted(SRC.glob("*.py"))
-        for imp in memo_decorator_imports(ast.parse(path.read_text(encoding="utf-8")))
-    ]
+    imports = findings(memo_decorator_imports)
     assert not imports, imports
 
 
@@ -171,3 +171,29 @@ def test_the_memo_rule_sees_both_forms():
     assert memo_decorator_imports(ast.parse(src)) == [
         "1: lru_cache", "5: cache", "3: functools.cache",
     ]
+
+
+def family_ids(tree: ast.AST) -> list[str]:
+    """The check_id of each call x.family(check_id, ...), as "line: check_id",
+    or as the source of an argument that is not a string literal."""
+    return [
+        f"{node.lineno}: {arg.value if isinstance(arg, ast.Constant) else ast.unparse(arg)}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "family" and node.args
+        for arg in node.args[:1]
+    ]
+
+
+def test_every_check_id_is_in_the_mutation_matrix():
+    # a family lands with a row that fails it, or with its reason as a gap
+    written = {family.split(": ")[1] for family in findings(family_ids)}
+    named = set(GAPS) | {check_id for row in MUTATIONS for ids in row.fails.values()
+                         for check_id in ids}
+    assert written == named, (written - named, named - written)
+
+
+def test_the_family_rule_sees_literals_and_names():
+    src = 'rep.family("point-identity", "j={}", tol)\nfam = report.family(name, "", 1)\n'
+    src += 'family("x", "", 1)\nrep.families["y"]\n'
+    assert family_ids(ast.parse(src)) == ["1: point-identity", "2: name"]
