@@ -25,6 +25,7 @@ from charsum.finite_field import FieldTower, build_tower, factor_prime_power
 from charsum.katz import KatzContext
 from charsum.tolerance import DEFAULT_POLICY
 
+
 def suites_at(q: int, a: str) -> list[str]:
     """Every suite that applies at q at a = 1; the a-sweep suites at a = g."""
     return [name for name, suite in harness.SUITES.items()
@@ -54,7 +55,7 @@ def clean_case(q: int, a: str) -> tuple[set[tuple[str, str]], dict[str, list[str
 
     def reading(key, real):
         def read_real(*args, **kwargs):
-            read.add((key, suite))  # the suite that runs now
+            read.add((key, suite))  # suite: the one that the loop below runs now
             return real(*args, **kwargs)
         return read_real
 
@@ -114,7 +115,8 @@ def p_entry(kind):
     """The P table served with its entry at (s, d) = (4, 1), (4, 0) or (0, 1)
     off by 0.01, and the inputs of the point-identity records that read it."""
     def squares(base):
-        return 0 if kind == "s-zero-edge" else base.mul_codes(2, 2), int(kind != "diagonal")
+        s = 0 if kind == "s-zero-edge" else base.mul_codes(2, 2)
+        return s, 0 if kind == "diagonal" else 1
 
     def wrong(real, ctx):  # read at the half-logs of s and d; (q-1)/2 for a zero square
         base, tab = ctx.tower.base, real(ctx)
@@ -156,7 +158,7 @@ class Mutation:
     name: str
     patch: Callable  # patch(monkeypatch) serves the wrong value
     fails: dict  # suite -> the check_ids it fails
-    points: Callable | None = None  # (base, a) -> inputs of the failed point-identity records
+    points: Callable | None = None  # (base, a) -> inputs of the failed point records, or None
     qs: tuple = (5, 7, 9, 11, 27)  # 5 and 9 for remark-Z, the one suite at q = 1 (mod 4)
 
     def cases(self) -> list[tuple[int, str]]:
