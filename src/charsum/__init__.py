@@ -16,8 +16,6 @@ from .characters import (
     trivial_char,
 )
 from .classical_sums import (
-    eisenstein_E,
-    eisenstein_E2,
     gauss,
     gauss_sums,
     jacobi,

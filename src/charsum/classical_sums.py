@@ -8,12 +8,12 @@ N = q* - 1, are one transform (`gauss_sums`; `gauss` reads one entry); the
 Jacobi row J(A, chi_k) = sum_m A(1 - g^m) e^(2 pi i k m / N) is one per A
 (`jacobi_row`), and E2 and E of every character of F_{q^2} are q+1 of length
 q-1 per line (`eisenstein_sums`); `log_dft` runs those of length q-1.
-`gauss_literal`, `jacobi`, `eisenstein_E2` and `eisenstein_E` sum one value
-literally and are kept as the oracles of the tests (and `jacobi` for the
-few single values the closed forms need).  This module keeps values and
-no identities: the Hasse-Davenport, lifting and quartic Gauss relations and
-the Jacobi/Gauss and Eisenstein/Gauss evaluations are read row against row,
-by index, in the classical and eisenstein suites.  Each compares two
+`jacobi` sums one value literally, for the few single values the closed
+forms need; the tests keep the literal oracles of the other rows.  This
+module keeps values and no identities: the Hasse-Davenport, lifting and
+quartic Gauss relations and the Jacobi/Gauss and Eisenstein/Gauss
+evaluations are read row against row, by index, in the classical and
+eisenstein suites.  Each compares two
 independently computed values: Jacobi rows from A(1 - g^m) or Eisenstein
 rows from the points of a line, against Gauss sums from psi(g^m), or
 transform values at different indices.
@@ -39,12 +39,6 @@ import operator
 
 from .characters import MultChar
 from .finite_field import FieldError, FieldTower, memoized
-
-
-def gauss_literal(a: MultChar) -> complex:
-    """G(A) = sum_y A(y) psi(y), always by literal summation (no memo)."""
-    ta, psi = a.value_table(), a.field.psi_table
-    return sum(ta[y] * psi[y] for y in range(1, a.field.order))
 
 
 def gauss(a: MultChar) -> complex:
@@ -212,29 +206,6 @@ def _fiber_transform(tower: FieldTower, c: MultChar, kind: str, index: int) -> c
 def _build_fiber_transform(tower: FieldTower, kind: str, index: int, c_index: int) -> complex:
     n, roots, row = tower.q - 1, tower.base.unity_roots, _fiber_row(tower, kind, index)
     return sum(map(operator.mul, [roots[c_index * k % n] for k in range(n)], row), 0j)
-
-
-def eisenstein_E2(tower: FieldTower, beta: MultChar) -> complex:
-    """E2(beta): sum of beta over the affine trace-one line z + z^q = 1,
-    by literal summation (the oracle of eisenstein_sums)."""
-    if beta.field is not tower.top:
-        raise FieldError("E2 needs a character on the tower's top field")
-    return _char_sum(beta, tower.trace_line)
-
-
-def eisenstein_E(tower: FieldTower, beta: MultChar) -> complex:
-    """E(beta) = sum_{y in F_q} beta(1 + i*y), by literal summation."""
-    if beta.field is not tower.top:
-        raise FieldError("E needs a character on the tower's top field")
-    return _char_sum(beta, tower.i_line)
-
-
-def _char_sum(beta: MultChar, codes: list[int]) -> complex:
-    """The sum of beta over the given element codes, in order, read through
-    dlog (beta(0) = 0), so that no q*-entry value table is built for q points."""
-    field, k = beta.field, beta.index
-    n, roots, dlog = field.order - 1, field.unity_roots, field.dlog
-    return sum((roots[k * dlog[z] % n] for z in codes if z), 0j)
 
 
 def eisenstein_sums(tower: FieldTower) -> tuple[list[complex], list[complex]]:

@@ -65,7 +65,7 @@ from .characters import quadratic_char
 from .classical_sums import gauss, gauss_sums, lifted_gauss, lifted_jacobi
 from .finite_field import FieldError, FieldTower, build_tower, construct_field
 from .finite_field import factor_prime_power, memoized
-from .hypergeometric import fiber_logs, norm_fiber
+from .hypergeometric import fiber_logs
 from .report import VerificationReport
 from .tolerance import DEFAULT_POLICY, TolerancePolicy
 
@@ -223,24 +223,18 @@ def mixed_sum(ctx: KatzContext, j, k) -> complex:
     return ctx._p_value(s, d, ctx._trace_row(ctx._s_side, s), ctx._trace_row(ctx._d_side, d))
 
 
-def norm_restricted_gauss(ctx: KatzContext, j, scan: bool = False) -> complex:
+def norm_restricted_gauss(ctx: KatzContext, j) -> complex:
     """V(j) over the norm fiber of a, walked by its logs m: psi2(j^2 g2^m) is
-    read at g2^(log j^2 + m); V(0) = 0.  scan=True walks the logs of the
-    O(q^2) scanned fiber instead, with M8 read from its value table."""
+    read at g2^(log j^2 + m); V(0) = 0."""
     tower = ctx.tower
     base, top = tower.base, tower.top
     jc = base.element(j).code
     if jc == 0:
         return 0j
-    n2, exp2, dlog2, psi2 = top.order - 1, top.exp, top.dlog, top.psi_table
-    lj = dlog2[tower.embed_table[base.mul_codes(jc, jc)]]
-    if scan:
-        tm8 = ctx.M8.value_table()
-        pairs = [(dlog2[z], tm8[z]) for z in norm_fiber(tower, ctx.a_code, scan=True)]
-    else:
-        pairs = ctx._fiber_pairs
+    n2, exp2, psi2 = top.order - 1, top.exp, top.psi_table
+    lj = top.dlog[tower.embed_table[base.mul_codes(jc, jc)]]
     acc = 0j
-    for m, m8v in pairs:
+    for m, m8v in ctx._fiber_pairs:
         acc += m8v * psi2[exp2[(lj + m) % n2]]
     tphi = ctx.phi.value_table()
     return tphi[jc] * acc / ctx.tau

@@ -7,8 +7,9 @@ was built; the tests compare the package's literal sums against them.
 """
 
 import pytest
+from test_routes import check
 
-from charsum.characters import char, octic_M8
+from charsum.characters import octic_M8
 from charsum.finite_field import build_tower, factor_prime_power
 from charsum.harness import (
     suite_classical,
@@ -16,12 +17,9 @@ from charsum.harness import (
     suite_mellin,
     suite_theorem41,
 )
-from charsum.hypergeometric import norm_fiber, norm_restricted_jacobi
 from charsum.katz import (
     KatzContext,
-    double_mellin_product,
     kernel_double_sum,
-    norm_restricted_gauss,
     quadratic_kernel_mellin,
     verify_master_identity,
 )
@@ -32,6 +30,8 @@ MELLIN_Q = (3, 7, 11)
 THEOREM41_Q = (3, 7, 11, 19, 27)
 CLASSICAL_Q = (3, 7, 11)
 ORACLE_Q = (3, 7, 11)
+ORACLE_ROUTES = ("double_mellin_product:literal", "norm_fiber:norm_fiber(scan)",
+                 "norm_restricted_jacobi:fiber_sum", "v_vector:v_scanned")
 
 # independent-oracle anchors, frozen before the build
 DOUBLE_SUM_ANCHORS = {7: 14, 11: 14, 19: -34, 23: 46, 27: 46}
@@ -153,50 +153,14 @@ def test_criterion_6_classical_invariants():
 
 
 def test_criterion_7_oracle_equivalence():
-    worst = 0.0
-    n = 0
-    for q, tower in towers(ORACLE_Q):
-        base = tower.base
-        ctx = KatzContext(tower, 1)
-        # literal double Mellin vs the factored product, all pairs
-        for i1 in range(q - 1):
-            for i2 in range(q - 1):
-                c1, c2 = char(base, i1), char(base, i2)
-                dev = abs(
-                    double_mellin_product(ctx, c1, c2, literal=True)
-                    - double_mellin_product(ctx, c1, c2)
-                )
-                worst = max(worst, dev)
-                n += 1
-        # fiber solver vs full scan
-        for c in range(1, q):
-            assert sorted(norm_fiber(tower, c)) == norm_fiber(tower, c, scan=True)
-            n += 1
-        # norm-restricted Jacobi and Gauss sums, both routes
-        for d_idx in range(q - 1):
-            d = char(base, d_idx)
-            for j in range(1, q):
-                je = base.element(j)
-                dev = abs(
-                    norm_restricted_jacobi(ctx, d, je)
-                    - norm_restricted_jacobi(ctx, d, je, scan=True)
-                )
-                worst = max(worst, dev)
-                n += 1
-        for a in (1, base.g):
-            ctx_a = KatzContext(tower, a)
-            for j in range(q):
-                dev = abs(
-                    norm_restricted_gauss(ctx_a, j)
-                    - norm_restricted_gauss(ctx_a, j, scan=True)
-                )
-                worst = max(worst, dev)
-                n += 1
+    # the rows of the route table whose oracles are the debug-mode scans and
+    # literal sums, at each q of ORACLE_Q
+    devs = [dev for name in ORACLE_ROUTES for q in ORACLE_Q for dev in check(name, str(q))]
     tol = DEFAULT_POLICY.abs_tol(11, 11**3)
     report(
         "7 (debug-mode literal sums agree with optimized paths, q <= 11)",
-        worst <= tol,
-        f"{n} comparisons, max deviation {worst:.3g} <= {tol:.3g}",
+        max(devs) <= tol,
+        f"{len(devs)} comparisons, max deviation {max(devs):.3g} <= {tol:.3g}",
     )
 
 

@@ -9,11 +9,10 @@ from functools import lru_cache
 from pathlib import Path
 
 import pytest
-from conftest import ROUTE_TOL
 
 from charsum.characters import char, quadratic_char
 from charsum.finite_field import FieldError, build_tower, construct_field
-from charsum.hypergeometric import hyp2f1, hyp2f1_row, norm_fiber, norm_restricted_jacobi
+from charsum.hypergeometric import hyp2f1, norm_fiber, norm_restricted_jacobi
 from charsum.katz import KatzContext, kernel_sum, mixed_sum, norm_restricted_gauss
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "charsum"
@@ -75,12 +74,8 @@ class TestElementArguments:
 
 
 def test_hyp2f1_reads_an_integer_as_a_code():
+    # the row hyp2f1_row:hyp2f1 of test_routes reads every code x at q = 27 too
     field = build_tower(3, 3).base
-    n = field.order - 1
-    for ia, ib, ic in [(1, 2, 3), (5, 10, 5 + n // 2), (0, 0, 0)]:
-        a, b, c = char(field, ia), char(field, ib), char(field, ic)
-        row = hyp2f1_row(a, b, c)
-        assert max(abs(hyp2f1(a, b, c, x) - row[x]) for x in range(field.order)) <= ROUTE_TOL
     assert hyp2f1(char(field, 1), char(field, 2), char(field, 3), 3) != 0
 
 

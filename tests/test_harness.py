@@ -11,9 +11,9 @@ from pathlib import Path
 import pytest
 from conftest import records
 
-from charsum import cli, harness
+from charsum import cli, finite_field, harness
 from charsum.characters import MultChar
-from charsum.finite_field import FieldTower, build_tower, factor_prime_power
+from charsum.finite_field import FieldTower, PrimePowerField, build_tower, factor_prime_power
 from charsum.harness import (
     EXIT_CHECK_FAILED,
     EXIT_OK,
@@ -552,6 +552,22 @@ class TestSuites:
             _, reports = run(cfg)
             assert counts == {"contexts": points, "P": points}
             assert all(rep.wall_time > 0 for rep in reports)
+
+    @pytest.mark.parametrize("args,orders", [
+        ([], {*harness.DEFAULT_Q, *(q * q for q in harness.DEFAULT_Q), *harness.DEFAULT_Q_REMARK}),
+        (["--suite", "all", "--q", "3", "--q", "7", "--q", "9", "--q", "25", "--q", "27"],
+         {3, 9, 7, 49, 25, 27, 729}),
+    ], ids=["default", "all-suites"])
+    def test_a_run_builds_one_field_per_order(self, monkeypatch, args, orders):
+        # no field exists yet; F_9 is both the top of the tower of 3 and the field of remark-Z
+        monkeypatch.delenv("CHARSUM_PARALLELISM", raising=False)
+        monkeypatch.setattr(finite_field, "_FIELDS", {})
+        monkeypatch.setattr(finite_field, "_TOWERS", {})
+        built, init = collections.Counter(), PrimePowerField.__init__
+        monkeypatch.setattr(PrimePowerField, "__init__", lambda self, p, m, *args, **kwargs:
+                            built.update([p**m]) or init(self, p, m, *args, **kwargs))
+        assert cli.main(["run", *args]) == 0
+        assert built == dict.fromkeys(orders, 1)
 
     def test_master_records_independent_of_classical_first(self, tmp_path):
         # classical fills the Gauss-sum transforms of F_7 and F_49 in the

@@ -4,6 +4,7 @@ import ast
 from pathlib import Path
 
 from test_mutations import GAPS, MUTATIONS
+from test_routes import EXEMPT, ROUTES
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "charsum"
 
@@ -197,3 +198,35 @@ def test_the_family_rule_sees_literals_and_names():
     src = 'rep.family("point-identity", "j={}", tol)\nfam = report.family(name, "", 1)\n'
     src += 'family("x", "", 1)\nrep.families["y"]\n'
     assert family_ids(ast.parse(src)) == ["1: point-identity", "2: name"]
+
+
+def filled_memos(tree: ast.AST) -> list[str]:
+    """The name of each memo that a module fills, as "line: name": the key
+    string of owner.memo["name"], or of memoized(owner.memo, "name", ...)."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Subscript):
+            owner, key = node.value, node.slice
+        elif (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "memoized"
+              and len(node.args) > 1):
+            owner, key = node.args[:2]
+        else:
+            continue
+        if (isinstance(owner, ast.Attribute) and owner.attr == "memo"
+                and isinstance(key, ast.Constant) and isinstance(key.value, str)):
+            out.append(f"{node.lineno}: {key.value}")
+    return out
+
+
+def test_every_memo_of_the_sum_modules_has_a_route_row():
+    # a correlation, transform or F_q(i) route lands with a row of test_routes
+    # that checks it against its literal oracle, or with its reason in EXEMPT
+    found = {memo.split(": ")[-1] for memo in findings(filled_memos)
+             if memo.split(".py:")[0] in ("classical_sums", "hypergeometric", "katz")}
+    assert found == set(EXEMPT) | {memo for row in ROUTES.values() for memo in row[4:]}
+
+
+def test_the_filled_memo_rule_sees_both_forms():
+    src = 'memoized(field.memo, "gauss_sums", build, field)\nmemoized(t.memo["rows"], k, f)\n'
+    src += 'ctx.memo["inner"][k]\nmemoized(table, "x", f)\nself.memo[name]\nmemo["y"]\n'
+    assert sorted(filled_memos(ast.parse(src))) == ["1: gauss_sums", "2: rows", "3: inner"]
