@@ -13,10 +13,9 @@ forms need; the tests keep the literal oracles of the other rows.  This
 module keeps values and no identities: the Hasse-Davenport, lifting and
 quartic Gauss relations and the Jacobi/Gauss and Eisenstein/Gauss
 evaluations are read row against row, by index, in the classical and
-eisenstein suites.  Each compares two
-independently computed values: Jacobi rows from A(1 - g^m) or Eisenstein
-rows from the points of a line, against Gauss sums from psi(g^m), or
-transform values at different indices.
+eisenstein suites.  Each compares two independently computed values:
+Jacobi rows from A(1 - g^m) or Eisenstein rows from the points of a line,
+against Gauss sums from psi(g^m), or transform values at different indices.
 
 A sum over F_{q^2} whose character is a lifted base character C N, times a
 fixed top-field character B, splits over the norm fibers {N z = g^k}:

@@ -3,20 +3,10 @@ definition, term by term, and is the oracle of a faster route (see
 test_routes.py).  None keeps a memo of its own."""
 
 import cmath
-import math
-import operator
 
-from charsum.characters import char, norm_compose, quadratic_char
+from charsum.characters import norm_compose, quadratic_char
 from charsum.classical_sums import jacobi
 from charsum.hypergeometric import hyp2f1, norm_fiber
-
-
-def dft_literal(x: list[complex]) -> list[complex]:
-    """X_k = sum_m x_m e^(2 pi i km / n), n = len(x), the angle reduced as km
-    mod n: unreduced, its own error reaches 1e-11 at n = 262."""
-    n = len(x)
-    return [sum(x[m] * cmath.exp(2j * math.pi * (k * m % n) / n) for m in range(n))
-            for k in range(n)]
 
 
 def gauss_literal(a) -> complex:
@@ -67,16 +57,10 @@ def fiber_sum(ctx, d, fiber) -> complex:
 def v_scanned(ctx, j) -> complex:
     """V(j) over the scanned fiber of a, in code order, with M8 read from its
     value table: it does not rest on the tower's link g = N(g2)."""
-    tower = ctx.tower
-    jc = tower.base.element(j).code
-    if jc == 0:
-        return 0j
-    top, tm8 = tower.top, ctx.M8.value_table()
-    j2 = tower.embed_table[tower.base.mul_codes(jc, jc)]
-    acc = 0j
-    for z in norm_fiber(tower, ctx.a_code, scan=True):
-        acc += tm8[z] * top.psi_table[top.mul_codes(j2, z)]
-    return ctx.phi.value_table()[jc] * acc / ctx.tau
+    tower, j = ctx.tower, ctx.tower.base.element(j)
+    top, tm8, j2 = tower.top, ctx.M8.value_table(), tower.embed(j * j).code
+    fiber = norm_fiber(tower, ctx.a_code, scan=True)
+    return ctx.phi(j) * sum(tm8[z] * top.psi_table[top.mul_codes(j2, z)] for z in fiber) / ctx.tau
 
 
 def p_raw(j, k, a, q=7):
@@ -143,33 +127,6 @@ def kernel_literal(d, j):
     for x in range(1, field.order):
         total += td[x] * tphi[om[x]] * tmix[add(mul(x, jp), jm)]
     return total
-
-
-def mixed_double_loop(ctx, chi1, chi2) -> complex:
-    """T(chi1, chi2) = sum_{j,k != 0} chi1(j) chi2(k) P(j, k) over the P
-    matrix, one inner sum per j, with no cached inner vector."""
-    pm, t1, t2 = ctx.mixed_sum_matrix(), chi1.value_table(), chi2.value_table()
-    return sum(t1[j] * sum(map(operator.mul, t2, pm[j]), 0j) for j in range(1, len(pm)))
-
-
-def kernel_literal_row(d) -> list[complex]:
-    """h(D, j) for every code j by kernel_literal, 0j at j = 0."""
-    return [kernel_literal(d, j) if j else 0j for j in range(d.field.order)]
-
-
-def mellin_loop(chi, row) -> complex:
-    """sum_{j != 0} chi(j) row[j] for a row indexed by code, chi evaluated at
-    each element."""
-    return sum(chi(chi.field.element(j)) * row[j] for j in range(1, chi.field.order))
-
-
-def kernel_double_loop(field, nu: int) -> complex:
-    """sum_{j,x != 0} (phi nu^4)(j) phi(x) phi(1-x) phi(x(j+1)^2 + (j-1)^2)
-    by field arithmetic."""
-    phi, elements = quadratic_char(field), list(map(field.element, range(1, field.order)))
-    weight = phi * char(field, nu) ** 4
-    return sum(weight(j) * phi(x) * phi(1 - x) * phi(x * (j + 1) ** 2 + (j - 1) ** 2)
-               for j in elements for x in elements)
 
 
 def kernel_closed_form(d, j):

@@ -74,7 +74,8 @@ class TestElementArguments:
 
 
 def test_hyp2f1_reads_an_integer_as_a_code():
-    # the row hyp2f1_row:hyp2f1 of test_routes reads every code x at q = 27 too
+    # the row hyp2f1_row:hyp2f1 of test_routes checks the row against every code x
+    # at q = 27, for (1, 2, 3), (5, 10, 5 + n/2) and (0, 0, 0) among others
     field = build_tower(3, 3).base
     assert hyp2f1(char(field, 1), char(field, 2), char(field, 3), 3) != 0
 

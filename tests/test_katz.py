@@ -3,6 +3,7 @@ import collections
 import functools
 import inspect
 import json
+import os
 import subprocess
 import sys
 import textwrap
@@ -674,12 +675,14 @@ class TestRootTables:
         sigma = sum(d for d in range(1, 4 * q - 3) if 4 * (q - 1) % d == 0)
         assert sum(map(len, top.memo["root_table"].values())) <= sigma
 
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
     def test_master_q263_allocates_at_most_80_bytes_per_top_element(self):
-        # a fresh interpreter, which reads the growth of its own peak RSS
-        # (VmHWM, in kB) over the tower, the context and the master checks at
-        # a = 1: about 62 B per element of F_{263^2}, 101 B with the full root
-        # table of the top field read first.  Its ru_maxrss would not do: it starts
-        # at the peak of the process that spawned it, here pytest's
+        # a fresh interpreter, which reads the growth of its own peak resident
+        # memory (VmHWM, in kB), not the allocations it traces, over the tower,
+        # the context and the master checks at a = 1: about 62 B per element of
+        # F_{263^2}, 101 B with the full root table of the top field read first.
+        # Its ru_maxrss would not do: it starts at the peak of the process that
+        # spawned it, here pytest's
         code = (
             "def peak():\n"
             "    with open('/proc/self/status') as status:\n"
